@@ -138,10 +138,6 @@ def dim_s2_trace(symbol) -> S2TraceData:
     return S2TraceData(d, tr_s, alpha_s, alpha_st, alpha_t, iso_classes, dim_inv, int(total))
 
 
-def dim_s2_trace_oracle(symbol) -> int:
-    return dim_s2_trace(symbol).dim
-
-
 # ---------------------------------------------------------------------------
 # Jacobi forms of singular weight
 # ---------------------------------------------------------------------------

@@ -109,7 +109,3 @@ def kronecker(a: int, n: int) -> int:
 def frac1(x) -> Fraction:
     """Reduce a rational to the canonical representative in [0, 1)."""
     return Fraction(x) % 1
-
-
-def mod8(x: int) -> int:
-    return x % 8

@@ -24,6 +24,7 @@ from .fqm import (
     from_jordan_symbol,
 )
 from .fundamental import integer_normalize, invariant_generators
+from .intmat import Echelon
 from .weil import (
     OddSignatureError,
     Vec,
@@ -50,6 +51,7 @@ ERROR_CODES = {
     OddSignatureError: ("odd-signature", EXIT_ODD_SIGNATURE),
     json.JSONDecodeError: ("io-error", EXIT_IO),
     BoundExceeded: ("bound-exceeded", EXIT_BOUND),
+    cyclo.CycloOrderError: ("bound-exceeded", EXIT_BOUND),
     OSError: ("io-error", EXIT_IO),
     ValueError: ("parse-error", EXIT_PARSE),
 }
@@ -103,13 +105,11 @@ def _cmd_dim(args) -> dict:
 
 
 def _invariant_basis(form: DiscriminantForm):
-    basis = []
+    ech = Echelon()
     picked = []
     for gamma in form.isotropic_elements():
         v = inv(form, gamma)
-        if v.is_zero():
-            continue
-        if rank_of_vectors([b for _, b in picked] + [v]) > len(picked):
+        if ech.add(v.coeffs):
             picked.append((gamma, v))
     return picked
 

@@ -15,6 +15,7 @@ import cmath
 from fractions import Fraction
 from .arith import factorize, frac1, isqrt, lcm, legendre, squarefree_part
 from .config import LIMITS
+from .intmat import Echelon
 
 
 class CycloOrderError(ValueError):
@@ -66,10 +67,10 @@ _table_cache: dict[int, tuple[int, list[dict[int, int]]]] = {}
 
 def _tables(m: int) -> tuple[int, list[dict[int, int]]]:
     """(phi(m), reduction rows): rows[e - phi] writes zeta^e in the basis."""
-    if m in _table_cache:
-        return _table_cache[m]
     if m > LIMITS.max_cyclo_order:
         raise CycloOrderError(f"cyclotomic order {m} exceeds bound {LIMITS.max_cyclo_order}")
+    if m in _table_cache:
+        return _table_cache[m]
     phi = _euler_phi(m)
     poly = cyclotomic_polynomial(m)
     top = {j: -poly[j] for j in range(phi) if poly[j]}
@@ -127,6 +128,9 @@ class Cyclo:
 
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
 
     def is_rational(self) -> bool:
         return all(e == 0 for e in self.coeffs)
@@ -222,7 +226,7 @@ class Cyclo:
         return self * other.inverse()
 
     def __rtruediv__(self, other) -> "Cyclo":
-        return Cyclo.rational(other) * self.inverse()
+        return self.inverse() * other
 
     def inverse(self) -> "Cyclo":
         if self.is_zero():
@@ -233,19 +237,21 @@ class Cyclo:
         if len(self.coeffs) == 1:
             ((e, c),) = self.coeffs.items()
             return Cyclo(self.order, {(-e) % self.order: Fraction(1) / c})
-        # General case: solve (mult-by-self) x = 1 over the power basis.
+        # General case: solve (mult-by-self) x = 1 over the power basis,
+        # eliminating the rows [M_i | delta_i0] of the augmented system.
         m = self.order
         phi, _ = _tables(m)
-        cols = []
+        rows: list[dict[int, Fraction]] = [{phi: Fraction(1)}] + [{} for _ in range(1, phi)]
         for j in range(phi):
             acc: dict[int, Fraction] = {}
             for e, c in self.coeffs.items():
                 _reduce_exp(m, e + j, c, acc)
-            cols.append(acc)
-        mat = [[Fraction(cols[j].get(i, 0)) for j in range(phi)] for i in range(phi)]
-        rhs = [Fraction(1 if i == 0 else 0) for i in range(phi)]
-        sol = _solve_linear(mat, rhs)
-        return Cyclo(m, {j: sol[j] for j in range(phi) if sol[j]}, reduced=True)
+            for i, x in acc.items():
+                rows[i][j] = x
+        ech = Echelon()
+        for row in rows:
+            ech.add(row)
+        return Cyclo(m, {j: ech.rows[j][phi] for j in range(phi) if phi in ech.rows[j]}, reduced=True)
 
     def conjugate(self) -> "Cyclo":
         """Complex conjugate (zeta -> zeta^-1)."""
@@ -279,24 +285,6 @@ class Cyclo:
 
     def __str__(self) -> str:
         return serialize(self)
-
-
-def _solve_linear(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination over Q; mat must be invertible."""
-    n = len(mat)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            raise ArithmeticError("singular system")
-        a[col], a[piv] = a[piv], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
 
 
 # -- public operations ------------------------------------------------------

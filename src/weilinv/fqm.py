@@ -29,7 +29,7 @@ from .arith import (
 )
 from .config import LIMITS
 from .cyclo import Cyclo, e_of, sqrt_int
-from .intmat import rational_inverse, smith_normal_form
+from .intmat import invert_unimodular, rational_inverse, smith_normal_form
 
 Element = tuple[int, ...]
 
@@ -281,12 +281,6 @@ class DiscriminantForm:
 
     def index(self, el: Element) -> int:
         return sum(a * s for a, s in zip(el, self._strides))
-
-    def element_at(self, idx: int) -> Element:
-        out = []
-        for d, s in zip(self.orders, self._strides):
-            out.append((idx // s) % d)
-        return tuple(out)
 
     def normalize(self, el) -> Element:
         return tuple(a % d for a, d in zip(el, self.orders))
@@ -689,7 +683,11 @@ def _realize_symbol(symbol: JordanSymbol) -> DiscriminantForm:
 
 def from_gram(gram) -> DiscriminantForm:
     """The dual quotient L'/L of an even lattice with the given Gram matrix."""
-    g = [[int(x) for x in row] for row in gram]
+    if not isinstance(gram, (list, tuple)) or not all(isinstance(row, (list, tuple)) for row in gram):
+        raise ValueError("Gram matrix must be an array of arrays")
+    if any(isinstance(x, bool) or not isinstance(x, int) for row in gram for x in row):
+        raise ValueError("Gram matrix entries must be integers")
+    g = [list(row) for row in gram]
     n = len(g)
     if any(len(row) != n for row in g):
         raise ValueError("Gram matrix must be square")
@@ -706,7 +704,7 @@ def from_gram(gram) -> DiscriminantForm:
     if any(d == 0 for d in diag):
         raise ValueError("Gram matrix must be non-singular")
     g_inv = rational_inverse(g)
-    v_inv = invert_rows(v)
+    v_inv = invert_unimodular(v)
     gens = []
     orders = []
     for j in range(n):
@@ -729,12 +727,6 @@ def from_gram(gram) -> DiscriminantForm:
     if form.order != expected:
         raise InternalInconsistency("group order does not match |det G|")
     return form
-
-
-def invert_rows(v: list[list[int]]) -> list[list[int]]:
-    from .intmat import invert_unimodular
-
-    return invert_unimodular(v)
 
 
 def abs_det(diag: list[int]) -> int:

@@ -18,7 +18,7 @@ from .fqm import (
     Element,
     InternalInconsistency,
 )
-from .intmat import rational_inverse, row_lattice_basis, smith_normal_form
+from .intmat import invert_unimodular, rational_inverse, row_lattice_basis, smith_normal_form
 from .weil import GroupAlgebraVector, Vec
 
 
@@ -66,10 +66,6 @@ def make_isotropic_subgroup(form: DiscriminantForm, gens) -> IsotropicSubgroup:
     if len(sub.perp) * len(els) != form.order:
         raise InternalInconsistency("|H| * |H-perp| != |D|")
     return sub
-
-
-def isotropic_elements(form: DiscriminantForm) -> list[Element]:
-    return form.isotropic_elements()
 
 
 def isotropic_subgroups(form: DiscriminantForm, max_order: int | None = None) -> list[IsotropicSubgroup]:
@@ -145,7 +141,7 @@ def quotient(form: DiscriminantForm, subgroup: IsotropicSubgroup) -> QuotientFor
             raise InternalInconsistency("H lattice is not inside the H-perp lattice")
         coords.append([int(x) for x in vec])
     u, s, v = smith_normal_form(coords)
-    v_inv = _int_inverse(v)
+    v_inv = invert_unimodular(v)
     gen_rows = []
     orders = []
     for j in range(k):
@@ -181,12 +177,6 @@ def quotient(form: DiscriminantForm, subgroup: IsotropicSubgroup) -> QuotientFor
         if qf.q(qel) != form.q(section[qel]):
             raise InternalInconsistency("quotient form does not restrict q correctly")
     return QuotientForm(form, subgroup, qf, section, projection)
-
-
-def _int_inverse(v: list[list[int]]) -> list[list[int]]:
-    from .intmat import invert_unimodular
-
-    return invert_unimodular(v)
 
 
 def lift_up(qf: QuotientForm, v: GroupAlgebraVector) -> GroupAlgebraVector:

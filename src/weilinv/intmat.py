@@ -1,4 +1,5 @@
-"""Exact integer matrix utilities: Smith normal form and lattice bases."""
+"""Exact matrix utilities: the one field elimination routine (Echelon),
+Smith normal form and lattice bases."""
 
 from __future__ import annotations
 
@@ -97,42 +98,61 @@ def smith_normal_form(a: list[list[int]]) -> tuple[list[list[int]], list[list[in
     return u, s, v
 
 
-def invert_unimodular(m: list[list[int]]) -> list[list[int]]:
-    """Inverse of an integer matrix with determinant +-1."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col])
-        a[col], a[piv] = a[piv], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    out = [[a[i][n + j] for j in range(n)] for i in range(n)]
-    res = [[int(x) for x in row] for row in out]
-    if any(out[i][j] != res[i][j] for i in range(n) for j in range(n)):
-        raise ValueError("matrix is not unimodular")
-    return res
+class Echelon:
+    """Incremental reduced row echelon form over an exact field.
+
+    Rows are sparse maps column -> value with Fraction or Cyclo entries.
+    ``rows`` maps each pivot column to its stored row, which is 1 at the
+    pivot and 0 at every other pivot column.
+    """
+
+    def __init__(self):
+        self.rows: dict = {}
+
+    def add(self, row: dict) -> bool:
+        """Store the part of row outside the current span; False if none."""
+        row = {col: x for col, x in row.items() if x}
+        for p in [p for p in row if p in self.rows]:
+            _sub_multiple(row, row[p], self.rows[p])
+        if not row:
+            return False
+        pivot = min(row)
+        scale = 1 / row[pivot]
+        row = {col: x * scale for col, x in row.items()}
+        for other in self.rows.values():
+            if pivot in other:
+                _sub_multiple(other, other[pivot], row)
+        self.rows[pivot] = row
+        return True
+
+
+def _sub_multiple(row: dict, f, other: dict) -> None:
+    """row -= f * other, in place, dropping entries that vanish."""
+    for col, x in other.items():
+        val = row.get(col, 0) - f * x
+        if val:
+            row[col] = val
+        else:
+            row.pop(col, None)
 
 
 def rational_inverse(m: list[list[int]]) -> list[list[Fraction]]:
     """Inverse of a non-singular integer matrix over Q."""
     n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [[a[i][n + j] for j in range(n)] for i in range(n)]
+    ech = Echelon()
+    for i, row in enumerate(m):
+        ech.add({j: Fraction(x) for j, x in enumerate(row)} | {n + i: Fraction(1)})
+    if sorted(ech.rows) != list(range(n)):
+        raise ValueError("singular matrix")
+    return [[ech.rows[i].get(n + j, Fraction(0)) for j in range(n)] for i in range(n)]
+
+
+def invert_unimodular(m: list[list[int]]) -> list[list[int]]:
+    """Inverse of an integer matrix with determinant +-1."""
+    out = rational_inverse(m)
+    if any(x.denominator != 1 for row in out for x in row):
+        raise ValueError("matrix is not unimodular")
+    return [[int(x) for x in row] for row in out]
 
 
 def row_lattice_basis(rows: list[list[int]], n: int) -> list[list[int]]:

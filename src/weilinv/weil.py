@@ -32,6 +32,7 @@ from .fqm import (
     InternalInconsistency,
     JordanSymbol,
 )
+from .intmat import Echelon
 
 Matrix2 = tuple[tuple[int, int], tuple[int, int]]
 
@@ -343,10 +344,6 @@ def _apply_word_dense(form: DiscriminantForm, tokens, vec: list[Cyclo]) -> list[
     return [_from_raw(form, r) for r in data]
 
 
-def _apply_s_dense(form: DiscriminantForm, vec: list[Cyclo]) -> list[Cyclo]:
-    return _apply_word_dense(form, (("S", 1),), vec)
-
-
 def _dense_from_vec(form: DiscriminantForm, v: Vec) -> list[Cyclo]:
     out = [cyclo.ZERO] * form.order
     for el, c in v.coeffs.items():
@@ -371,7 +368,7 @@ def rho_T(v: Vec) -> Vec:
 
 def rho_S(v: Vec) -> Vec:
     _require_even(v.form)
-    return _vec_from_dense(v.form, _apply_s_dense(v.form, _dense_from_vec(v.form, v)))
+    return _vec_from_dense(v.form, _apply_word_dense(v.form, (("S", 1),), _dense_from_vec(v.form, v)))
 
 
 def rho(m, v: Vec) -> Vec:
@@ -652,28 +649,13 @@ def dim_invariants(form: DiscriminantForm) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Rank of a family of vectors (exact Gaussian elimination)
+# Rank of a family of vectors (exact elimination in intmat.Echelon)
 # ---------------------------------------------------------------------------
 
 
 def rank_of_vectors(vectors: list[Vec]) -> int:
-    basis: list[tuple[Element, dict[Element, Cyclo]]] = []
-    for v in vectors:
-        row = dict(v.coeffs)
-        for pivot_el, pivot_row in basis:
-            if pivot_el in row:
-                f = row[pivot_el]
-                for el, c in pivot_row.items():
-                    val = row.get(el, cyclo.ZERO) - f * c
-                    if val.is_zero():
-                        row.pop(el, None)
-                    else:
-                        row[el] = val
-        if row:
-            pivot_el = min(row)
-            inv_p = row[pivot_el].inverse()
-            basis.append((pivot_el, {el: c * inv_p for el, c in row.items()}))
-    return len(basis)
+    ech = Echelon()
+    return sum(ech.add(v.coeffs) for v in vectors)
 
 
 # ---------------------------------------------------------------------------

@@ -114,3 +114,29 @@ def test_text_format():
     status, out = run_cli(["dim", "--symbol", "2_II^+2", "--format", "text"])
     assert status == 0
     assert "dim = 2" in out
+
+
+def test_gram_entries_must_be_integers(tmp_path):
+    for text in ("[[2.7,1],[1,2]]", "[[2,true],[true,2]]"):
+        path = tmp_path / "gram.json"
+        path.write_text(text)
+        status, out = run_cli(["dim", "--gram", str(path)])
+        assert status == 2
+        assert json.loads(out)["error"]["code"] == "parse-error"
+
+
+def test_cyclotomic_bound_exit_code(monkeypatch):
+    from fractions import Fraction
+
+    from weilinv.config import LIMITS
+    from weilinv.cyclo import e_of
+
+    e_of(Fraction(1, 13))  # the reduction tables of Q(zeta_13) are cached now
+    old = LIMITS.max_cyclo_order
+    monkeypatch.setenv("WEILINV_MAX_CYCLO_ORDER", "10")
+    try:
+        status, out = run_cli(["dim", "--symbol", "13^-2"])
+    finally:
+        LIMITS.max_cyclo_order = old
+    assert status == 3
+    assert json.loads(out)["error"]["code"] == "bound-exceeded"

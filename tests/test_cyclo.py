@@ -126,3 +126,16 @@ def test_order_bound_is_enforced():
             e_of(Fraction(1, 97)) * e_of(Fraction(1, 89))
     finally:
         LIMITS.max_cyclo_order = old
+
+
+def test_order_bound_applies_to_cached_tables():
+    from weilinv.config import LIMITS
+
+    e_of(Fraction(1, 97))  # caches the reduction tables of Q(zeta_97)
+    old = LIMITS.max_cyclo_order
+    LIMITS.max_cyclo_order = 10
+    try:
+        with pytest.raises(CycloOrderError):
+            e_of(Fraction(1, 97))
+    finally:
+        LIMITS.max_cyclo_order = old

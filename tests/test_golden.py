@@ -1,0 +1,36 @@
+"""Byte-identical CLI output on a golden set of inputs.
+
+The digests are SHA-256 of stdout, recorded before the exact elimination
+routines were merged into one.  A refactor that keeps every result exact
+keeps every digest; a digest that changes means some output changed.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from test_cli import run_cli
+
+ROOT = Path(__file__).resolve().parent.parent
+
+GOLDEN = [
+    (["invariants", "--symbol", "5^+2"], "40afb8bfec565bc8d3c5a99ee69de33cc1687dd936c5522d30893c183ebcf698"),
+    (["invariants", "--symbol", "3^-4"], "a4cccdc3af7f7982a00ba1ad62f90b7dd24be445d1362a91db3077424d14dc65"),
+    (["invariants", "--symbol", "2_II^+4"], "026ab7370943d75c8716dde284d9de81ea2bc9f9cb22261844fa822a4ec66724"),
+    (["invariants", "--symbol", "2_2^+2.4_II^+2"], "b7c42a0d2d5f405333b158b017a55db3c6492dc9d829ab1ec94ac94044043e74"),
+    (["induced-basis", "--check", "--symbol", "3^-4"], "e1c1721cab44575510db1a0d43693ed24a3f20d643731bf79828b4baf47c0d8b"),
+    (["induced-basis", "--check", "--symbol", "2_II^+2.3^-2"], "24ae5a7384b5458ff6ddcbc13ebc5af0e51cba02efec67bc1608901008aead77"),
+    (["dim", "--check", "--symbol", "3^-2"], "b59ce5b18ffa4e1edc0f46d63ff31c0bed7d768a59b1b714ab38162d0f86feac"),
+    (["verify", "--symbol", "2_0^+2"], "e3244c6f5c49ecf6a3a261ee7c6c149b048bc78db78ca5c9411cfe1f1fb580bb"),
+    # the document embeds the --gram path, so it is given relative to the repository root
+    (["jacobi", "--precision", "3", "--gram", "tests/gram_4I4.json"], "de568cf153571a788f9d1a9a01bed6732c9e8c29b5d727fcb6427c1e09ddc7be"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+def test_golden_stdout(argv, digest, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    status, out = run_cli(argv)
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

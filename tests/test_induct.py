@@ -3,7 +3,6 @@ import pytest
 from weilinv.fqm import from_jordan_symbol
 from weilinv.induct import (
     descend,
-    isotropic_elements,
     isotropic_subgroups,
     lift_up,
     make_isotropic_subgroup,
@@ -15,11 +14,11 @@ from conftest import random_vector
 
 
 def test_isotropic_elements_examples():
-    assert isotropic_elements(from_jordan_symbol("")) == [()]
+    assert from_jordan_symbol("").isotropic_elements() == [()]
     d = from_jordan_symbol("2_II^-4")
-    assert len(isotropic_elements(d)) == 6
+    assert len(d.isotropic_elements()) == 6
     d8 = from_jordan_symbol("2_1^+1.4_3^-1.8_II^+2")
-    iso = isotropic_elements(d8)
+    iso = d8.isotropic_elements()
     assert len(iso) == 64
     assert len([g for g in iso if d8.smul(4, g) == d8.zero()]) == 16
 

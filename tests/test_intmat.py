@@ -1,5 +1,10 @@
+from fractions import Fraction
+
+import pytest
 from hypothesis import given, strategies as st
 
+from weilinv.cyclo import e_of
+from weilinv.fqm import from_jordan_symbol
 from weilinv.intmat import (
     invert_unimodular,
     mat_mul,
@@ -7,6 +12,7 @@ from weilinv.intmat import (
     row_lattice_basis,
     smith_normal_form,
 )
+from weilinv.weil import Vec, rank_of_vectors
 
 small_matrices = st.lists(
     st.lists(st.integers(-9, 9), min_size=3, max_size=3), min_size=3, max_size=3
@@ -44,3 +50,45 @@ def test_row_lattice_basis_spans():
     for row in rows:
         coords = [sum(row[a] * inv[a][b] for a in range(3)) for b in range(3)]
         assert all(c.denominator == 1 for c in coords)
+
+
+@given(st.lists(st.lists(st.integers(-9, 9), min_size=4, max_size=4), min_size=4, max_size=4))
+def test_rational_inverse_is_an_inverse(m):
+    _, s, _ = smith_normal_form(m)
+    if any(s[i][i] == 0 for i in range(4)):
+        with pytest.raises(ValueError):
+            rational_inverse(m)
+        return
+    assert mat_mul(m, rational_inverse(m)) == [[1 if i == j else 0 for j in range(4)] for i in range(4)]
+
+
+def test_invert_unimodular_rejects_non_unimodular():
+    with pytest.raises(ValueError):
+        invert_unimodular([[2, 0], [0, 1]])
+
+
+FORM = from_jordan_symbol("5^+2")
+
+#: sums of two roots of unity, so that normalizing a pivot needs a general inverse
+roots = st.builds(lambda a, b: e_of(Fraction(a, 12)) + e_of(Fraction(b, 8)), st.integers(0, 11), st.integers(0, 7))
+vectors = st.dictionaries(st.sampled_from(FORM.elements()), roots, max_size=4).map(lambda c: Vec(FORM, c))
+families = st.lists(vectors, min_size=1, max_size=4)
+
+
+@given(families, st.data())
+def test_rank_ignores_dependent_vectors(vs, data):
+    r = rank_of_vectors(vs)
+    combo = Vec(FORM)
+    for v in vs:
+        combo = combo + v.scale(data.draw(roots))
+    assert rank_of_vectors(vs + [combo]) == r
+    v = data.draw(st.sampled_from(vs))
+    c = data.draw(roots.filter(bool))
+    assert rank_of_vectors(vs + [v.scale(c)]) == r
+
+
+@given(families, st.data())
+def test_rank_grows_by_a_basis_vector_outside_the_support(vs, data):
+    free = [g for g in FORM.elements() if all(g not in v.coeffs for v in vs)]
+    gamma = data.draw(st.sampled_from(free))
+    assert rank_of_vectors(vs + [Vec.basis(FORM, gamma)]) == rank_of_vectors(vs) + 1

@@ -48,12 +48,6 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    return factorize(n) == {n: 1}
-
-
 def prime_power(n: int) -> tuple[int, int] | None:
     """Return (p, k) if n = p**k with k >= 1, else None."""
     if n < 2:

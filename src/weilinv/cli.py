@@ -19,6 +19,7 @@ from .config import LIMITS, apply_env_overrides
 from .fqm import (
     BoundExceeded,
     DiscriminantForm,
+    InternalInconsistency,
     SymbolError,
     from_gram,
     from_jordan_symbol,
@@ -45,8 +46,16 @@ EXIT_PARSE = 2
 EXIT_BOUND = 3
 EXIT_ODD_SIGNATURE = 4
 EXIT_IO = 5
+EXIT_INTERNAL = 6
+
+
+class InternalError(RuntimeError):
+    """A cross-check of the CLI failed; the message names the check."""
+
 
 ERROR_CODES = {
+    InternalInconsistency: ("internal-error", EXIT_INTERNAL),
+    InternalError: ("internal-error", EXIT_INTERNAL),
     SymbolError: ("parse-error", EXIT_PARSE),
     OddSignatureError: ("odd-signature", EXIT_ODD_SIGNATURE),
     json.JSONDecodeError: ("io-error", EXIT_IO),
@@ -124,7 +133,7 @@ def _cmd_invariants(args) -> dict:
         for gamma, v in picked
     ]
     if len(picked) != doc["dim"]:
-        raise InternalError("projection basis has the wrong rank")
+        raise InternalError("basis rank check: the projection basis has the wrong rank")
     return doc
 
 
@@ -136,7 +145,7 @@ def _cmd_induced_basis(args) -> dict:
     doc["rank"] = rank_of_vectors(gens)
     doc["generators"] = [{"vector": _vector_doc(integer_normalize(g))} for g in gens]
     if args.check and doc["rank"] != doc["dim"]:
-        raise InternalError("generating set does not span the invariants")
+        raise InternalError("induced rank check: the generating set does not span the invariants")
     return doc
 
 
@@ -185,10 +194,6 @@ def _cmd_jacobi(args) -> dict:
             }
         )
     return doc
-
-
-class InternalError(RuntimeError):
-    pass
 
 
 def _verify_battery(form: DiscriminantForm) -> list[dict]:
@@ -302,12 +307,12 @@ def _render_text(doc: dict, out) -> None:
 
 
 def main(argv=None) -> int:
-    apply_env_overrides()
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.max_order is not None:
-        LIMITS.max_form_order = args.max_order
+    args = build_parser().parse_args(argv)
+    saved = vars(LIMITS).copy()  # the bounds of one call end with it
     try:
+        apply_env_overrides()
+        if args.max_order is not None:
+            LIMITS.max_form_order = args.max_order
         doc = COMMANDS[args.command](args)
     except tuple(ERROR_CODES) as exc:
         for klass, (code, status) in ERROR_CODES.items():
@@ -316,6 +321,8 @@ def main(argv=None) -> int:
                 sys.stdout.write("\n")
                 return status
         raise
+    finally:
+        vars(LIMITS).update(saved)
     if args.format == "json":
         json.dump(doc, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")

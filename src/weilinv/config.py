@@ -28,4 +28,7 @@ def apply_env_overrides(environ=None) -> None:
         ("WEILINV_MAX_CYCLO_ORDER", "max_cyclo_order"),
     ):
         if var in env:
-            setattr(LIMITS, attr, int(env[var]))
+            try:
+                setattr(LIMITS, attr, int(env[var]))
+            except ValueError:
+                raise ValueError(f"{var} must be an integer, not {env[var]!r}") from None

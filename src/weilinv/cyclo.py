@@ -132,14 +132,11 @@ class Cyclo:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def is_rational(self) -> bool:
-        return all(e == 0 for e in self.coeffs)
-
     def rational_value(self) -> Fraction | None:
         """The value as a Fraction, or None if irrational."""
         if not self.coeffs:
             return Fraction(0)
-        if self.is_rational():
+        if all(e == 0 for e in self.coeffs):
             return self.coeffs[0]
         return None
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import product
-from math import gcd
+from math import gcd, prod
 
 from . import cyclo
 from .arith import (
@@ -422,16 +422,10 @@ class DiscriminantForm:
             self._components = comps
         return self._components
 
-    def project_element(self, el: Element, positions) -> Element:
-        return tuple(el[i] for i in positions)
-
     # -- subquotients along multiplication by c -----------------------------------
 
     def kernel_of_mul(self, c: int) -> list[Element]:
         return [el for el in self.elements() if all((c * a) % d == 0 for a, d in zip(el, self.orders))]
-
-    def image_of_mul(self, c: int) -> list[Element]:
-        return sorted({self.smul(c, el) for el in self.elements()})
 
     def coset_dcstar(self, c: int) -> list[Element]:
         """D^{c*}: all gamma with c*q(alpha) + b(alpha, gamma) = 0 for alpha in D_c."""
@@ -445,7 +439,7 @@ class DiscriminantForm:
     def subgroup_dc(self, c: int):
         """(D_c, D^c, D^{c*}) with the coset property asserted."""
         dc = self.kernel_of_mul(c)
-        image = self.image_of_mul(c)
+        image = sorted({self.smul(c, el) for el in self.elements()})
         star = self.coset_dcstar(c)
         if len(star) != len(image):
             raise InternalInconsistency("D^{c*} is not a coset of D^c")
@@ -723,17 +717,9 @@ def from_gram(gram) -> DiscriminantForm:
             else:
                 b_gen[a][b_] = frac1(sum(dual_vecs[a][i] * gens[b_][i] for i in range(n)))
     form = DiscriminantForm(orders, q_gen, b_gen, lattice=Lattice(g, dual_vecs))
-    expected = abs_det(diag)
-    if form.order != expected:
+    if form.order != prod(abs(d) for d in diag):
         raise InternalInconsistency("group order does not match |det G|")
     return form
-
-
-def abs_det(diag: list[int]) -> int:
-    out = 1
-    for d in diag:
-        out *= abs(d)
-    return out
 
 
 @dataclass

@@ -9,20 +9,29 @@ and extended to arbitrary matrices by Euclidean word decomposition; the
 closed product formula with its local factors is never used.  The
 projection inv averages rho over SL2(Z/N), with the cosets grouped as
 +-M_s T^n per cusp s so the per-cusp pieces sum to the total by
-construction.  Everything is exact: coefficients are cyclotomic numbers
-and the S-action is applied as a mixed-radix character transform, one
-generator axis at a time, which factors over orthogonal blocks.
+construction.  Per cusp one word is applied, to e^0 of each orthogonal
+block; every column of rho(M) = rho(M_s^-1) follows from that c0 = rho(M) e^0
+by the Heisenberg intertwining, for M = (a b; c d),
+
+    rho(M) e^gamma = e(-b d q(gamma)) sum_beta c0(beta) e(-b (beta,gamma)) e^(d gamma + beta).
+
+The nonzero entries of c0 are one scalar times roots of unity (checked),
+so each cusp has one scalar and its entries are integer exponents.
+Everything is exact: coefficients are cyclotomic numbers and the S-action
+is applied as a mixed-radix character transform, one generator axis at a
+time, which factors over orthogonal blocks.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
 from . import cyclo
-from .arith import ext_gcd, factorize, frac1, inverse_mod, legendre
+from .arith import ext_gcd, factorize, frac1, inverse_mod, lcm, legendre
 from .config import LIMITS
 from .cyclo import Cyclo, e_of, sqrt_int
 from .fqm import (
@@ -93,10 +102,6 @@ class GroupAlgebraVector:
 
     def coefficient(self, el: Element) -> Cyclo:
         return self.coeffs.get(self.form.normalize(el), cyclo.ZERO)
-
-    def flip(self) -> "GroupAlgebraVector":
-        """gamma -> -gamma on the support."""
-        return GroupAlgebraVector(self.form, {self.form.neg(el): c for el, c in self.coeffs.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroupAlgebraVector):
@@ -191,13 +196,14 @@ def word_decompose(m) -> SL2Word:
 
 
 def _working_order(form: DiscriminantForm) -> int:
-    """One cyclotomic order containing every value the transforms produce."""
-    from .arith import lcm as _lcm
-
-    w = _lcm(8, form.level())
+    """One cyclotomic order containing every value the transforms produce (bounded)."""
+    w = lcm(8, form.level())
     for part, _ in form.orthogonal_components():
-        w = _lcm(w, sqrt_int(part.order).order)
-    return _lcm(w, sqrt_int(form.order).order)
+        w = lcm(w, sqrt_int(part.order).order)
+    w = lcm(w, sqrt_int(form.order).order)
+    if w > LIMITS.max_cyclo_order:
+        raise cyclo.CycloOrderError(f"cyclotomic order {w} of {form!r} exceeds bound {LIMITS.max_cyclo_order}")
+    return w
 
 
 def _tables(form: DiscriminantForm):
@@ -228,7 +234,6 @@ def _tables(form: DiscriminantForm):
             "phi": phi,
             "rows": rows,
             "freq_index": freq_index,
-            "scalar": scalar,
             "scalar_raw": dict(scalar.coeffs),
             "q_exp": q_exp,
             "root_cache": {},
@@ -321,27 +326,12 @@ def _apply_t_raw(form: DiscriminantForm, data: list[Raw], n: int) -> list[Raw]:
     return out
 
 
-def _apply_word_raw(form: DiscriminantForm, tokens, data: list[Raw]) -> list[Raw]:
-    for kind, n in reversed(tokens):
-        if kind == "S":
-            data = _apply_s_raw(form, data)
-        else:
-            data = _apply_t_raw(form, data, n)
-    return data
-
-
-def _to_raw(form: DiscriminantForm, val: Cyclo) -> Raw:
-    return dict(val.to_order(_tables(form)["w"]).coeffs)
-
-
-def _from_raw(form: DiscriminantForm, raw: Raw) -> Cyclo:
-    return Cyclo(_tables(form)["w"], raw, reduced=True) if raw else cyclo.ZERO
-
-
 def _apply_word_dense(form: DiscriminantForm, tokens, vec: list[Cyclo]) -> list[Cyclo]:
-    data = [_to_raw(form, c) if c.coeffs else {} for c in vec]
-    data = _apply_word_raw(form, tokens, data)
-    return [_from_raw(form, r) for r in data]
+    w = _tables(form)["w"]
+    data = [dict(c.to_order(w).coeffs) if c.coeffs else {} for c in vec]
+    for kind, n in reversed(tokens):
+        data = _apply_s_raw(form, data) if kind == "S" else _apply_t_raw(form, data, n)
+    return [Cyclo(w, raw, reduced=True) if raw else cyclo.ZERO for raw in data]
 
 
 def _dense_from_vec(form: DiscriminantForm, v: Vec) -> list[Cyclo]:
@@ -507,38 +497,73 @@ def cusp_classes(n: int) -> tuple[Cusp, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _part_cusp_columns(part: DiscriminantForm, n_level: int, cusp: Cusp) -> list[list[Cyclo]]:
-    """Columns of rho_part(M_s^{-1}), cached on the (shared) part."""
-    key = ("cusp_cols", n_level, cusp.key)
+def _e0_column(part: DiscriminantForm, word: SL2Word) -> tuple[Cyclo, dict[int, int]]:
+    """rho_part(M) e^0 for M = word.target as (s, {index: k}): the entry at
+    each support index is s * zeta_w^k, s being the first nonzero entry.
+    The one word application per (part, cusp), cached on the shared part."""
+    key = ("e0_col", word.tokens)
     if key not in part._caches:
-        cols = []
-        for i in range(part.order):
-            e_i = [cyclo.ZERO] * part.order
-            e_i[i] = cyclo.ONE
-            cols.append(_apply_word_dense(part, cusp.inv_word.tokens, e_i))
-        part._caches[key] = cols
+        tab = _tables(part)
+        w, phi, rows = tab["w"], tab["phi"], tab["rows"]
+        col = _apply_word_dense(part, word.tokens, [cyclo.ONE] + [cyclo.ZERO] * (part.order - 1))
+        support = [(i, c.coeffs) for i, c in enumerate(col) if c.coeffs]
+        s = support[0][1]
+        roots = {}  # s * zeta_w^j -> j
+        for j in range(w):
+            acc: Raw = {}
+            _raw_shift_add(acc, s, j, phi, rows, w)
+            roots[frozenset((e, c) for e, c in acc.items() if c)] = j
+        exps = {i: roots.get(frozenset(raw.items())) for i, raw in support}
+        if None in exps.values():
+            raise InternalInconsistency(f"cusp column check: rho(M) e^0 on {part!r} is not s times roots of unity")
+        part._caches[key] = (Cyclo(w, s, reduced=True), exps)
     return part._caches[key]
 
 
-def _cusp_column_product(form: DiscriminantForm, cusp: Cusp, n_level: int, gamma: Element):
-    """Return a function mu -> coefficient of e^mu in rho(M_s^{-1}) e^gamma."""
-    comps = form.orthogonal_components()
-    part_cols = []
-    for part, positions in comps:
-        gamma_part = form.project_element(gamma, positions)
-        cols = _part_cusp_columns(part, n_level, cusp)
-        part_cols.append((part, positions, cols[part.index(gamma_part)]))
+def _column(form: DiscriminantForm, word: SL2Word):
+    """(s, entry): rho(M) e^gamma, M = word.target, has s * zeta_W^entry(gamma, mu)
+    at e^mu (0 where entry is None), W = _working_order(form) = s.order;
+    the intertwining identity (module docstring) applied part by part."""
+    tab = _tables(form)
+    w, q_exp = tab["w"], tab["q_exp"]
+    (_, b), (_, d) = word.target
+    s = cyclo.ONE
+    parts = []
+    for part, positions in form.orthogonal_components():
+        part_s, exps = _e0_column(part, word)
+        s = s * part_s
+        parts.append((part, positions, exps, w // _tables(part)["w"]))
 
-    def coeff(mu: Element) -> Cyclo:
-        acc = None
-        for part, positions, col in part_cols:
-            val = col[part.index(form.project_element(mu, positions))]
-            if not val.coeffs:
-                return cyclo.ZERO
-            acc = val if acc is None else acc * val
-        return acc if acc is not None else cyclo.ONE
+    def entry(gamma: Element, mu: Element) -> int | None:
+        beta = form.sub(mu, form.smul(d, gamma))
+        k = 0
+        for part, positions, exps, step in parts:
+            kp = exps.get(part.index(tuple(beta[i] for i in positions)))
+            if kp is None:
+                return None
+            k += kp * step
+        qg, qb, qbg = (q_exp[form.index(x)] for x in (gamma, beta, form.add(beta, gamma)))
+        return (k - b * d * qg - b * (qbg - qb - qg)) % w
 
-    return coeff
+    return s.to_order(w), entry
+
+
+def _cusp_terms(form: DiscriminantForm, cusp: Cusp):
+    """(scale, terms): the partial average over +-M_s T^n maps e^gamma to
+    scale * (sum of zeta_W^k over k in terms(gamma, mu)) at e^mu, W = scale.order."""
+    n = form.level()
+    w = _tables(form)["w"]
+    z = form.signature() * w // 4  # rho(-1) e^-mu = e(sig/4) e^mu
+    s, entry = _column(form, cusp.inv_word)
+
+    def terms(gamma: Element, mu: Element) -> list[int]:
+        ks = [entry(gamma, mu)]
+        if n >= 3:
+            k = entry(gamma, form.neg(mu))
+            ks.append(None if k is None else (k + z) % w)
+        return [k for k in ks if k is not None]
+
+    return s * Fraction(n, sl2_group_order(n)), terms
 
 
 def inv_at_cusp(form: DiscriminantForm, gamma: Element, s: tuple[int, int]) -> Vec:
@@ -553,22 +578,18 @@ def inv_at_cusp(form: DiscriminantForm, gamma: Element, s: tuple[int, int]) -> V
     key = normalize_cusp_key(a, c, n)
     cusp = next(cu for cu in cusp_classes(n) if cu.key == key)
     gamma = form.normalize(gamma)
-    group = sl2_group_order(n)
-    coeff = _cusp_column_product(form, cusp, n, gamma)
-    z_phase = _root(form, Fraction(form.signature(), 4))
+    scale, terms = _cusp_terms(form, cusp)
     out: dict[Element, Cyclo] = {}
-    scale = Fraction(n, group)
     for mu in form.isotropic_elements():
-        val = coeff(mu)
-        if n >= 3:
-            val = val + z_phase * coeff(form.neg(mu))
-        if val.coeffs:
-            out[mu] = val * scale
+        counts = Counter(terms(gamma, mu))
+        if counts:
+            out[mu] = scale * Cyclo(scale.order, counts)
     return Vec(form, out)
 
 
 def _inv_basis(form: DiscriminantForm, gamma: Element) -> Vec:
     """inv(e^gamma) as the sum of all cusp contributions (cached)."""
+    _working_order(form)  # the bound also holds for a cached answer
     gamma = form.normalize(gamma)
     key = ("inv", gamma)
     if key not in form._caches:
@@ -618,29 +639,23 @@ def inv_average_oracle(form: DiscriminantForm, gamma: Element) -> Vec:
 
 def dim_invariants(form: DiscriminantForm) -> int:
     """dim C[D]^Gamma as the exact trace of inv, summed over the isotropic
-    diagonal; gamma and -gamma share a diagonal entry."""
+    diagonal; gamma and -gamma share a diagonal entry.  Each cusp counts
+    root-of-unity exponents in integers and makes one Cyclo."""
+    _working_order(form)  # the bound also holds for a cached answer
     if form.signature() % 2:
         return 0
     key = ("dim",)
     if key in form._caches:
         return form._caches[key]
-    n = form.level()
-    group = sl2_group_order(n)
-    z_phase = _root(form, Fraction(form.signature(), 4))
     total = cyclo.ZERO
-    for gamma in form.isotropic_elements():
-        neg = form.neg(gamma)
-        if neg < gamma:
-            continue
-        mult = 1 if neg == gamma else 2
-        diag = cyclo.ZERO
-        for cusp in cusp_classes(n):
-            coeff = _cusp_column_product(form, cusp, n, gamma)
-            val = coeff(gamma)
-            if n >= 3:
-                val = val + z_phase * coeff(neg)
-            diag = diag + val
-        total = total + diag * Fraction(mult * n, group)
+    for cusp in cusp_classes(form.level()):
+        scale, terms = _cusp_terms(form, cusp)
+        counts: Counter = Counter()
+        for gamma in form.isotropic_elements():
+            neg = form.neg(gamma)
+            if neg >= gamma:
+                counts.update(terms(gamma, gamma) * (1 if neg == gamma else 2))
+        total = total + scale * Cyclo(scale.order, counts)
     value = cyclo.as_rational(total)
     if value is None or value.denominator != 1 or value < 0:
         raise InternalInconsistency(f"trace of inv is not a non-negative integer: {total}")
@@ -692,8 +707,6 @@ def dim_closed_form(symbol) -> int | None:
         if c.q != 2:
             return None
         t = c.t % 8
-        if n % 2:
-            return 0  # odd signature, caught above, kept for clarity
         if t % 4 == 2:
             return 0
         val = (Fraction(2) ** (n - 3) + 1) / 3 + eps * (-1) ** (t // 4) * Fraction(2) ** ((n - 4) // 2)
@@ -746,7 +759,6 @@ def projection_closed_form(form: DiscriminantForm, gamma: Element) -> Vec | None
     if form.q(gamma) != 0:
         return None
     comps = symbol.components
-    iso = form.isotropic_elements()
     if len(comps) == 0:
         return Vec.basis(form, gamma)
     if len(comps) == 1:

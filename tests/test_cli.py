@@ -3,6 +3,7 @@ import json
 import sys
 
 from weilinv.cli import main
+from weilinv.fqm import from_jordan_symbol
 
 
 def run_cli(args):
@@ -128,15 +129,67 @@ def test_gram_entries_must_be_integers(tmp_path):
 def test_cyclotomic_bound_exit_code(monkeypatch):
     from fractions import Fraction
 
-    from weilinv.config import LIMITS
     from weilinv.cyclo import e_of
 
     e_of(Fraction(1, 13))  # the reduction tables of Q(zeta_13) are cached now
-    old = LIMITS.max_cyclo_order
     monkeypatch.setenv("WEILINV_MAX_CYCLO_ORDER", "10")
-    try:
-        status, out = run_cli(["dim", "--symbol", "13^-2"])
-    finally:
-        LIMITS.max_cyclo_order = old
+    status, out = run_cli(["dim", "--symbol", "13^-2"])
     assert status == 3
     assert json.loads(out)["error"]["code"] == "bound-exceeded"
+
+
+def test_repeated_query_respects_lowered_bound(monkeypatch):
+    status, out = run_cli(["dim", "--symbol", "7^-2"])
+    assert status == 0 and json.loads(out)["dim"] == 2
+    monkeypatch.setenv("WEILINV_MAX_CYCLO_ORDER", "10")
+    status, out = run_cli(["dim", "--symbol", "7^-2"])
+    assert status == 3
+    assert json.loads(out)["error"]["code"] == "bound-exceeded"
+
+
+def test_bounds_end_with_the_call(monkeypatch):
+    from weilinv.config import LIMITS, Limits
+
+    monkeypatch.setenv("WEILINV_MAX_CYCLO_ORDER", "10")
+    monkeypatch.setenv("WEILINV_MAX_LEVEL", "5")
+    run_cli(["dim", "--max-order", "7", "--symbol", "2_II^+2"])
+    assert LIMITS == Limits()
+
+
+def test_non_integer_bound_is_a_parse_error(monkeypatch):
+    monkeypatch.setenv("WEILINV_MAX_LEVEL", "sixty")
+    status, out = run_cli(["dim", "--symbol", "2_II^+2"])
+    assert status == 2
+    error = json.loads(out)["error"]
+    assert error["code"] == "parse-error" and "WEILINV_MAX_LEVEL" in error["message"]
+
+
+def test_internal_errors_have_their_own_code(monkeypatch):
+    from weilinv import cli, weil
+
+    form = from_jordan_symbol("5^+2")
+    monkeypatch.setattr(form, "_caches", {})
+    for part, _ in form.orthogonal_components():
+        monkeypatch.setattr(part, "_caches", {})
+    original = weil._apply_word_dense
+
+    def corrupted(part, tokens, vec):  # breaks the e^0 column check
+        col = original(part, tokens, vec)
+        support = [i for i, c in enumerate(col) if c]
+        if len(support) > 1:
+            col[support[-1]] = col[support[-1]] * 2
+        return col
+
+    monkeypatch.setattr(weil, "_apply_word_dense", corrupted)
+    status, out = run_cli(["dim", "--symbol", "5^+2"])
+    assert status == 6
+    error = json.loads(out)["error"]
+    assert error["code"] == "internal-error" and "cusp column check" in error["message"]
+
+    def failed_rank(*args):
+        raise cli.InternalError("induced rank check: the generating set does not span the invariants")
+
+    monkeypatch.setitem(cli.COMMANDS, "induced-basis", failed_rank)
+    status, out = run_cli(["induced-basis", "--symbol", "3^-2"])
+    assert status == 6
+    assert json.loads(out)["error"]["code"] == "internal-error"

@@ -2,9 +2,11 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from weilinv import weil
 from weilinv.cyclo import Cyclo, e_of
-from weilinv.fqm import from_jordan_symbol
+from weilinv.fqm import InternalInconsistency, from_jordan_symbol
 from weilinv.weil import (
     OddSignatureError,
     Vec,
@@ -503,3 +505,77 @@ def test_xi_against_prime_level_formula():
         (a1, b1), (c1, d1) = w
         assert a1 * d1 - b1 * c1 == 1 and a1 % 5 == 0
         assert xi_factor(w, d) == sign_phase * kronecker(c1, d.order), w
+
+
+# -- cusp columns from the e^0 column -------------------------------------------
+
+
+@given(
+    symbol=st.sampled_from(SMALL_EVEN_SYMBOLS),
+    steps=st.lists(st.integers(-6, 6), min_size=1, max_size=6),
+)
+@settings(max_examples=25)
+def test_column_identity_matches_word_route(symbol, steps):
+    """rho(M) e^gamma read off the e^0 column equals the word route exactly."""
+    form = from_jordan_symbol(symbol)
+    m = ((1, 0), (0, 1))
+    for n in steps:  # M = T^n1 S T^n2 S ...: any matrix of SL2(Z)
+        m = mat2_mul(mat2_mul(m, t_power(n)), S_MAT)
+    word = word_decompose(m)
+    s, entry = weil._column(form, word)
+    for gamma in form.elements():
+        column = rho(word, Vec.basis(form, gamma))
+        for mu in form.elements():
+            k = entry(gamma, mu)
+            expected = column.coefficient(mu)
+            if k is None:
+                assert expected.is_zero()
+            else:
+                assert expected == s * e_of(Fraction(k, s.order))
+
+
+def _fresh_caches(monkeypatch, form):
+    """Swap in empty caches on the form and its shared parts for one test."""
+    monkeypatch.setattr(form, "_caches", {})
+    for part, _ in form.orthogonal_components():
+        monkeypatch.setattr(part, "_caches", {})
+
+
+@pytest.mark.parametrize("symbol", ["7^-2", "2_2^+2.4_II^+2", "3^+1.5^+1"])
+def test_cold_dim_applies_one_word_per_part_and_cusp(symbol, monkeypatch):
+    form = from_jordan_symbol(symbol)
+    _fresh_caches(monkeypatch, form)
+    calls = []
+    original = weil._apply_word_dense
+
+    def counting(part, tokens, vec):
+        calls.append(part)
+        return original(part, tokens, vec)
+
+    monkeypatch.setattr(weil, "_apply_word_dense", counting)
+    dim = dim_invariants(form)
+    parts = {id(part) for part, _ in form.orthogonal_components()}
+    assert len(calls) == len(parts) * len(cusp_classes(form.level()))
+    assert {id(p) for p in calls} == parts
+    calls.clear()
+    assert dim_invariants(form) == dim
+    assert calls == []
+
+
+def test_cusp_column_guard(monkeypatch):
+    """An e^0 column whose entries are not one scalar times roots of unity
+    fails the named check instead of giving a wrong answer."""
+    form = from_jordan_symbol("5^+2")
+    _fresh_caches(monkeypatch, form)
+    original = weil._apply_word_dense
+
+    def corrupted(part, tokens, vec):
+        col = original(part, tokens, vec)
+        support = [i for i, c in enumerate(col) if c]
+        if len(support) > 1:
+            col[support[-1]] = col[support[-1]] * 2
+        return col
+
+    monkeypatch.setattr(weil, "_apply_word_dense", corrupted)
+    with pytest.raises(InternalInconsistency, match="cusp column check"):
+        dim_invariants(form)

@@ -260,6 +260,7 @@ class DiscriminantForm:
         self._level: int | None = None
         self._signature: int | None = None
         self._components = None
+        self._q_values: list[Fraction] | None = None
         self._isotropic: list[Element] | None = None
         self._caches: dict = {}
 
@@ -519,9 +520,15 @@ class DiscriminantForm:
 
     # -- convenience ----------------------------------------------------------------
 
+    def q_values(self) -> list[Fraction]:
+        """q of every element, in the order of elements(), evaluated once."""
+        if self._q_values is None:
+            self._q_values = [self.q(el) for el in self.elements()]
+        return self._q_values
+
     def isotropic_elements(self) -> list[Element]:
         if self._isotropic is None:
-            self._isotropic = [el for el in self.elements() if self.q(el) == 0]
+            self._isotropic = [el for el, x in zip(self.elements(), self.q_values()) if x == 0]
         return self._isotropic
 
     def fingerprint(self):

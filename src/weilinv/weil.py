@@ -17,9 +17,14 @@ by the Heisenberg intertwining, for M = (a b; c d),
 
 The nonzero entries of c0 are one scalar times roots of unity (checked),
 so each cusp has one scalar and its entries are integer exponents.
-Everything is exact: coefficients are cyclotomic numbers and the S-action
-is applied as a mixed-radix character transform, one generator axis at a
-time, which factors over orthogonal blocks.
+
+Everything is exact.  Inside a word the coefficients are dense lists of
+integers, elements of the group ring Z[x]/(x^u - 1) with x = zeta_u and u
+dividing the working order w: a root of unity rotates a list, and rho(S)
+without its scalar e(sign(D)/8)/sqrt(|D|) is a mixed-radix character
+transform, one generator axis at a time, of rotations and integer sums.
+The scalars are counted and multiplied in once, and the result is reduced
+modulo Phi_w into cyclotomic numbers only when it leaves the word.
 """
 
 from __future__ import annotations
@@ -27,8 +32,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd
+from operator import add
 
 from . import cyclo
 from .arith import ext_gcd, factorize, frac1, inverse_mod, lcm, legendre
@@ -46,7 +52,6 @@ from .intmat import Echelon
 Matrix2 = tuple[tuple[int, int], tuple[int, int]]
 
 S_MAT: Matrix2 = ((0, -1), (1, 0))
-T_MAT: Matrix2 = ((1, 1), (0, 1))
 
 
 class OddSignatureError(ValueError):
@@ -104,9 +109,7 @@ class GroupAlgebraVector:
         return self.coeffs.get(self.form.normalize(el), cyclo.ZERO)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, GroupAlgebraVector):
-            return NotImplemented
-        if self.form is not other.form:
+        if not isinstance(other, GroupAlgebraVector) or self.form is not other.form:
             return NotImplemented
         keys = set(self.coeffs) | set(other.coeffs)
         return all(self.coefficient(k) == other.coefficient(k) for k in keys)
@@ -207,138 +210,130 @@ def _working_order(form: DiscriminantForm) -> int:
 
 
 def _tables(form: DiscriminantForm):
-    """Cached transform data: twiddle exponents, frequency reindexing, scalars.
-
-    All hot-loop values live in one cyclotomic field of order w; inside
-    the word application coefficients are raw exponent->Fraction maps and
-    roots of unity act by exponent shifts.
-    """
-    cache = form._caches
-    if "tables" not in cache:
+    """Cached per-form data: the working order w, q scaled to exponents of
+    zeta_w, and the orbits of roots of unity for the cusp column check."""
+    if "tables" not in form._caches:
         w = _working_order(form)
-        phi, rows = cyclo._tables(w)
-        k = form.rank
-        btilde = [
-            [int(form.b_gen[i][j] * form.orders[i]) % form.orders[i] for j in range(k)]
-            for i in range(k)
-        ]
-        els = form.elements()
-        freq_index = []
-        for el in els:
-            ell = tuple(sum(btilde[i][j] * el[j] for j in range(k)) % form.orders[i] for i in range(k))
-            freq_index.append(form.index(ell))
-        scalar = (e_of(Fraction(form.signature(), 8)) / sqrt_int(form.order)).to_order(w)
-        q_exp = [int(form.q(el) * w) for el in els]  # q values scaled to exponents
-        cache["tables"] = {
-            "w": w,
-            "phi": phi,
-            "rows": rows,
-            "freq_index": freq_index,
-            "scalar_raw": dict(scalar.coeffs),
-            "q_exp": q_exp,
-            "root_cache": {},
-        }
-    return cache["tables"]
+        form._caches["tables"] = {"w": w, "q_exp": [int(x * w) for x in form.q_values()], "orbits": []}
+    return form._caches["tables"]
 
 
-def _root(form: DiscriminantForm, x: Fraction) -> Cyclo:
+def _word_tables(form: DiscriminantForm):
+    """_tables plus what words need, built on the first word applied: the
+    frequency reindexing of S, Phi_w, and the powers of the S scalar."""
     tab = _tables(form)
-    x = frac1(x)
-    if x not in tab["root_cache"]:
-        tab["root_cache"][x] = e_of(x).to_order(tab["w"])
-    return tab["root_cache"][x]
+    if "freq_index" not in tab:
+        k, orders = form.rank, form.orders
+        btilde = [[int(form.b_gen[i][j] * orders[i]) % orders[i] for j in range(k)] for i in range(k)]
+        freq = [[sum(btilde[i][j] * el[j] for j in range(k)) % orders[i] for i in range(k)] for el in form.elements()]
+        tab["freq_index"] = [form.index(ell) for ell in freq]
+        poly = cyclo.cyclotomic_polynomial(tab["w"])
+        tab.update(Phi_w=(len(poly) - 1, [(j, c) for j, c in enumerate(poly[:-1]) if c]), scalar_pow={})
+    return tab
 
 
-Raw = dict  # exponent -> Fraction, exponents already inside the power basis
+# Inside a word an entry is a dense list of u ints, an element of Z[x]/(x^u - 1)
+# with x acting as zeta_u, or None for zero; u | w is the level times what the
+# input coefficients need.  The S scalars e(sig/8)/sqrt|D| are left out of the
+# letters and multiplied in once, in Q(zeta_w), when the word is done.
 
 
-def _raw_shift_add(acc: Raw, raw: Raw, k: int, phi: int, rows, w: int) -> None:
-    """acc += zeta_w^k * raw, reducing into the power basis."""
-    if k == 0:
-        for e, c in raw.items():
-            acc[e] = acc.get(e, 0) + c
-        return
-    for e, c in raw.items():
-        e2 = e + k
-        if e2 >= w:
-            e2 -= w
-        if e2 < phi:
-            acc[e2] = acc.get(e2, 0) + c
-        else:
-            for j, r in rows[e2 - phi].items():
-                acc[j] = acc.get(j, 0) + c * r
+def _rot(x: list[int], k: int) -> list[int]:
+    """x * zeta_u^k, u = len(x); x itself when k = 0 (no list is changed in place)."""
+    k %= len(x)
+    return x[-k:] + x[:-k] if k else x
 
 
-def _raw_mul(a: Raw, b: Raw, phi: int, rows, w: int) -> Raw:
-    out: Raw = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
-            c = c1 * c2
-            if e < phi:
-                out[e] = out.get(e, 0) + c
-            else:
-                for j, r in rows[e - phi].items():
-                    out[j] = out.get(j, 0) + c * r
-    return {e: c for e, c in out.items() if c}
+def _scaled(form: DiscriminantForm, tab, x: list[int], k: int, den: int) -> list[int]:
+    """den times the k-th power of the S scalar times x, in Z[x]/(x^w - 1);
+    den is a multiple of the scalar power's denominator."""
+    w = tab["w"]
+    num, den_k = _scalar_power(form, tab, k)
+    y = [0] * w
+    y[:: w // len(x)] = x
+    terms = [[c * den // den_k * v for v in _rot(y, e)] for e, c in num.items()]
+    return terms[0] if len(terms) == 1 else list(map(sum, zip(*terms)))
 
 
-def _apply_s_raw(form: DiscriminantForm, data: list[Raw]) -> list[Raw]:
-    """rho(S) on raw coefficients via per-axis character sums."""
-    tab = _tables(form)
-    w, phi, rows = tab["w"], tab["phi"], tab["rows"]
+def _to_cyclo(tab, y: list[int], den: int) -> Cyclo:
+    """y / den as a Cyclo: y is reduced modulo Phi_w, all in integers."""
+    w, (phi, low) = tab["w"], tab["Phi_w"]
+    y = list(y)
+    for e in range(w - 1, phi - 1, -1):
+        c = y[e]
+        if c:  # x^e = -sum p_j x^(e - phi + j) for Phi_w = x^phi + sum p_j x^j
+            for j, p in low:
+                y[e - phi + j] -= c * p
+    coeffs = {e: Fraction(c, den) for e, c in enumerate(y[:phi]) if c}
+    return Cyclo(w, coeffs, reduced=True) if coeffs else cyclo.ZERO
+
+
+def _scalar_power(form: DiscriminantForm, tab, k: int) -> tuple[dict[int, int], int]:
+    """(num, den): the k-th power of the S scalar e(sig/8)/sqrt|D| equals
+    sum c zeta_w^e over num, divided by den = |D|^ceil(k/2)."""
+    if k not in tab["scalar_pow"]:
+        root = sqrt_int(form.order) if k % 2 else cyclo.ONE
+        num = (e_of(Fraction(k * form.signature(), 8)) * root).to_order(tab["w"])
+        tab["scalar_pow"][k] = ({e: int(c) for e, c in num.coeffs.items()}, form.order ** ((k + 1) // 2))
+    return tab["scalar_pow"][k]
+
+
+def _apply_s_ints(form: DiscriminantForm, tab, data: list, u: int) -> list:
+    """rho(S) without its scalar: per-axis character sums of rotations,
+    then the frequency reindexing."""
     n = form.order
     for axis, d in enumerate(form.orders):
         stride = form._strides[axis]
-        step = w // d
-        out: list[Raw] = [{}] * n
-        block = d * stride
-        for base in range(0, n, block):
+        cuts = [u - r * u // d for r in range(1, d)]  # x * zeta_d^r = x[cut:] + x[:cut]
+        out = [None] * n
+        for base in range(0, n, d * stride):
             for off in range(base, base + stride):
-                col = [data[off + t * stride] for t in range(d)]
-                for m_ in range(d):
-                    acc: Raw = {}
-                    for t in range(d):
-                        raw = col[t]
-                        if raw:
-                            _raw_shift_add(acc, raw, (m_ * t) % d * step, phi, rows, w)
-                    out[off + m_ * stride] = {e: c for e, c in acc.items() if c}
+                rots = []  # entry t of the column, times each zeta_d^r that it meets
+                for t in range(d):
+                    x = data[off + t * stride]
+                    if x is not None:
+                        rots.append((t, [x] + [x[c:] + x[:c] for c in cuts] if t else [x]))
+                for m in range(d) if rots else ():
+                    acc = None
+                    for t, r in rots:
+                        y = r[m * t % d]
+                        acc = y if acc is None else map(add, acc, y)
+                    out[off + m * stride] = list(acc)
         data = out
-    scal = tab["scalar_raw"]
-    freq = tab["freq_index"]
-    return [_raw_mul(data[freq[i]], scal, phi, rows, w) if data[freq[i]] else {} for i in range(n)]
+    return [data[i] for i in tab["freq_index"]]
 
 
-def _apply_t_raw(form: DiscriminantForm, data: list[Raw], n: int) -> list[Raw]:
-    """rho(T^n) on raw coefficients (diagonal exponent shifts)."""
-    tab = _tables(form)
-    w, phi, rows = tab["w"], tab["phi"], tab["rows"]
-    q_exp = tab["q_exp"]
-    out = []
-    for i, raw in enumerate(data):
-        if raw:
-            k = (-n * q_exp[i]) % w
-            acc: Raw = {}
-            _raw_shift_add(acc, raw, k, phi, rows, w)
-            out.append({e: c for e, c in acc.items() if c})
+def _apply_word_ints(form: DiscriminantForm, tab, tokens, data: list, u: int) -> tuple[list, int]:
+    """The word applied right to left in Z[x]/(x^u - 1); returns the image
+    and the number of S letters, whose scalars are left out."""
+    q_exp = [q * u // tab["w"] for q in tab["q_exp"]]
+    count = 0
+    for kind, n in reversed(tokens):
+        if kind == "S":
+            data = _apply_s_ints(form, tab, data, u)
+            count += 1
         else:
-            out.append(raw)
-    return out
+            data = [None if x is None else _rot(x, -n * q) for x, q in zip(data, q_exp)]
+    return data, count
 
 
 def _apply_word_dense(form: DiscriminantForm, tokens, vec: list[Cyclo]) -> list[Cyclo]:
-    w = _tables(form)["w"]
-    data = [dict(c.to_order(w).coeffs) if c.coeffs else {} for c in vec]
-    for kind, n in reversed(tokens):
-        data = _apply_s_raw(form, data) if kind == "S" else _apply_t_raw(form, data, n)
-    return [Cyclo(w, raw, reduced=True) if raw else cyclo.ZERO for raw in data]
-
-
-def _dense_from_vec(form: DiscriminantForm, v: Vec) -> list[Cyclo]:
-    out = [cyclo.ZERO] * form.order
-    for el, c in v.coeffs.items():
-        out[form.index(el)] = c
-    return out
+    """rho(word) on a dense vector.  The coefficients are scaled to integers
+    by one common denominator, which is divided out with the scalars."""
+    tab = _word_tables(form)
+    u = reduce(lcm, (c.order for c in vec if c.coeffs), form.level())
+    if tab["w"] % u:
+        raise ValueError("target order must be a multiple of current order")
+    den = reduce(lcm, (v.denominator for c in vec for v in c.coeffs.values()), 1)
+    data: list = [None] * len(vec)
+    for i, c in enumerate(vec):
+        if c.coeffs:
+            data[i] = [0] * u
+            for e, v in c.coeffs.items():
+                data[i][e * u // c.order] = int(v * den)
+    data, k = _apply_word_ints(form, tab, tokens, data, u)
+    den_k = _scalar_power(form, tab, k)[1]
+    return [cyclo.ZERO if x is None else _to_cyclo(tab, _scaled(form, tab, x, k, den_k), den * den_k) for x in data]
 
 
 def _vec_from_dense(form: DiscriminantForm, dense: list[Cyclo]) -> Vec:
@@ -353,19 +348,21 @@ def _vec_from_dense(form: DiscriminantForm, dense: list[Cyclo]) -> Vec:
 
 def rho_T(v: Vec) -> Vec:
     _require_even(v.form)
-    return Vec(v.form, {el: _root(v.form, -v.form.q(el)) * c for el, c in v.coeffs.items()})
+    return Vec(v.form, {el: e_of(-v.form.q(el)) * c for el, c in v.coeffs.items()})
 
 
 def rho_S(v: Vec) -> Vec:
-    _require_even(v.form)
-    return _vec_from_dense(v.form, _apply_word_dense(v.form, (("S", 1),), _dense_from_vec(v.form, v)))
+    return rho(S_MAT, v)
 
 
 def rho(m, v: Vec) -> Vec:
     """rho(M) v for any M in SL2(Z), via word decomposition."""
     _require_even(v.form)
     word = m if isinstance(m, SL2Word) else word_decompose(m)
-    return _vec_from_dense(v.form, _apply_word_dense(v.form, word.tokens, _dense_from_vec(v.form, v)))
+    dense = [cyclo.ZERO] * v.form.order
+    for el, c in v.coeffs.items():
+        dense[v.form.index(el)] = c
+    return _vec_from_dense(v.form, _apply_word_dense(v.form, word.tokens, dense))
 
 
 # ---------------------------------------------------------------------------
@@ -504,19 +501,18 @@ def _e0_column(part: DiscriminantForm, word: SL2Word) -> tuple[Cyclo, dict[int, 
     key = ("e0_col", word.tokens)
     if key not in part._caches:
         tab = _tables(part)
-        w, phi, rows = tab["w"], tab["phi"], tab["rows"]
+        w = tab["w"]
         col = _apply_word_dense(part, word.tokens, [cyclo.ONE] + [cyclo.ZERO] * (part.order - 1))
-        support = [(i, c.coeffs) for i, c in enumerate(col) if c.coeffs]
-        s = support[0][1]
-        roots = {}  # s * zeta_w^j -> j
-        for j in range(w):
-            acc: Raw = {}
-            _raw_shift_add(acc, s, j, phi, rows, w)
-            roots[frozenset((e, c) for e, c in acc.items() if c)] = j
-        exps = {i: roots.get(frozenset(raw.items())) for i, raw in support}
+        support = [(i, frozenset(c.coeffs.items())) for i, c in enumerate(col) if c.coeffs]
+        i0, s_key = support[0]
+        orbit = next((o for o in tab["orbits"] if s_key in o), None)
+        if orbit is None:  # t * zeta_w^j -> j, kept for every s = t * (root of unity)
+            orbit = {frozenset((col[i0] * e_of(Fraction(j, w))).coeffs.items()): j for j in range(w)}
+            tab["orbits"].append(orbit)
+        exps = {i: orbit.get(c) for i, c in support}
         if None in exps.values():
             raise InternalInconsistency(f"cusp column check: rho(M) e^0 on {part!r} is not s times roots of unity")
-        part._caches[key] = (Cyclo(w, s, reduced=True), exps)
+        part._caches[key] = (col[i0], {i: (j - exps[i0]) % w for i, j in exps.items()})
     return part._caches[key]
 
 
@@ -621,20 +617,26 @@ def inv(form: DiscriminantForm, v) -> Vec:
 
 def inv_average_oracle(form: DiscriminantForm, gamma: Element) -> Vec:
     """Reference implementation of inv(e^gamma): the literal average of
-    rho(M) e^gamma over every coset of SL2(Z/N), one word evaluation per
-    coset, no cusp grouping and no block factorization."""
+    rho(M) e^gamma over every coset of SL2(Z/N), one full word evaluation
+    per coset; no cusp grouping, no block factorization and no sharing of
+    word prefixes or suffixes between cosets.  The integer images are
+    summed per number of S letters and scaled once at the end."""
     if form.signature() % 2:
         return Vec(form)
-    n = form.level()
-    cosets = enumerate_cosets(n)
-    total = [cyclo.ZERO] * form.order
-    start = [cyclo.ZERO] * form.order
-    start[form.index(form.normalize(gamma))] = cyclo.ONE
+    tab = _word_tables(form)
+    u, blank, g = form.level(), [None] * form.order, form.index(form.normalize(gamma))
+    cosets = enumerate_cosets(u)
+    start = [[1] + [0] * (u - 1) if i == g else None for i in range(form.order)]
+    sums: dict[int, list] = {}  # number of S letters -> sum of the integer images
     for word in cosets:
-        img = _apply_word_dense(form, word.tokens, start)
-        total = [t + x for t, x in zip(total, img)]
-    scale = Fraction(1, len(cosets))
-    return _vec_from_dense(form, [t * scale for t in total])
+        image, k = _apply_word_ints(form, tab, word.tokens, start, u)
+        acc = sums.get(k, blank)
+        sums[k] = [x if a is None else a if x is None else list(map(add, a, x)) for a, x in zip(acc, image)]
+    den = max(_scalar_power(form, tab, k)[1] for k in sums)
+    total = [[0] * tab["w"] for _ in blank]
+    for k, img in sums.items():
+        total = [t if x is None else list(map(add, t, _scaled(form, tab, x, k, den))) for t, x in zip(total, img)]
+    return _vec_from_dense(form, [_to_cyclo(tab, t, den * len(cosets)) for t in total])
 
 
 def dim_invariants(form: DiscriminantForm) -> int:
@@ -792,21 +794,23 @@ def projection_closed_form(form: DiscriminantForm, gamma: Element) -> Vec | None
     return None
 
 
+def _bump(out: dict[Element, Cyclo], el: Element, c) -> None:
+    """out[el] += c for a cyclotomic or rational c."""
+    out[el] = out.get(el, cyclo.ZERO) + c
+
+
 def _projection_odd_elementary(form: DiscriminantForm, gamma: Element, comp) -> Vec:
     p, n, eps = comp.p, comp.n, comp.sign
     iso = form.isotropic_elements()
     out: dict[Element, Cyclo] = {}
 
-    def bump(el, c):
-        out[el] = out.get(el, cyclo.ZERO) + c
-
     if n % 2 == 0:
         lead = Fraction(eps * legendre(-1, p) ** (n // 2), (p * p - 1)) * Fraction(p) ** (-((n - 2) // 2))
         for mu in iso:
             c = Fraction(p) if form.b(mu, gamma) == 0 else Fraction(0)
-            bump(mu, cyclo.Cyclo.rational((c - 1) * lead))
+            _bump(out, mu, cyclo.Cyclo.rational((c - 1) * lead))
         for a in range(1, p):
-            bump(form.smul(a, gamma), cyclo.Cyclo.rational(Fraction(1, p * p - 1)))
+            _bump(out, form.smul(a, gamma), cyclo.Cyclo.rational(Fraction(1, p * p - 1)))
     else:
         lead = Fraction(eps * legendre(-1, p) ** ((n + 1) // 2) * legendre(2, p), p * p - 1) * Fraction(p) ** (
             -((n - 3) // 2)
@@ -814,9 +818,9 @@ def _projection_odd_elementary(form: DiscriminantForm, gamma: Element, comp) -> 
         for mu in iso:
             sym = legendre(int(form.b(mu, gamma) * p), p)
             if sym:
-                bump(mu, cyclo.Cyclo.rational(sym * lead))
+                _bump(out, mu, cyclo.Cyclo.rational(sym * lead))
         for a in range(1, p):
-            bump(form.smul(a, gamma), cyclo.Cyclo.rational(Fraction(legendre(a, p), p * p - 1)))
+            _bump(out, form.smul(a, gamma), cyclo.Cyclo.rational(Fraction(legendre(a, p), p * p - 1)))
     return Vec(form, out)
 
 
@@ -841,15 +845,12 @@ def _projection_two_odd(form: DiscriminantForm, gamma: Element, comp) -> Vec:
     iso = form.isotropic_elements()
     out: dict[Element, Cyclo] = {}
 
-    def bump(el, c):
-        out[el] = out.get(el, cyclo.ZERO) + cyclo.Cyclo.rational(c)
-
-    bump(gamma, Fraction(1, 6))
-    bump(form.add(gamma, x2), Fraction(1, 6))
+    _bump(out, gamma, Fraction(1, 6))
+    _bump(out, form.add(gamma, x2), Fraction(1, 6))
     lead = Fraction(eps * (-1) ** (t // 4), 6) * Fraction(2) ** (-((n - 4) // 2))
     for mu in iso:
         c = Fraction(2) if form.b(mu, gamma) == 0 else Fraction(0)
-        bump(mu, (c - 1) * lead)
+        _bump(out, mu, (c - 1) * lead)
     return Vec(form, out)
 
 
@@ -863,23 +864,19 @@ def _projection_two_four(form: DiscriminantForm, gamma: Element, c2) -> Vec:
     phase_t4 = e_of(Fraction(t, 4))
     out: dict[Element, Cyclo] = {}
 
-    def bump(el, c):
-        if not c.is_zero():
-            out[el] = out.get(el, cyclo.ZERO) + c
-
-    bump(gamma, cyclo.Cyclo.rational(Fraction(1, 12)))
-    bump(form.neg(gamma), phase_t4 * Fraction(1, 12))
+    _bump(out, gamma, cyclo.Cyclo.rational(Fraction(1, 12)))
+    _bump(out, form.neg(gamma), phase_t4 * Fraction(1, 12))
     star_set = {form.add(gamma, s) for s in star2}
     for mu in iso:
         if mu in star_set:
             w = e_of(form.q_c(2, form.sub(mu, gamma), x2)) * Fraction(1, 24)
-            bump(mu, w)
-            bump(form.neg(mu), w * phase_t4)
+            _bump(out, mu, w)
+            _bump(out, form.neg(mu), w * phase_t4)
     lead = e_of(Fraction(3 * t, 8)) * Fraction(eps, 12) * Fraction(2) ** (-(n // 2))
     for mu in iso:
         w = e_of(-form.b(mu, gamma)) * lead
-        bump(mu, w)
-        bump(form.neg(mu), w * phase_t4)
+        _bump(out, mu, w)
+        _bump(out, form.neg(mu), w * phase_t4)
     return Vec(form, out)
 
 
@@ -895,13 +892,9 @@ def _projection_level_eight(form: DiscriminantForm, gamma: Element, c4) -> Vec:
     sqrt2 = sqrt_int(2)
     out: dict[Element, Cyclo] = {}
 
-    def bump(el, c):
-        if not c.is_zero():
-            out[el] = out.get(el, cyclo.ZERO) + c
-
     def pair(mu, w):
-        bump(mu, w)
-        bump(form.neg(mu), w * z_phase)
+        _bump(out, mu, w)
+        _bump(out, form.neg(mu), w * z_phase)
 
     lead1 = e_of(Fraction(-sign, 8)) * Fraction(1, 48) * sqrt2 * Fraction(1, 4)  # 1/(2 sqrt 2)
     for mu in iso:
@@ -926,7 +919,7 @@ def _projection_level_eight(form: DiscriminantForm, gamma: Element, c4) -> Vec:
                 w = e_of(form.q_c(4, form.sub(mu, ag), x4)) * e_of(frac1(Fraction(a - 1, 4) * form.b(mu, gamma)))
                 pair(mu, w * lead3)
     for a in (1, 3, 5, 7):
-        bump(form.smul(a, gamma), cyclo.Cyclo.rational(Fraction(form.chi(a), 48)))
+        _bump(out, form.smul(a, gamma), cyclo.Cyclo.rational(Fraction(form.chi(a), 48)))
     return Vec(form, out)
 
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weilinv import weil
-from weilinv.cyclo import Cyclo, e_of
+from weilinv.cyclo import Cyclo, e_of, sqrt_int
 from weilinv.fqm import InternalInconsistency, from_jordan_symbol
 from weilinv.weil import (
     OddSignatureError,
@@ -162,6 +163,46 @@ def test_rho_word_independence():
     sm = mat2_mul(S_MAT, m)
     alt = rho(mat2_inv(S_MAT), rho(sm, v))
     assert direct == alt
+
+
+@pytest.mark.parametrize("symbol", ["3^-2", "5^+2", "2_2^+2.4_II^+2", "2_II^+2.3^-2"])
+def test_word_kernel_matches_defining_formulas(symbol):
+    """The integer word kernel against the definitions of rho(S) and rho(T),
+    written with the public cyclotomic arithmetic only."""
+    d = from_jordan_symbol(symbol)
+    scalar = e_of(Fraction(d.signature(), 8)) / sqrt_int(d.order)
+    for g in d.elements():
+        expected = Vec(d, {beta: scalar * e_of(d.b(g, beta)) for beta in d.elements()})
+        assert rho_S(Vec.basis(d, g)) == expected, g
+    v = rho_S(Vec.basis(d, d.zero())) + Vec.basis(d, d.elements()[-1]).scale(Fraction(1, 3))
+    for n in (1, 2, 5, -3):
+        # rho_T applied n times equals rho(T^n); for n < 0, |n| times undoes it
+        u, target = (v, rho(t_power(n), v)) if n > 0 else (rho(t_power(n), v), v)
+        for _ in range(abs(n)):
+            u = rho_T(u)
+        assert u == target, n
+
+
+def test_group_law_long_words_fractional_input():
+    """rho(AB) v = rho(A) rho(B) v for words of at least 100 letters and a v
+    with rational non-integer and irrational coefficients: the common
+    denominator, and coefficients that grow with no reduction between letters."""
+    d = from_jordan_symbol("2_2^+2.4_II^+2")
+    v = rho_S(Vec.basis(d, d.zero())) + Vec.basis(d, (1, 0, 1, 1)).scale(Fraction(1, 3))
+    assert any(c.rational_value() is None for c in v.coeffs.values())
+    assert any(x.denominator % 3 == 0 for c in v.coeffs.values() for x in c.coeffs.values())
+    r = random.Random(7)
+
+    def long_matrix():
+        m = ((1, 0), (0, 1))
+        for _ in range(60):
+            m = mat2_mul(mat2_mul(m, t_power(r.choice([-3, -2, 2, 3]))), S_MAT)
+        return m
+
+    a, b = long_matrix(), long_matrix()
+    wa, wb, wab = (word_decompose(m) for m in (a, b, mat2_mul(a, b)))
+    assert min(len(w.tokens) for w in (wa, wb, wab)) >= 100
+    assert rho(wab, v) == rho(wa, rho(wb, v))
 
 
 def test_rho_closed_form_for_upper_triangular():

@@ -1,9 +1,11 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_M).
 
 A value is stored as a sparse coefficient map over the power basis
-1, zeta, ..., zeta^(phi(M)-1) of Q(zeta_M), reduced modulo the M-th
-cyclotomic polynomial.  Within a fixed order M this normal form is
-unique, so equality is syntactic after unifying orders to the lcm.
+1, zeta, ..., zeta^(phi(M)-1) of Q(zeta_M).  Every operation writes its
+result as a dense polynomial in zeta and reduces it modulo the M-th
+cyclotomic polynomial Phi_M with one routine, reduce_mod_phi; Phi_M is
+the only thing kept per order.  Within a fixed order M this normal form
+is unique, so equality is syntactic after unifying orders to the lcm.
 Roots of unity e(x) = exp(2*pi*i*x) and positive square roots of
 integers (via quadratic Gauss sums) all live in one such field, which
 keeps every representation matrix entry exact.
@@ -13,20 +15,14 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from .arith import factorize, frac1, isqrt, lcm, legendre, squarefree_part
+from math import lcm
+from .arith import factorize, frac1, isqrt, legendre, squarefree_part
 from .config import LIMITS
 from .intmat import Echelon
 
 
 class CycloOrderError(ValueError):
     """Requested cyclotomic order exceeds the configured bound."""
-
-
-def _euler_phi(m: int) -> int:
-    phi = 1
-    for p, e in factorize(m).items():
-        phi *= (p - 1) * p ** (e - 1)
-    return phi
 
 
 def _poly_divmod(num: list[int], den: list[int]) -> list[int]:
@@ -62,42 +58,35 @@ def cyclotomic_polynomial(m: int) -> list[int]:
     return poly
 
 
-_table_cache: dict[int, tuple[int, list[dict[int, int]]]] = {}
-
-
-def _tables(m: int) -> tuple[int, list[dict[int, int]]]:
-    """(phi(m), reduction rows): rows[e - phi] writes zeta^e in the basis."""
+def reduce_mod_phi(m: int, y: list) -> list:
+    """The power-basis coordinates of sum_e y[e] zeta_m^e: the dense
+    coefficient list y (ints or Fractions) reduced modulo Phi_m, top-down.
+    The result has at most phi(m) entries; y itself is not changed."""
     if m > LIMITS.max_cyclo_order:
         raise CycloOrderError(f"cyclotomic order {m} exceeds bound {LIMITS.max_cyclo_order}")
-    if m in _table_cache:
-        return _table_cache[m]
-    phi = _euler_phi(m)
     poly = cyclotomic_polynomial(m)
-    top = {j: -poly[j] for j in range(phi) if poly[j]}
-    rows = [top]
-    for _ in range(phi, 2 * m - 1):
-        prev = rows[-1]
-        nxt: dict[int, int] = {}
-        for j, c in prev.items():
-            if j + 1 < phi:
-                nxt[j + 1] = nxt.get(j + 1, 0) + c
-            else:
-                for k, t in top.items():
-                    nxt[k] = nxt.get(k, 0) + c * t
-        rows.append({k: v for k, v in nxt.items() if v})
-    _table_cache[m] = (phi, rows)
-    return phi, rows
+    phi = len(poly) - 1
+    if len(y) <= phi:
+        return y[:]
+    y = y[:]
+    low = [(j, p) for j, p in enumerate(poly[:phi]) if p]
+    for e in range(len(y) - 1, phi - 1, -1):
+        c = y[e]
+        if c:  # zeta^e = -sum_j p_j zeta^(e - phi + j) for Phi_m = x^phi + sum_j p_j x^j
+            base = e - phi
+            for j, p in low:
+                y[base + j] -= c * p
+    del y[phi:]
+    return y
 
 
-def _reduce_exp(m: int, e: int, coef: Fraction, acc: dict[int, Fraction]) -> None:
-    """Accumulate coef * zeta_m^e into acc over the power basis."""
-    phi, rows = _tables(m)
-    e %= m
-    if e < phi:
-        acc[e] = acc.get(e, 0) + coef
-    else:
-        for j, c in rows[e - phi].items():
-            acc[j] = acc.get(j, 0) + coef * c
+def _reduced(m: int, terms: list) -> dict:
+    """Normal form of sum c zeta_m^e over terms (e >= 0), reduced in integers over one denominator."""
+    den = lcm(*(c.denominator for _, c in terms))
+    y = [0] * (max((e for e, _ in terms), default=-1) + 1)
+    for e, c in terms:
+        y[e] += c.numerator * (den // c.denominator)
+    return {e: Fraction(c, den) for e, c in enumerate(reduce_mod_phi(m, y)) if c}
 
 
 class Cyclo:
@@ -106,16 +95,8 @@ class Cyclo:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs: dict[int, Fraction], *, reduced: bool = False):
-        if reduced:
-            self.order = order
-            self.coeffs = coeffs
-            return
-        acc: dict[int, Fraction] = {}
-        for e, c in coeffs.items():
-            if c:
-                _reduce_exp(order, e, Fraction(c), acc)
         self.order = order
-        self.coeffs = {e: c for e, c in acc.items() if c}
+        self.coeffs = coeffs if reduced else _reduced(order, [(e % order, c) for e, c in coeffs.items() if c])
 
     # -- constructors -------------------------------------------------
 
@@ -148,10 +129,7 @@ class Cyclo:
         if m % self.order:
             raise ValueError("target order must be a multiple of current order")
         k = m // self.order
-        acc: dict[int, Fraction] = {}
-        for e, c in self.coeffs.items():
-            _reduce_exp(m, e * k, c, acc)
-        return Cyclo(m, {e: c for e, c in acc.items() if c}, reduced=True)
+        return Cyclo(m, _reduced(m, [(e * k, c) for e, c in self.coeffs.items()]), reduced=True)
 
     @staticmethod
     def _unify(a: "Cyclo", b: "Cyclo") -> tuple["Cyclo", "Cyclo"]:
@@ -205,12 +183,8 @@ class Cyclo:
         if not other.coeffs:
             return other
         a, b = Cyclo._unify(self, other)
-        acc: dict[int, Fraction] = {}
-        m = a.order
-        for e1, c1 in a.coeffs.items():
-            for e2, c2 in b.coeffs.items():
-                _reduce_exp(m, e1 + e2, c1 * c2, acc)
-        return Cyclo(m, {e: c for e, c in acc.items() if c}, reduced=True)
+        terms = [(e1 + e2, c1 * c2) for e1, c1 in a.coeffs.items() for e2, c2 in b.coeffs.items()]
+        return Cyclo(a.order, _reduced(a.order, terms), reduced=True)
 
     __rmul__ = __mul__
 
@@ -232,30 +206,31 @@ class Cyclo:
         if r is not None:
             return Cyclo.rational(Fraction(1) / r)
         if len(self.coeffs) == 1:
-            ((e, c),) = self.coeffs.items()
-            return Cyclo(self.order, {(-e) % self.order: Fraction(1) / c})
+            (c,) = self.coeffs.values()
+            return self.conjugate() * (Fraction(1) / (c * c))
         # General case: solve (mult-by-self) x = 1 over the power basis,
         # eliminating the rows [M_i | delta_i0] of the augmented system.
+        # Column j is self * zeta^j, column j - 1 shifted up once and reduced.
         m = self.order
-        phi, _ = _tables(m)
+        phi = len(cyclotomic_polynomial(m)) - 1
         rows: list[dict[int, Fraction]] = [{phi: Fraction(1)}] + [{} for _ in range(1, phi)]
+        col = [self.coeffs.get(i, 0) for i in range(phi)]
         for j in range(phi):
-            acc: dict[int, Fraction] = {}
-            for e, c in self.coeffs.items():
-                _reduce_exp(m, e + j, c, acc)
-            for i, x in acc.items():
+            for i, x in enumerate(col):
                 rows[i][j] = x
+            col = reduce_mod_phi(m, [0] + col)
         ech = Echelon()
         for row in rows:
             ech.add(row)
         return Cyclo(m, {j: ech.rows[j][phi] for j in range(phi) if phi in ech.rows[j]}, reduced=True)
 
     def conjugate(self) -> "Cyclo":
-        """Complex conjugate (zeta -> zeta^-1)."""
-        acc: dict[int, Fraction] = {}
-        for e, c in self.coeffs.items():
-            _reduce_exp(self.order, (-e) % self.order, c, acc)
-        return Cyclo(self.order, {e: c for e, c in acc.items() if c}, reduced=True)
+        """Complex conjugate (zeta -> zeta^-1).  Phi_m is palindromic for m > 1,
+        so reducing sum c_e zeta^-e bottom-up is reducing the reversed list
+        top-down: c_e goes in at phi - 1 + e and t comes out at phi - 1 - t."""
+        phi = len(cyclotomic_polynomial(self.order)) - 1
+        r = _reduced(self.order, [(phi - 1 + e, c) for e, c in self.coeffs.items()])
+        return Cyclo(self.order, {phi - 1 - t: c for t, c in r.items()}, reduced=True)
 
     # -- comparisons ------------------------------------------------------
 

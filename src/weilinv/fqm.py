@@ -142,16 +142,16 @@ class JordanSymbol:
     """A dot-separated list of Jordan components, e.g. 2_1^+1.4_5^-1.8_II^+2."""
 
     def __init__(self, components: list[JordanComponent]):
-        merged: dict[tuple[int, bool], JordanComponent] = {}
+        # One constituent per scale: ranks add, signs multiply, oddities add,
+        # and a 2-adic constituent is even only if all its pieces are.
+        merged: dict[int, JordanComponent] = {}
         for comp in components:
-            key = (comp.q, comp.even)
-            if key in merged:
-                old = merged[key]
+            old = merged.get(comp.q)
+            if old is not None:
                 t = None if old.t is None and comp.t is None else ((old.t or 0) + (comp.t or 0)) % 8
-                merged[key] = JordanComponent(comp.q, old.n + comp.n, old.sign * comp.sign, t, comp.even)
-            else:
-                merged[key] = comp
-        self.components = sorted(merged.values(), key=lambda c: (c.q, c.even))
+                comp = JordanComponent(comp.q, old.n + comp.n, old.sign * comp.sign, t, old.even and comp.even)
+            merged[comp.q] = comp
+        self.components = sorted(merged.values(), key=lambda c: c.q)
 
     @staticmethod
     def parse(text: str) -> "JordanSymbol":
@@ -260,7 +260,7 @@ class DiscriminantForm:
         self._level: int | None = None
         self._signature: int | None = None
         self._components = None
-        self._q_values: list[Fraction] | None = None
+        self._q_values: list[int] | None = None
         self._isotropic: list[Element] | None = None
         self._caches: dict = {}
 
@@ -520,10 +520,17 @@ class DiscriminantForm:
 
     # -- convenience ----------------------------------------------------------------
 
-    def q_values(self) -> list[Fraction]:
-        """q of every element, in the order of elements(), evaluated once."""
+    def q_values(self) -> list[int]:
+        """level() * q of every element, an integer in [0, level), in the
+        order of elements(); computed once, in integers."""
         if self._q_values is None:
-            self._q_values = [self.q(el) for el in self.elements()]
+            n, k = self.level(), self.rank
+            qn = [int(x * n) for x in self.q_gen]
+            bn = [[int(x * n) for x in row] for row in self.b_gen]
+            self._q_values = [
+                sum(a * (a * qn[i] + sum(bn[i][j] * el[j] for j in range(i + 1, k))) for i, a in enumerate(el)) % n
+                for el in self.elements()
+            ]
         return self._q_values
 
     def isotropic_elements(self) -> list[Element]:

@@ -23,8 +23,8 @@ integers, elements of the group ring Z[x]/(x^u - 1) with x = zeta_u and u
 dividing the working order w: a root of unity rotates a list, and rho(S)
 without its scalar e(sign(D)/8)/sqrt(|D|) is a mixed-radix character
 transform, one generator axis at a time, of rotations and integer sums.
-The scalars are counted and multiplied in once, and the result is reduced
-modulo Phi_w into cyclotomic numbers only when it leaves the word.
+The scalars are counted and multiplied in once, and the result becomes
+cyclotomic numbers (cyclo.reduce_mod_phi) only when it leaves the word.
 """
 
 from __future__ import annotations
@@ -214,21 +214,20 @@ def _tables(form: DiscriminantForm):
     zeta_w, and the orbits of roots of unity for the cusp column check."""
     if "tables" not in form._caches:
         w = _working_order(form)
-        form._caches["tables"] = {"w": w, "q_exp": [int(x * w) for x in form.q_values()], "orbits": []}
+        step = w // form.level()
+        form._caches["tables"] = {"w": w, "q_exp": [x * step for x in form.q_values()], "orbits": []}
     return form._caches["tables"]
 
 
 def _word_tables(form: DiscriminantForm):
     """_tables plus what words need, built on the first word applied: the
-    frequency reindexing of S, Phi_w, and the powers of the S scalar."""
+    frequency reindexing of S and the powers of the S scalar."""
     tab = _tables(form)
     if "freq_index" not in tab:
         k, orders = form.rank, form.orders
         btilde = [[int(form.b_gen[i][j] * orders[i]) % orders[i] for j in range(k)] for i in range(k)]
         freq = [[sum(btilde[i][j] * el[j] for j in range(k)) % orders[i] for i in range(k)] for el in form.elements()]
-        tab["freq_index"] = [form.index(ell) for ell in freq]
-        poly = cyclo.cyclotomic_polynomial(tab["w"])
-        tab.update(Phi_w=(len(poly) - 1, [(j, c) for j, c in enumerate(poly[:-1]) if c]), scalar_pow={})
+        tab.update(freq_index=[form.index(ell) for ell in freq], scalar_pow={})
     return tab
 
 
@@ -256,16 +255,9 @@ def _scaled(form: DiscriminantForm, tab, x: list[int], k: int, den: int) -> list
 
 
 def _to_cyclo(tab, y: list[int], den: int) -> Cyclo:
-    """y / den as a Cyclo: y is reduced modulo Phi_w, all in integers."""
-    w, (phi, low) = tab["w"], tab["Phi_w"]
-    y = list(y)
-    for e in range(w - 1, phi - 1, -1):
-        c = y[e]
-        if c:  # x^e = -sum p_j x^(e - phi + j) for Phi_w = x^phi + sum p_j x^j
-            for j, p in low:
-                y[e - phi + j] -= c * p
-    coeffs = {e: Fraction(c, den) for e, c in enumerate(y[:phi]) if c}
-    return Cyclo(w, coeffs, reduced=True) if coeffs else cyclo.ZERO
+    """y / den as a Cyclo in Q(zeta_w), y a dense list of w integers."""
+    coeffs = {e: Fraction(c, den) for e, c in enumerate(cyclo.reduce_mod_phi(tab["w"], y)) if c}
+    return Cyclo(tab["w"], coeffs, reduced=True) if coeffs else cyclo.ZERO
 
 
 def _scalar_power(form: DiscriminantForm, tab, k: int) -> tuple[dict[int, int], int]:

@@ -131,7 +131,7 @@ def test_cyclotomic_bound_exit_code(monkeypatch):
 
     from weilinv.cyclo import e_of
 
-    e_of(Fraction(1, 13))  # the reduction tables of Q(zeta_13) are cached now
+    e_of(Fraction(1, 13))  # the cyclotomic polynomial of Q(zeta_13) is cached now
     monkeypatch.setenv("WEILINV_MAX_CYCLO_ORDER", "10")
     status, out = run_cli(["dim", "--symbol", "13^-2"])
     assert status == 3

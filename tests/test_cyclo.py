@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,8 +9,11 @@ from weilinv.cyclo import (
     Cyclo,
     CycloOrderError,
     arith,
+    _poly_divmod,
     as_rational,
+    cyclotomic_polynomial,
     e_of,
+    reduce_mod_phi,
     serialize,
     sqrt_int,
 )
@@ -82,8 +87,8 @@ small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 
 @st.composite
 def cyclos(draw):
-    m = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12]))
-    support = draw(st.lists(st.tuples(st.integers(0, 23), small_rationals), max_size=4))
+    m = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12, 24, 56, 120]))
+    support = draw(st.lists(st.tuples(st.integers(0, 119), small_rationals), max_size=4))
     return Cyclo(m, {e % m: c for e, c in support if c})
 
 
@@ -103,6 +108,7 @@ def test_inverse(a):
 @given(cyclos())
 def test_conjugation_is_an_involution(a):
     assert a.conjugate().conjugate() == a
+    assert a.conjugate() == Cyclo(a.order, {-e: c for e, c in a.coeffs.items()})
     norm = a * a.conjugate()
     assert abs(norm.embed_complex().imag) < 1e-9
 
@@ -131,7 +137,7 @@ def test_order_bound_is_enforced():
 def test_order_bound_applies_to_cached_tables():
     from weilinv.config import LIMITS
 
-    e_of(Fraction(1, 97))  # caches the reduction tables of Q(zeta_97)
+    e_of(Fraction(1, 97))  # caches the cyclotomic polynomial of Q(zeta_97)
     old = LIMITS.max_cyclo_order
     LIMITS.max_cyclo_order = 10
     try:
@@ -139,3 +145,24 @@ def test_order_bound_applies_to_cached_tables():
             e_of(Fraction(1, 97))
     finally:
         LIMITS.max_cyclo_order = old
+
+
+@pytest.mark.parametrize("m", [1, 2, 8, 9, 24, 56, 105, 120])
+def test_reduce_mod_phi_is_exact(m):
+    poly = cyclotomic_polynomial(m)
+    phi = len(poly) - 1
+    rng = random.Random(m)
+    for trial in range(20):
+        n = rng.randint(0, 2 * m)  # products of reduced values reach 2 phi - 1
+        if trial % 2:
+            y = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
+        else:
+            y = [rng.randint(-9, 9) for _ in range(n)]
+        r = reduce_mod_phi(m, y)
+        assert len(r) <= phi
+        diff = [a - (r[i] if i < len(r) else 0) for i, a in enumerate(y)]
+        if len(diff) <= phi:
+            assert not any(diff)
+        else:  # y - r is a multiple of Phi_m: scale to integers, divide exactly
+            den = lcm(*(Fraction(x).denominator for x in diff))
+            _poly_divmod([int(x * den) for x in diff], poly)

@@ -34,6 +34,23 @@ def test_symbol_merge_rule():
     assert str(merged) == "2_2^+2"
     merged = JordanSymbol.parse("3^+1.3^-1")
     assert str(merged) == "3^-2"
+    # an even and an odd 2-adic constituent of one scale merge into one odd one
+    for text, pieces, expected in [
+        ("2_II^+2.2_1^+1", ("2_II^+2", "2_1^+1"), "2_1^+3"),
+        ("2_II^-2.2_3^-1", ("2_II^-2", "2_3^-1"), "2_3^+3"),
+    ]:
+        merged = JordanSymbol.parse(text)
+        assert str(merged) == expected
+        assert str(JordanSymbol.parse(str(merged))) == expected
+        a, b = (from_jordan_symbol(p) for p in pieces)
+        direct = DiscriminantForm(
+            a.orders + b.orders,
+            a.q_gen + b.q_gen,
+            [row + (0,) * b.rank for row in a.b_gen] + [(0,) * a.rank + row for row in b.b_gen],
+        )
+        form = from_jordan_symbol(merged)
+        assert (form.order, form.level(), form.signature()) == (direct.order, direct.level(), direct.signature())
+        assert sorted(form.q_values()) == sorted(direct.q_values())
 
 
 def test_from_jordan_symbol_small_cases():

@@ -182,18 +182,11 @@ def jacobi_singular_basis(gram) -> list[JacobiBasisEntry]:
         if sub.order**2 * target != form.order:
             continue
         qf = quotient(form, sub)
-        q_parts = {p: part for p, part, _ in qf.form.p_part_decompose()}
-        ok = True
-        for p, desc in descs.items():
-            candidate = q_parts.get(p, trivial_form())
-            if not is_fundamental_quotient(candidate, desc):
-                ok = False
-                break
-        if not ok:
+        q_parts = qf.form.p_part_decompose()
+        parts_by_prime = {p: part for p, part, _ in q_parts}
+        if not all(is_fundamental_quotient(parts_by_prime.get(p, trivial_form()), desc) for p, desc in descs.items()):
             continue
-        part_data = []
-        for p, part, emb in qf.form.p_part_decompose():
-            part_data.append((part, emb, [_generic_generator(part, descs[p].kind)]))
+        part_data = [(part, emb, [_generic_generator(part, descs[p].kind)]) for p, part, emb in q_parts]
         if part_data:
             vecs = tensor_combine(part_data)
             if len(vecs) != 1:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from .arith import factorize, frac1, isqrt, legendre, squarefree_part
 from .config import LIMITS
@@ -43,18 +44,13 @@ def _poly_divmod(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
-_cyclotomic_cache: dict[int, list[int]] = {}
-
-
+@cache
 def cyclotomic_polynomial(m: int) -> list[int]:
     """Coefficients (ascending) of the m-th cyclotomic polynomial."""
-    if m in _cyclotomic_cache:
-        return _cyclotomic_cache[m]
     poly = [-1] + [0] * (m - 1) + [1]  # x^m - 1
     for d in range(1, m):
         if m % d == 0:
             poly = _poly_divmod(poly, cyclotomic_polynomial(d))
-    _cyclotomic_cache[m] = poly
     return poly
 
 
@@ -273,9 +269,7 @@ ZERO = Cyclo.rational(0)
 ONE = Cyclo.rational(1)
 
 
-_sqrt_cache: dict[int, Cyclo] = {}
-
-
+@cache
 def sqrt_int(n: int) -> Cyclo:
     """The positive square root of a positive integer.
 
@@ -285,8 +279,6 @@ def sqrt_int(n: int) -> Cyclo:
     """
     if n < 1:
         raise ValueError("sqrt_int expects a positive integer")
-    if n in _sqrt_cache:
-        return _sqrt_cache[n]
     s = squarefree_part(n)
     f = isqrt(n // s)
     out = Cyclo.rational(f)
@@ -301,7 +293,6 @@ def sqrt_int(n: int) -> Cyclo:
                 g = g * e_of(Fraction(-1, 4))
             root = g
         out = out * root
-    _sqrt_cache[n] = out
     return out
 
 

@@ -6,6 +6,15 @@ coefficient tuples (a_1, ..., a_k) with 0 <= a_i < d_i, so they hash and
 sort deterministically.  Forms can be built from a genus symbol (one
 orthogonal block per indecomposable Jordan piece) or from the dual
 quotient of an even lattice via Smith normal form.
+
+Cache policy.  Everything derived from one form (its elements, level,
+signature, q values, p-parts, ...) is kept in the one dict form._caches,
+filled through DiscriminantForm.memo.  Derived forms (orthogonal blocks,
+p-parts, H-perp/H quotients) come from one registry, _shared_form, so equal
+generator data gives one object and one set of memos; forms of equal genus
+symbols are shared the same way.  Other pure functions of hashable
+arguments use functools.cache.  A bound is checked on every call of the
+function that enforces it, before any memo is read.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import product
 from math import gcd, prod
 
@@ -200,6 +209,9 @@ class JordanSymbol:
     def __eq__(self, other) -> bool:
         return isinstance(other, JordanSymbol) and str(self) == str(other)
 
+    def __hash__(self) -> int:
+        return hash(str(self))
+
 
 # ---------------------------------------------------------------------------
 # Discriminant forms
@@ -256,13 +268,14 @@ class DiscriminantForm:
             s *= d
         self._strides.reverse()
         self.order = s
-        self._elements: list[Element] | None = None
-        self._level: int | None = None
-        self._signature: int | None = None
-        self._components = None
-        self._q_values: list[int] | None = None
-        self._isotropic: list[Element] | None = None
         self._caches: dict = {}
+
+    def memo(self, key, build):
+        """The value of build() kept in _caches under key: computed on the
+        first call only.  Bounds are checked by the caller, before this."""
+        if key not in self._caches:
+            self._caches[key] = build()
+        return self._caches[key]
 
     # -- element bookkeeping -------------------------------------------------
 
@@ -274,11 +287,9 @@ class DiscriminantForm:
         return (0,) * self.rank
 
     def elements(self) -> list[Element]:
-        if self._elements is None:
-            if self.order > LIMITS.max_form_order:
-                raise BoundExceeded(f"|D| = {self.order} exceeds bound {LIMITS.max_form_order}")
-            self._elements = list(product(*(range(d) for d in self.orders)))
-        return self._elements
+        if self.order > LIMITS.max_form_order:
+            raise BoundExceeded(f"|D| = {self.order} exceeds bound {LIMITS.max_form_order}")
+        return self.memo("elements", lambda: list(product(*(range(d) for d in self.orders))))
 
     def index(self, el: Element) -> int:
         return sum(a * s for a, s in zip(el, self._strides))
@@ -330,15 +341,7 @@ class DiscriminantForm:
 
     def level(self) -> int:
         """Smallest N with N*q(gamma) integral for every gamma."""
-        if self._level is None:
-            n = 1
-            for q in self.q_gen:
-                n = lcm(n, q.denominator)
-            for i in range(self.rank):
-                for j in range(i + 1, self.rank):
-                    n = lcm(n, self.b_gen[i][j].denominator)
-            self._level = n
-        return self._level
+        return self.memo("level", lambda: reduce(lcm, (x.denominator for r in (self.q_gen, *self.b_gen) for x in r), 1))
 
     def gauss_sum(self, c: int = 1) -> Cyclo:
         """Sum of e(c*q(gamma)) over all of D, computed exactly."""
@@ -349,17 +352,16 @@ class DiscriminantForm:
 
     def signature(self) -> int:
         """Signature mod 8, extracted from the exact Gauss sum blockwise."""
-        if self._signature is None:
-            sig = 0
-            for part, _ in self.orthogonal_components():
-                sig += _signature_from_gauss_sum(part)
-            sig %= 8
+
+        def build() -> int:
+            sig = sum(_signature_from_gauss_sum(part) for part, _ in self.orthogonal_components()) % 8
             if self.symbol is not None and self.symbol.signature() != sig:
                 raise InternalInconsistency(
                     f"Gauss sum gives signature {sig}, symbol {self.symbol} gives {self.symbol.signature()}"
                 )
-            self._signature = sig
-        return self._signature
+            return sig
+
+        return self.memo("signature", build)
 
     def oddity(self) -> int:
         """Signature of the 2-part, which equals the oddity of D mod 8."""
@@ -391,37 +393,26 @@ class DiscriminantForm:
     def orthogonal_components(self):
         """Split the generators into b-orthogonal groups of positions.
 
-        Returns a list of (subform, positions).  Subforms are shared
-        through a registry so caches are reused across parents.
+        Returns a list of (subform, positions).  Subforms come from
+        _shared_form, so caches are reused across parents.
         """
-        if self._components is None:
-            k = self.rank
-            parent = list(range(k))
 
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
+        def build():
+            groups: list[list[int]] = []  # positions linked by a nonzero b, merged as they meet
+            for i in range(self.rank):
+                linked = [g for g in groups if any(self.b_gen[i][j] for j in g)]
+                groups = [g for g in groups if g not in linked] + [sorted({i}.union(*linked))]
+            unit = _unit_gens(self)
+            return [(self.subform([self.orders[i] for i in g], [unit[i] for i in g]), tuple(g)) for g in sorted(groups)]
 
-            for i in range(k):
-                for j in range(i + 1, k):
-                    if self.b_gen[i][j]:
-                        parent[find(i)] = find(j)
-            groups: dict[int, list[int]] = {}
-            for i in range(k):
-                groups.setdefault(find(i), []).append(i)
-            comps = []
-            for positions in sorted(groups.values()):
-                pos = tuple(positions)
-                sub = _shared_form(
-                    tuple(self.orders[i] for i in pos),
-                    tuple(self.q_gen[i] for i in pos),
-                    tuple(tuple(self.b_gen[i][j] for j in pos) for i in pos),
-                )
-                comps.append((sub, pos))
-            self._components = comps
-        return self._components
+        return self.memo("components", build)
+
+    def subform(self, orders: list[int], gens: list[Element]) -> "DiscriminantForm":
+        """The form with generators of the given orders and the values of q
+        and b at gens, from the shared registry (_shared_form)."""
+        q_gen = tuple(self.q(g) for g in gens)
+        b_gen = tuple(tuple(self.b(g, h) if g != h else frac1(2 * q) for h in gens) for g, q in zip(gens, q_gen))
+        return _shared_form(tuple(orders), q_gen, b_gen)
 
     # -- subquotients along multiplication by c -----------------------------------
 
@@ -500,43 +491,51 @@ class DiscriminantForm:
         Returns a list of (p, part, embed) where embed maps part elements
         into D.  The parts of distinct primes are automatically orthogonal.
         """
-        primes = sorted(factorize(self.order))
-        out = []
-        for p in primes:
-            positions = [i for i, d in enumerate(self.orders) if d % p == 0]
-            mult = []
-            orders_p = []
-            for i in positions:
-                d = self.orders[i]
-                pe = p ** factorize(d).get(p, 0)
-                mult.append(d // pe)
-                orders_p.append(pe)
-            gens = [tuple((mult[j] if i == positions[j] else 0) for i in range(self.rank)) for j in range(len(positions))]
-            q_gen = [self.q(g) for g in gens]
-            b_gen = [[self.b(g1, g2) if g1 != g2 else frac1(2 * self.q(g1)) for g2 in gens] for g1 in gens]
-            part = DiscriminantForm(orders_p, q_gen, b_gen)
-            out.append((p, part, PartEmbedding(self, part, gens)))
-        return out
+
+        def build():
+            out = []
+            for p in sorted(factorize(self.order)):
+                orders_p, gens = [], []
+                for i, d in enumerate(self.orders):
+                    pe = p ** factorize(d).get(p, 0)
+                    if pe > 1:
+                        orders_p.append(pe)
+                        gens.append(tuple(d // pe if j == i else 0 for j in range(self.rank)))
+                part = self.subform(orders_p, gens)
+                out.append((p, part, PartEmbedding(self, part, gens)))
+            return out
+
+        return self.memo("p_parts", build)
 
     # -- convenience ----------------------------------------------------------------
+
+    def scaled_gram(self) -> tuple[list[int], list[list[int]]]:
+        """(qn, bn): level() times q_gen and b_gen, as integers in [0, level).
+        level() * b(x, y) = sum x_i bn[i][j] y_j mod level."""
+
+        def build():
+            n = self.level()
+            return [int(x * n) for x in self.q_gen], [[int(x * n) for x in row] for row in self.b_gen]
+
+        return self.memo("scaled_gram", build)
 
     def q_values(self) -> list[int]:
         """level() * q of every element, an integer in [0, level), in the
         order of elements(); computed once, in integers."""
-        if self._q_values is None:
-            n, k = self.level(), self.rank
-            qn = [int(x * n) for x in self.q_gen]
-            bn = [[int(x * n) for x in row] for row in self.b_gen]
-            self._q_values = [
+        els = self.elements()  # the order bound holds for a memoized answer too
+
+        def build():
+            n, k, (qn, bn) = self.level(), self.rank, self.scaled_gram()
+            return [
                 sum(a * (a * qn[i] + sum(bn[i][j] * el[j] for j in range(i + 1, k))) for i, a in enumerate(el)) % n
-                for el in self.elements()
+                for el in els
             ]
-        return self._q_values
+
+        return self.memo("q_values", build)
 
     def isotropic_elements(self) -> list[Element]:
-        if self._isotropic is None:
-            self._isotropic = [el for el, x in zip(self.elements(), self.q_values()) if x == 0]
-        return self._isotropic
+        q_values = self.q_values()
+        return self.memo("isotropic", lambda: [el for el, x in zip(self.elements(), q_values) if x == 0])
 
     def fingerprint(self):
         """Isomorphism-sensitive data: order, level, signature, p-part orders
@@ -587,14 +586,11 @@ class PartEmbedding:
         return out
 
 
-_form_registry: dict = {}
-
-
-def _shared_form(orders, q_gen, b_gen) -> DiscriminantForm:
-    key = (orders, q_gen, b_gen)
-    if key not in _form_registry:
-        _form_registry[key] = DiscriminantForm(orders, q_gen, b_gen)
-    return _form_registry[key]
+@cache
+def _shared_form(orders: tuple, q_gen: tuple, b_gen: tuple) -> DiscriminantForm:
+    """The one form with this generator data (tuples, values reduced mod 1),
+    so that derived forms with equal data share their memos."""
+    return DiscriminantForm(orders, q_gen, b_gen)
 
 
 def _signature_from_gauss_sum(form: DiscriminantForm) -> int:
@@ -620,17 +616,10 @@ def from_jordan_symbol(symbol) -> DiscriminantForm:
     """
     if isinstance(symbol, str):
         symbol = JordanSymbol.parse(symbol)
-    key = str(symbol)
-    if key in _symbol_registry:
-        return _symbol_registry[key]
-    form = _realize_symbol(symbol)
-    _symbol_registry[key] = form
-    return form
+    return _realize_symbol(symbol)
 
 
-_symbol_registry: dict[str, DiscriminantForm] = {}
-
-
+@cache
 def _realize_symbol(symbol: JordanSymbol) -> DiscriminantForm:
     orders: list[int] = []
     q_gen: list[Fraction] = []
@@ -752,13 +741,9 @@ class Lattice:
                     out[i] += a * vec[i]
         return out
 
-    def norm(self, vec: list[Fraction]) -> Fraction:
-        n = len(self.gram)
-        return sum(vec[i] * self.gram[i][j] * vec[j] for i in range(n) for j in range(n))
-
 
 def trivial_form() -> DiscriminantForm:
-    return DiscriminantForm((), (), (), blocks=(), symbol=JordanSymbol([]))
+    return _realize_symbol(JordanSymbol([]))
 
 
 # ---------------------------------------------------------------------------

@@ -52,8 +52,15 @@ def _close_subgroup(form: DiscriminantForm, gens: tuple[Element, ...]) -> tuple[
     return tuple(sorted(seen))
 
 
+def _orthogonal_to(form: DiscriminantForm, gens):
+    """The test b(x, g) = 0 for every g in gens, in integers scaled by the level."""
+    n, bn = form.level(), form.scaled_gram()[1]
+    rows = [[sum(b * a for b, a in zip(row, g)) % n for row in bn] for g in gens]
+    return lambda x: all(sum(a * r for a, r in zip(x, row)) % n == 0 for row in rows)
+
+
 def _perp(form: DiscriminantForm, gens) -> tuple[Element, ...]:
-    return tuple(el for el in form.elements() if all(form.b(el, g) == 0 for g in gens))
+    return tuple(filter(_orthogonal_to(form, gens), form.elements()))
 
 
 def make_isotropic_subgroup(form: DiscriminantForm, gens) -> IsotropicSubgroup:
@@ -84,10 +91,9 @@ def isotropic_subgroups(form: DiscriminantForm, max_order: int | None = None) ->
     while frontier:
         nxt = []
         for sub in frontier:
+            orthogonal = _orthogonal_to(form, sub.generators)
             for h in iso:
-                if h in sub.elements:
-                    continue
-                if any(form.b(h, k) != 0 for k in sub.generators):
+                if h in sub.elements or not orthogonal(h):
                     continue
                 els = _close_subgroup(form, sub.generators + (h,))
                 if max_order is not None and len(els) > max_order:
@@ -149,12 +155,7 @@ def quotient(form: DiscriminantForm, subgroup: IsotropicSubgroup) -> QuotientFor
             orders.append(s[j][j])
             gen_rows.append([sum(v_inv[j][a] * basis_perp[a][b] for a in range(k)) for b in range(k)])
     gens = [form.normalize(tuple(r)) for r in gen_rows]
-    q_gen = [form.q(g) for g in gens]
-    b_gen = [
-        [form.b(g1, g2) if i != j else (2 * form.q(g1)) % 1 for j, g2 in enumerate(gens)]
-        for i, g1 in enumerate(gens)
-    ]
-    qf = DiscriminantForm(orders, q_gen, b_gen)
+    qf = form.subform(orders, gens)
     if qf.order * subgroup.order**2 != form.order:
         raise InternalInconsistency("|H-perp/H| != |D| / |H|^2")
     section: dict[Element, Element] = {}

@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cache, reduce
 from math import gcd
 from operator import add
 
@@ -209,26 +209,39 @@ def _working_order(form: DiscriminantForm) -> int:
     return w
 
 
+def _check_bounds(form: DiscriminantForm) -> None:
+    """The bounds that a cold dim_invariants or inv on form would hit, checked
+    on every call, so that they hold for a memoized answer too."""
+    _working_order(form)
+    if form.signature() % 2 == 0:
+        _check_level(form.level())
+        form.elements()
+
+
 def _tables(form: DiscriminantForm):
-    """Cached per-form data: the working order w, q scaled to exponents of
+    """Memoized per-form data: the working order w, q scaled to exponents of
     zeta_w, and the orbits of roots of unity for the cusp column check."""
-    if "tables" not in form._caches:
+
+    def build():
         w = _working_order(form)
         step = w // form.level()
-        form._caches["tables"] = {"w": w, "q_exp": [x * step for x in form.q_values()], "orbits": []}
-    return form._caches["tables"]
+        return {"w": w, "q_exp": [x * step for x in form.q_values()], "orbits": []}
+
+    return form.memo("tables", build)
 
 
 def _word_tables(form: DiscriminantForm):
-    """_tables plus what words need, built on the first word applied: the
-    frequency reindexing of S and the powers of the S scalar."""
-    tab = _tables(form)
-    if "freq_index" not in tab:
-        k, orders = form.rank, form.orders
-        btilde = [[int(form.b_gen[i][j] * orders[i]) % orders[i] for j in range(k)] for i in range(k)]
+    """_tables plus the frequency reindexing of S, built on the first word
+    applied to the form."""
+
+    def build():
+        k, orders, n = form.rank, form.orders, form.level()
+        bn = form.scaled_gram()[1]  # b_gen[i][j] * orders[i] is an integer
+        btilde = [[bn[i][j] * orders[i] // n % orders[i] for j in range(k)] for i in range(k)]
         freq = [[sum(btilde[i][j] * el[j] for j in range(k)) % orders[i] for i in range(k)] for el in form.elements()]
-        tab.update(freq_index=[form.index(ell) for ell in freq], scalar_pow={})
-    return tab
+        return {**_tables(form), "freq_index": [form.index(ell) for ell in freq]}
+
+    return form.memo("word_tables", build)
 
 
 # Inside a word an entry is a dense list of u ints, an element of Z[x]/(x^u - 1)
@@ -262,12 +275,14 @@ def _to_cyclo(tab, y: list[int], den: int) -> Cyclo:
 
 def _scalar_power(form: DiscriminantForm, tab, k: int) -> tuple[dict[int, int], int]:
     """(num, den): the k-th power of the S scalar e(sig/8)/sqrt|D| equals
-    sum c zeta_w^e over num, divided by den = |D|^ceil(k/2)."""
-    if k not in tab["scalar_pow"]:
+    sum c zeta_w^e over num, divided by den = |D|^ceil(k/2) (memoized)."""
+
+    def build():
         root = sqrt_int(form.order) if k % 2 else cyclo.ONE
         num = (e_of(Fraction(k * form.signature(), 8)) * root).to_order(tab["w"])
-        tab["scalar_pow"][k] = ({e: int(c) for e, c in num.coeffs.items()}, form.order ** ((k + 1) // 2))
-    return tab["scalar_pow"][k]
+        return {e: int(c) for e, c in num.coeffs.items()}, form.order ** ((k + 1) // 2)
+
+    return form.memo(("scalar_pow", k), build)
 
 
 def _apply_s_ints(form: DiscriminantForm, tab, data: list, u: int) -> list:
@@ -412,7 +427,7 @@ def _check_level(n: int) -> None:
         raise BoundExceeded(f"level {n} exceeds bound {LIMITS.max_level}")
 
 
-@lru_cache(maxsize=None)
+@cache
 def _primitive_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(
         (a, c)
@@ -422,10 +437,14 @@ def _primitive_pairs(n: int) -> tuple[tuple[int, int], ...]:
     )
 
 
-@lru_cache(maxsize=None)
 def enumerate_cosets(n: int) -> tuple[SL2Word, ...]:
     """All of SL2(Z/N) lifted to determinant-1 integer matrices with words."""
     _check_level(n)
+    return _cosets(n)
+
+
+@cache
+def _cosets(n: int) -> tuple[SL2Word, ...]:
     if n == 1:
         return (word_decompose(((1, 0), (0, 1))),)
     out = []
@@ -462,9 +481,13 @@ def normalize_cusp_key(a: int, c: int, n: int) -> tuple[int, int]:
     return min((a, c), ((-a) % n, (-c) % n))
 
 
-@lru_cache(maxsize=None)
 def cusp_classes(n: int) -> tuple[Cusp, ...]:
     _check_level(n)
+    return _cusps(n)
+
+
+@cache
+def _cusps(n: int) -> tuple[Cusp, ...]:
     if n == 1:
         ident = ((1, 0), (0, 1))
         return (Cusp((0, 0), ident, word_decompose(ident)),)
@@ -489,9 +512,9 @@ def cusp_classes(n: int) -> tuple[Cusp, ...]:
 def _e0_column(part: DiscriminantForm, word: SL2Word) -> tuple[Cyclo, dict[int, int]]:
     """rho_part(M) e^0 for M = word.target as (s, {index: k}): the entry at
     each support index is s * zeta_w^k, s being the first nonzero entry.
-    The one word application per (part, cusp), cached on the shared part."""
-    key = ("e0_col", word.tokens)
-    if key not in part._caches:
+    The one word application per (part, cusp), memoized on the shared part."""
+
+    def build():
         tab = _tables(part)
         w = tab["w"]
         col = _apply_word_dense(part, word.tokens, [cyclo.ONE] + [cyclo.ZERO] * (part.order - 1))
@@ -504,8 +527,9 @@ def _e0_column(part: DiscriminantForm, word: SL2Word) -> tuple[Cyclo, dict[int, 
         exps = {i: orbit.get(c) for i, c in support}
         if None in exps.values():
             raise InternalInconsistency(f"cusp column check: rho(M) e^0 on {part!r} is not s times roots of unity")
-        part._caches[key] = (col[i0], {i: (j - exps[i0]) % w for i, j in exps.items()})
-    return part._caches[key]
+        return col[i0], {i: (j - exps[i0]) % w for i, j in exps.items()}
+
+    return part.memo(("e0_col", word.tokens), build)
 
 
 def _column(form: DiscriminantForm, word: SL2Word):
@@ -576,20 +600,14 @@ def inv_at_cusp(form: DiscriminantForm, gamma: Element, s: tuple[int, int]) -> V
 
 
 def _inv_basis(form: DiscriminantForm, gamma: Element) -> Vec:
-    """inv(e^gamma) as the sum of all cusp contributions (cached)."""
-    _working_order(form)  # the bound also holds for a cached answer
+    """inv(e^gamma) for even signature, as the sum of all cusp contributions (memoized)."""
+    _check_bounds(form)
     gamma = form.normalize(gamma)
-    key = ("inv", gamma)
-    if key not in form._caches:
-        if form.signature() % 2:
-            form._caches[key] = Vec(form)
-        else:
-            n = form.level()
-            total = Vec(form)
-            for cusp in cusp_classes(n):
-                total = total + inv_at_cusp(form, gamma, cusp.key)
-            form._caches[key] = total
-    return form._caches[key]
+
+    def build() -> Vec:
+        return sum((inv_at_cusp(form, gamma, cusp.key) for cusp in cusp_classes(form.level())), Vec(form))
+
+    return form.memo(("inv", gamma), build)
 
 
 def inv(form: DiscriminantForm, v) -> Vec:
@@ -635,26 +653,26 @@ def dim_invariants(form: DiscriminantForm) -> int:
     """dim C[D]^Gamma as the exact trace of inv, summed over the isotropic
     diagonal; gamma and -gamma share a diagonal entry.  Each cusp counts
     root-of-unity exponents in integers and makes one Cyclo."""
-    _working_order(form)  # the bound also holds for a cached answer
+    _check_bounds(form)
     if form.signature() % 2:
         return 0
-    key = ("dim",)
-    if key in form._caches:
-        return form._caches[key]
-    total = cyclo.ZERO
-    for cusp in cusp_classes(form.level()):
-        scale, terms = _cusp_terms(form, cusp)
-        counts: Counter = Counter()
-        for gamma in form.isotropic_elements():
-            neg = form.neg(gamma)
-            if neg >= gamma:
-                counts.update(terms(gamma, gamma) * (1 if neg == gamma else 2))
-        total = total + scale * Cyclo(scale.order, counts)
-    value = cyclo.as_rational(total)
-    if value is None or value.denominator != 1 or value < 0:
-        raise InternalInconsistency(f"trace of inv is not a non-negative integer: {total}")
-    form._caches[key] = int(value)
-    return int(value)
+
+    def build() -> int:
+        total = cyclo.ZERO
+        for cusp in cusp_classes(form.level()):
+            scale, terms = _cusp_terms(form, cusp)
+            counts: Counter = Counter()
+            for gamma in form.isotropic_elements():
+                neg = form.neg(gamma)
+                if neg >= gamma:
+                    counts.update(terms(gamma, gamma) * (1 if neg == gamma else 2))
+            total = total + scale * Cyclo(scale.order, counts)
+        value = cyclo.as_rational(total)
+        if value is None or value.denominator != 1 or value < 0:
+            raise InternalInconsistency(f"trace of inv is not a non-negative integer: {total}")
+        return int(value)
+
+    return form.memo(("dim",), build)
 
 
 # ---------------------------------------------------------------------------

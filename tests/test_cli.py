@@ -2,6 +2,8 @@ import io
 import json
 import sys
 
+import pytest
+
 from weilinv.cli import main
 from weilinv.fqm import from_jordan_symbol
 
@@ -138,11 +140,27 @@ def test_cyclotomic_bound_exit_code(monkeypatch):
     assert json.loads(out)["error"]["code"] == "bound-exceeded"
 
 
-def test_repeated_query_respects_lowered_bound(monkeypatch):
-    status, out = run_cli(["dim", "--symbol", "7^-2"])
-    assert status == 0 and json.loads(out)["dim"] == 2
-    monkeypatch.setenv("WEILINV_MAX_CYCLO_ORDER", "10")
-    status, out = run_cli(["dim", "--symbol", "7^-2"])
+#: bounds below the order 81, the level 3 and the working order 24 of 3^-4
+LOWERED_BOUNDS = ["max-order=50", "WEILINV_MAX_LEVEL=2", "WEILINV_MAX_CYCLO_ORDER=10"]
+
+
+@pytest.mark.parametrize(
+    "command, symbol, bound",
+    [("dim", "7^-2", "WEILINV_MAX_CYCLO_ORDER=10")]
+    + [(command, "3^-4", bound) for command in ("dim", "invariants", "induced-basis") for bound in LOWERED_BOUNDS],
+)
+def test_repeated_query_respects_lowered_bound(command, symbol, bound, monkeypatch):
+    """A query answered once, then repeated in the same process under a
+    lowered bound, fails as it would in a fresh process."""
+    argv = [command, "--symbol", symbol]
+    status, out = run_cli(argv)
+    assert status == 0 and json.loads(out)["dim"] == {"7^-2": 2, "3^-4": 1}[symbol]
+    name, value = bound.split("=")
+    if name == "max-order":
+        argv += ["--max-order", value]
+    else:
+        monkeypatch.setenv(name, value)
+    status, out = run_cli(argv)
     assert status == 3
     assert json.loads(out)["error"]["code"] == "bound-exceeded"
 

@@ -1,6 +1,8 @@
 import pytest
 
+from weilinv import fqm
 from weilinv.fqm import from_jordan_symbol
+from weilinv.fundamental import fundamental_form
 from weilinv.induct import (
     descend,
     isotropic_subgroups,
@@ -176,3 +178,29 @@ def test_transitivity_of_lift():
             assert lift_up(q_small, lift_up(q_mid, v)) == one_step
         checked += 1
     assert checked >= 8
+
+
+@pytest.mark.parametrize("symbol, count, distinct", [("2_II^+6", 30, 1), ("3^+5", 40, 12)])
+def test_quotients_of_equal_data_share_one_form(symbol, count, distinct, monkeypatch):
+    """The H-perp/H of the target-order subgroups (those a Jacobi form basis
+    uses) come from the shared registry: one object per generator data, whose
+    p-parts are computed once."""
+    d = from_jordan_symbol(symbol)
+    target = fundamental_form(d.p_part_decompose()[0][0], d.square_class(), d.signature()).realize().order
+    quotients = [quotient(d, s).form for s in isotropic_subgroups(d) if s.order**2 * target == d.order]
+    forms = {id(q): q for q in quotients}.values()
+    assert len(quotients) == count and len(forms) == distinct
+    assert len({(q.orders, q.q_gen, q.b_gen) for q in forms}) == distinct
+    first = [q.p_part_decompose() for q in forms]
+    built = []
+    original = fqm.DiscriminantForm.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(fqm.DiscriminantForm, "__init__", counting)
+    for q, parts in zip(forms, first):
+        again = q.p_part_decompose()
+        assert len(again) == len(parts) and all(a is b for (_, a, _), (_, b, _) in zip(again, parts))
+    assert built == []

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from weilinv import weil
 from weilinv.cyclo import Cyclo, e_of, sqrt_int
-from weilinv.fqm import InternalInconsistency, from_jordan_symbol
+from weilinv.config import LIMITS
+from weilinv.fqm import BoundExceeded, InternalInconsistency, from_jordan_symbol
 from weilinv.weil import (
     OddSignatureError,
     Vec,
@@ -620,3 +621,19 @@ def test_cusp_column_guard(monkeypatch):
     monkeypatch.setattr(weil, "_apply_word_dense", corrupted)
     with pytest.raises(InternalInconsistency, match="cusp column check"):
         dim_invariants(form)
+
+
+@pytest.mark.parametrize(
+    "bound, query",
+    [
+        ("max_form_order", lambda: from_jordan_symbol("3^-4").elements()),
+        ("max_level", lambda: cusp_classes(3)),
+        ("max_level", lambda: enumerate_cosets(3)),
+    ],
+    ids=["elements", "cusp_classes", "enumerate_cosets"],
+)
+def test_lowered_bound_holds_for_a_memoized_answer(bound, query, monkeypatch):
+    query()
+    monkeypatch.setattr(LIMITS, bound, 2)
+    with pytest.raises(BoundExceeded):
+        query()

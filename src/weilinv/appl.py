@@ -127,8 +127,7 @@ def dim_s2_trace(symbol) -> S2TraceData:
     z = e_of(Fraction(1, 3)) * scalar * tr_st_raw  # = tr(M^{-1}) for M the order-3 element
     re_z = (z + z.conjugate()) * Fraction(1, 2)
     im_z = (z - z.conjugate()) * e_of(Fraction(-1, 4)) * Fraction(1, 2)
-    alpha_st_val = Fraction(d, 3) - cyclo.Cyclo.rational(Fraction(1, 3)) * re_z + im_z * sqrt_int(3) * Fraction(1, 9)
-    alpha_st = cyclo.as_rational(alpha_st_val) if isinstance(alpha_st_val, Cyclo) else alpha_st_val
+    alpha_st = cyclo.as_rational(Fraction(d, 3) - re_z * Fraction(1, 3) + im_z * sqrt_int(3) * Fraction(1, 9))
     if alpha_st is None:
         raise InternalInconsistency("order-3 angle sum is irrational")
     dim_inv = dim_invariants(form)

@@ -3,11 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
-
-
-def lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
+from math import isqrt
 
 
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:

@@ -1,14 +1,17 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_M).
 
-A value is stored as a sparse coefficient map over the power basis
-1, zeta, ..., zeta^(phi(M)-1) of Q(zeta_M).  Every operation writes its
-result as a dense polynomial in zeta and reduces it modulo the M-th
-cyclotomic polynomial Phi_M with one routine, reduce_mod_phi; Phi_M is
-the only thing kept per order.  Within a fixed order M this normal form
-is unique, so equality is syntactic after unifying orders to the lcm.
-Roots of unity e(x) = exp(2*pi*i*x) and positive square roots of
-integers (via quadratic Gauss sums) all live in one such field, which
-keeps every representation matrix entry exact.
+A value of Q(zeta_M) is stored as (M, num, den): integer coordinates num
+over the power basis 1, zeta, ..., zeta^(phi(M)-1) and one positive integer
+denominator den, the value being sum(num[e] zeta^e) / den.  This is the form
+the word kernel of weil works in.  The one constructor normalizes every value:
+it reduces the coordinates modulo the M-th cyclotomic polynomial Phi_M with
+reduce_mod_phi (Phi_M is the only thing kept per order), then divides out the
+gcd of den and the coordinates.  Within a fixed order M this normal form is
+unique, so equality is syntactic after unifying orders to the lcm.  Fraction
+appears only at the boundaries: rational inputs, as_rational, serialize and
+the linear solve in inverse.  Roots of unity e(x) = exp(2*pi*i*x) and positive
+square roots of integers (via quadratic Gauss sums) all live in one such
+field, which keeps every representation matrix entry exact.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import cache
-from math import lcm
+from math import gcd, lcm
 from .arith import factorize, frac1, isqrt, legendre, squarefree_part
 from .config import LIMITS
 from .intmat import Echelon
@@ -54,17 +57,17 @@ def cyclotomic_polynomial(m: int) -> list[int]:
     return poly
 
 
-def reduce_mod_phi(m: int, y: list) -> list:
+def reduce_mod_phi(m: int, y) -> list:
     """The power-basis coordinates of sum_e y[e] zeta_m^e: the dense
-    coefficient list y (ints or Fractions) reduced modulo Phi_m, top-down.
-    The result has at most phi(m) entries; y itself is not changed."""
+    coefficient sequence y (ints or Fractions) reduced modulo Phi_m, top-down.
+    The result is a new list of exactly phi(m) entries; y is not changed."""
     if m > LIMITS.max_cyclo_order:
         raise CycloOrderError(f"cyclotomic order {m} exceeds bound {LIMITS.max_cyclo_order}")
     poly = cyclotomic_polynomial(m)
     phi = len(poly) - 1
+    y = list(y)
     if len(y) <= phi:
-        return y[:]
-    y = y[:]
+        return y + [0] * (phi - len(y))
     low = [(j, p) for j, p in enumerate(poly[:phi]) if p]
     for e in range(len(y) - 1, phi - 1, -1):
         c = y[e]
@@ -76,46 +79,48 @@ def reduce_mod_phi(m: int, y: list) -> list:
     return y
 
 
-def _reduced(m: int, terms: list) -> dict:
-    """Normal form of sum c zeta_m^e over terms (e >= 0), reduced in integers over one denominator."""
-    den = lcm(*(c.denominator for _, c in terms))
-    y = [0] * (max((e for e, _ in terms), default=-1) + 1)
-    for e, c in terms:
-        y[e] += c.numerator * (den // c.denominator)
-    return {e: Fraction(c, den) for e, c in enumerate(reduce_mod_phi(m, y)) if c}
-
-
 class Cyclo:
-    """An element of Q(zeta_order) in canonical normal form."""
+    """An element sum(num[e] zeta_order^e) / den of Q(zeta_order) in normal
+    form: num is a tuple of phi(order) integers, den > 0 and the gcd of den
+    and num is 1."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "num", "den")
 
-    def __init__(self, order: int, coeffs: dict[int, Fraction], *, reduced: bool = False):
+    def __init__(self, order: int, num, den: int = 1):
+        """The value sum(num[e] zeta_order^e) / den.  num is a sequence of
+        integers of any length, or an {exponent: coefficient} map whose
+        coefficients are integers or rationals (exponents taken mod order)."""
+        if isinstance(num, dict):
+            d = lcm(*(c.denominator for c in num.values()))
+            y = [0] * order
+            for e, c in num.items():
+                y[e % order] += c.numerator * (d // c.denominator)
+            num, den = y, den * d
+        y = reduce_mod_phi(order, num)
+        if den < 0:
+            den, y = -den, [-x for x in y]
+        g = gcd(den, *y)
+        if g != 1:
+            den //= g
+            y = [x // g for x in y]
         self.order = order
-        self.coeffs = coeffs if reduced else _reduced(order, [(e % order, c) for e, c in coeffs.items() if c])
+        self.num = tuple(y)
+        self.den = den
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def rational(x) -> "Cyclo":
         x = Fraction(x)
-        return Cyclo(1, {0: x} if x else {}, reduced=True)
+        return Cyclo(1, [x.numerator], x.denominator)
 
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not any(self.num)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def rational_value(self) -> Fraction | None:
-        """The value as a Fraction, or None if irrational."""
-        if not self.coeffs:
-            return Fraction(0)
-        if all(e == 0 for e in self.coeffs):
-            return self.coeffs[0]
-        return None
+        return any(self.num)
 
     # -- order handling -------------------------------------------------
 
@@ -125,7 +130,9 @@ class Cyclo:
         if m % self.order:
             raise ValueError("target order must be a multiple of current order")
         k = m // self.order
-        return Cyclo(m, _reduced(m, [(e * k, c) for e, c in self.coeffs.items()]), reduced=True)
+        y = [0] * (k * len(self.num))
+        y[::k] = self.num
+        return Cyclo(m, y, self.den)
 
     @staticmethod
     def _unify(a: "Cyclo", b: "Cyclo") -> tuple["Cyclo", "Cyclo"]:
@@ -139,30 +146,21 @@ class Cyclo:
     def __add__(self, other) -> "Cyclo":
         if isinstance(other, (int, Fraction)):
             other = Cyclo.rational(other)
-        if not self.coeffs:
+        if not self:
             return other
-        if not other.coeffs:
+        if not other:
             return self
         a, b = Cyclo._unify(self, other)
-        if len(a.coeffs) < len(b.coeffs):
-            a, b = b, a
-        out = dict(a.coeffs)
-        for e, c in b.coeffs.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return Cyclo(a.order, out, reduced=True)
+        den = lcm(a.den, b.den)
+        fa, fb = den // a.den, den // b.den
+        return Cyclo(a.order, [x * fa + y * fb for x, y in zip(a.num, b.num)], den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Cyclo":
-        return Cyclo(self.order, {e: -c for e, c in self.coeffs.items()}, reduced=True)
+        return Cyclo(self.order, [-x for x in self.num], self.den)
 
     def __sub__(self, other) -> "Cyclo":
-        if isinstance(other, (int, Fraction)):
-            other = Cyclo.rational(other)
         return self + (-other)
 
     def __rsub__(self, other) -> "Cyclo":
@@ -171,62 +169,60 @@ class Cyclo:
     def __mul__(self, other) -> "Cyclo":
         if isinstance(other, (int, Fraction)):
             other = Fraction(other)
-            if not other:
-                return Cyclo(self.order, {}, reduced=True)
-            return Cyclo(self.order, {e: c * other for e, c in self.coeffs.items()}, reduced=True)
-        if not self.coeffs:
+            return Cyclo(self.order, [x * other.numerator for x in self.num], self.den * other.denominator)
+        if not self:
             return self
-        if not other.coeffs:
+        if not other:
             return other
         a, b = Cyclo._unify(self, other)
-        terms = [(e1 + e2, c1 * c2) for e1, c1 in a.coeffs.items() for e2, c2 in b.coeffs.items()]
-        return Cyclo(a.order, _reduced(a.order, terms), reduced=True)
+        y = [0] * (2 * len(a.num) - 1)
+        bs = [(j, z) for j, z in enumerate(b.num) if z]
+        for i, x in enumerate(a.num):
+            if x:
+                for j, z in bs:
+                    y[i + j] += x * z
+        return Cyclo(a.order, y, a.den * b.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Cyclo":
         if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-            if not other:
-                raise ZeroDivisionError("division of cyclotomic number by zero")
-            return self * (Fraction(1) / other)
+            return self * (1 / Fraction(other))
         return self * other.inverse()
 
     def __rtruediv__(self, other) -> "Cyclo":
         return self.inverse() * other
 
     def inverse(self) -> "Cyclo":
-        if self.is_zero():
+        if not self:
             raise ZeroDivisionError("division of cyclotomic number by zero")
-        r = self.rational_value()
+        r = as_rational(self)
         if r is not None:
-            return Cyclo.rational(Fraction(1) / r)
-        if len(self.coeffs) == 1:
-            (c,) = self.coeffs.values()
-            return self.conjugate() * (Fraction(1) / (c * c))
-        # General case: solve (mult-by-self) x = 1 over the power basis,
-        # eliminating the rows [M_i | delta_i0] of the augmented system.
-        # Column j is self * zeta^j, column j - 1 shifted up once and reduced.
-        m = self.order
-        phi = len(cyclotomic_polynomial(m)) - 1
-        rows: list[dict[int, Fraction]] = [{phi: Fraction(1)}] + [{} for _ in range(1, phi)]
-        col = [self.coeffs.get(i, 0) for i in range(phi)]
+            return Cyclo.rational(1 / r)
+        support = [x for x in self.num if x]
+        if len(support) == 1:  # (x zeta^e / den)^-1 = conjugate * den^2 / x^2
+            return self.conjugate() * Fraction(self.den * self.den, support[0] * support[0])
+        # General case: solve (mult-by-num) x = den over the power basis,
+        # eliminating the rows [M_i | den * delta_i0] of the augmented system.
+        # Column j is num * zeta^j, column j - 1 shifted up once and reduced.
+        m, phi = self.order, len(self.num)
+        rows: list[dict[int, Fraction]] = [{phi: Fraction(self.den)}] + [{} for _ in range(1, phi)]
+        col = list(self.num)
         for j in range(phi):
             for i, x in enumerate(col):
-                rows[i][j] = x
+                rows[i][j] = Fraction(x)
             col = reduce_mod_phi(m, [0] + col)
         ech = Echelon()
         for row in rows:
             ech.add(row)
-        return Cyclo(m, {j: ech.rows[j][phi] for j in range(phi) if phi in ech.rows[j]}, reduced=True)
+        return Cyclo(m, {j: ech.rows[j].get(phi, 0) for j in range(phi)})
 
     def conjugate(self) -> "Cyclo":
         """Complex conjugate (zeta -> zeta^-1).  Phi_m is palindromic for m > 1,
         so reducing sum c_e zeta^-e bottom-up is reducing the reversed list
         top-down: c_e goes in at phi - 1 + e and t comes out at phi - 1 - t."""
-        phi = len(cyclotomic_polynomial(self.order)) - 1
-        r = _reduced(self.order, [(phi - 1 + e, c) for e, c in self.coeffs.items()])
-        return Cyclo(self.order, {phi - 1 - t: c for t, c in r.items()}, reduced=True)
+        phi = len(self.num)
+        return Cyclo(self.order, reduce_mod_phi(self.order, [0] * (phi - 1) + list(self.num))[::-1], self.den)
 
     # -- comparisons ------------------------------------------------------
 
@@ -236,15 +232,15 @@ class Cyclo:
         if not isinstance(other, Cyclo):
             return NotImplemented
         a, b = Cyclo._unify(self, other)
-        return a.coeffs == b.coeffs
+        return a.num == b.num and a.den == b.den
 
-    __hash__ = None  # mutable-dict payload; not intended as a mapping key
+    __hash__ = None  # equal values of different orders differ in their fields
 
     # -- output -----------------------------------------------------------
 
     def embed_complex(self) -> complex:
         return sum(
-            (float(c) * cmath.exp(2j * cmath.pi * e / self.order) for e, c in self.coeffs.items()),
+            (x / self.den * cmath.exp(2j * cmath.pi * e / self.order) for e, x in enumerate(self.num) if x),
             complex(0),
         )
 
@@ -261,8 +257,7 @@ class Cyclo:
 def e_of(x) -> Cyclo:
     """The root of unity e(x) = exp(2*pi*i*x) for rational x."""
     x = frac1(x)
-    m, k = x.denominator, x.numerator
-    return Cyclo(m, {k: Fraction(1)})
+    return Cyclo(x.denominator, [0] * x.numerator + [1])
 
 
 ZERO = Cyclo.rational(0)
@@ -280,41 +275,24 @@ def sqrt_int(n: int) -> Cyclo:
     if n < 1:
         raise ValueError("sqrt_int expects a positive integer")
     s = squarefree_part(n)
-    f = isqrt(n // s)
-    out = Cyclo.rational(f)
+    out = Cyclo.rational(isqrt(n // s))
     for p in factorize(s):
         if p == 2:
-            root = e_of(Fraction(1, 8)) + e_of(Fraction(-1, 8))
+            root = Cyclo(8, {1: 1, -1: 1})
         else:
-            g = ZERO
-            for a in range(1, p):
-                g = g + legendre(a, p) * e_of(Fraction(a, p))
+            root = Cyclo(p, {a: legendre(a, p) for a in range(1, p)})
             if p % 4 == 3:
-                g = g * e_of(Fraction(-1, 4))
-            root = g
+                root = root * e_of(Fraction(-1, 4))
         out = out * root
     return out
 
 
-def arith(a: Cyclo, b: Cyclo, op: str) -> Cyclo:
-    """Dispatch {add, sub, mul, div} on exact cyclotomic numbers."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def as_rational(a: Cyclo) -> Fraction | None:
     """The rational value of a, or None when a is irrational."""
-    return a.rational_value()
+    return None if any(a.num[1:]) else Fraction(a.num[0], a.den)
 
 
 def serialize(a: Cyclo) -> str:
     """Canonical string form: sum(c * zeta{M}^k) with exponents ascending."""
-    parts = [f"{a.coeffs[e]} * zeta{a.order}^{e}" for e in sorted(a.coeffs)]
+    parts = [f"{Fraction(x, a.den)} * zeta{a.order}^{e}" for e, x in enumerate(a.num) if x]
     return "sum(" + ", ".join(parts) + ")"

@@ -20,11 +20,12 @@ function that enforces it, before any memo is read.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache
 from itertools import product
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from . import cyclo
 from .arith import (
@@ -32,7 +33,6 @@ from .arith import (
     frac1,
     is_square,
     kronecker,
-    lcm,
     legendre,
     prime_power,
 )
@@ -194,7 +194,7 @@ class JordanSymbol:
         return out
 
     def level(self) -> int:
-        return reduce(lcm, (c.level for c in self.components), 1)
+        return lcm(*(c.level for c in self.components))
 
     def signature(self) -> int:
         """sign(D) = oddity(D) - sum of p-excesses, mod 8."""
@@ -310,10 +310,10 @@ class DiscriminantForm:
         return tuple((c * x) % d for x, d in zip(a, self.orders))
 
     def element_order(self, a: Element) -> int:
-        return reduce(lcm, (d // gcd(x, d) for x, d in zip(a, self.orders)), 1)
+        return lcm(*(d // gcd(x, d) for x, d in zip(a, self.orders)))
 
     def exponent(self) -> int:
-        return reduce(lcm, self.orders, 1)
+        return lcm(*self.orders)
 
     # -- the quadratic and bilinear forms -------------------------------------
 
@@ -341,20 +341,28 @@ class DiscriminantForm:
 
     def level(self) -> int:
         """Smallest N with N*q(gamma) integral for every gamma."""
-        return self.memo("level", lambda: reduce(lcm, (x.denominator for r in (self.q_gen, *self.b_gen) for x in r), 1))
+        return self.memo("level", lambda: lcm(*(x.denominator for r in (self.q_gen, *self.b_gen) for x in r)))
 
     def gauss_sum(self, c: int = 1) -> Cyclo:
-        """Sum of e(c*q(gamma)) over all of D, computed exactly."""
-        total = cyclo.ZERO
-        for el in self.elements():
-            total = total + e_of(c * self.q(el))
-        return total
+        """Sum of e(c*q(gamma)) over all of D, computed exactly: one Cyclo of
+        order m = level() / gcd(level(), c), the order of the values e(c*q),
+        from the counts of their exponents."""
+        g = gcd(self.level(), c)
+        m = self.level() // g
+        return Cyclo(m, Counter(c // g * x % m for x in self.q_values()))
 
     def signature(self) -> int:
-        """Signature mod 8, extracted from the exact Gauss sum blockwise."""
+        """Signature mod 8, extracted from the exact Gauss sum blockwise.  The
+        cyclotomic order each block is matched in is checked on every call,
+        so that the bound holds for a memoized answer too."""
+        parts = [part for part, _ in self.orthogonal_components()]
+        for part in parts:
+            w = part.memo("gauss_order", lambda: lcm(8, part.level(), sqrt_int(part.order).order))
+            if w > LIMITS.max_cyclo_order:
+                raise cyclo.CycloOrderError(f"cyclotomic order {w} of {part!r} exceeds bound {LIMITS.max_cyclo_order}")
 
         def build() -> int:
-            sig = sum(_signature_from_gauss_sum(part) for part, _ in self.orthogonal_components()) % 8
+            sig = sum(_signature_from_gauss_sum(part) for part in parts) % 8
             if self.symbol is not None and self.symbol.signature() != sig:
                 raise InternalInconsistency(
                     f"Gauss sum gives signature {sig}, symbol {self.symbol} gives {self.symbol.signature()}"
@@ -552,7 +560,8 @@ class DiscriminantForm:
         return (self.order, self.level(), self.signature(), tuple(parts))
 
     def validate(self) -> None:
-        """Check non-degeneracy and the polarization identity exhaustively."""
+        """Check non-degeneracy exhaustively: no two elements pair alike with
+        every generator under b."""
         els = self.elements()
         seen = set()
         for gamma in els:
@@ -594,7 +603,8 @@ def _shared_form(orders: tuple, q_gen: tuple, b_gen: tuple) -> DiscriminantForm:
 
 
 def _signature_from_gauss_sum(form: DiscriminantForm) -> int:
-    """Match sum e(q) against sqrt(|D|) e(s/8); raises if no residue fits."""
+    """Match sum e(q) against sqrt(|D|) e(s/8); raises if no residue fits.
+    Every value lies in Q(zeta_W), W = lcm(8, level, order of sqrt(|D|))."""
     total = form.gauss_sum()
     root = sqrt_int(form.order)
     for s in range(8):

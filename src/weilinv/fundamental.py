@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 from . import cyclo
 from .arith import legendre, prime_power
@@ -115,13 +115,9 @@ def integer_normalize(v: GroupAlgebraVector) -> GroupAlgebraVector:
         if r is None:
             raise ValueError(f"coefficient at {el} is irrational: {c}")
         vals[el] = r
-    denom = 1
-    for r in vals.values():
-        denom = denom * r.denominator // gcd(denom, r.denominator)
+    denom = lcm(*(r.denominator for r in vals.values()))
     ints = {el: int(r * denom) for el, r in vals.items()}
-    g = 0
-    for x in ints.values():
-        g = gcd(g, x)
+    g = gcd(*ints.values())
     ints = {el: x // g for el, x in ints.items()}
     if ints[min(ints)] < 0:
         ints = {el: -x for el, x in ints.items()}

@@ -23,8 +23,11 @@ integers, elements of the group ring Z[x]/(x^u - 1) with x = zeta_u and u
 dividing the working order w: a root of unity rotates a list, and rho(S)
 without its scalar e(sign(D)/8)/sqrt(|D|) is a mixed-radix character
 transform, one generator axis at a time, of rotations and integer sums.
-The scalars are counted and multiplied in once, and the result becomes
-cyclotomic numbers (cyclo.reduce_mod_phi) only when it leaves the word.
+The scalars are counted and multiplied in once.  A Cyclo is integer
+power-basis coordinates over one denominator, so a vector enters the word
+by putting each coordinate of zeta_m^e at position e*u/m, over the common
+denominator, and leaves it through the Cyclo constructor, which reduces
+modulo Phi_w and divides out the gcd.
 """
 
 from __future__ import annotations
@@ -32,12 +35,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
-from math import gcd
+from functools import cache
+from math import gcd, lcm
 from operator import add
 
 from . import cyclo
-from .arith import ext_gcd, factorize, frac1, inverse_mod, lcm, legendre
+from .arith import ext_gcd, factorize, frac1, inverse_mod, legendre
 from .config import LIMITS
 from .cyclo import Cyclo, e_of, sqrt_int
 from .fqm import (
@@ -267,20 +270,15 @@ def _scaled(form: DiscriminantForm, tab, x: list[int], k: int, den: int) -> list
     return terms[0] if len(terms) == 1 else list(map(sum, zip(*terms)))
 
 
-def _to_cyclo(tab, y: list[int], den: int) -> Cyclo:
-    """y / den as a Cyclo in Q(zeta_w), y a dense list of w integers."""
-    coeffs = {e: Fraction(c, den) for e, c in enumerate(cyclo.reduce_mod_phi(tab["w"], y)) if c}
-    return Cyclo(tab["w"], coeffs, reduced=True) if coeffs else cyclo.ZERO
-
-
 def _scalar_power(form: DiscriminantForm, tab, k: int) -> tuple[dict[int, int], int]:
     """(num, den): the k-th power of the S scalar e(sig/8)/sqrt|D| equals
-    sum c zeta_w^e over num, divided by den = |D|^ceil(k/2) (memoized)."""
+    sum c zeta_w^e over num, divided by den = |D|^ceil(k/2) (memoized); the
+    numerator is an algebraic integer, so its coordinates c are integers."""
 
     def build():
         root = sqrt_int(form.order) if k % 2 else cyclo.ONE
-        num = (e_of(Fraction(k * form.signature(), 8)) * root).to_order(tab["w"])
-        return {e: int(c) for e, c in num.coeffs.items()}, form.order ** ((k + 1) // 2)
+        x = (e_of(Fraction(k * form.signature(), 8)) * root).to_order(tab["w"])
+        return {e: c for e, c in enumerate(x.num) if c}, form.order ** ((k + 1) // 2)
 
     return form.memo(("scalar_pow", k), build)
 
@@ -328,24 +326,24 @@ def _apply_word_dense(form: DiscriminantForm, tokens, vec: list[Cyclo]) -> list[
     """rho(word) on a dense vector.  The coefficients are scaled to integers
     by one common denominator, which is divided out with the scalars."""
     tab = _word_tables(form)
-    u = reduce(lcm, (c.order for c in vec if c.coeffs), form.level())
+    u = lcm(form.level(), *(c.order for c in vec if c))
     if tab["w"] % u:
         raise ValueError("target order must be a multiple of current order")
-    den = reduce(lcm, (v.denominator for c in vec for v in c.coeffs.values()), 1)
+    den = lcm(*(c.den for c in vec if c))
     data: list = [None] * len(vec)
     for i, c in enumerate(vec):
-        if c.coeffs:
+        if c:
+            step, f = u // c.order, den // c.den
             data[i] = [0] * u
-            for e, v in c.coeffs.items():
-                data[i][e * u // c.order] = int(v * den)
+            data[i][: step * len(c.num) : step] = [x * f for x in c.num]
     data, k = _apply_word_ints(form, tab, tokens, data, u)
     den_k = _scalar_power(form, tab, k)[1]
-    return [cyclo.ZERO if x is None else _to_cyclo(tab, _scaled(form, tab, x, k, den_k), den * den_k) for x in data]
+    return [cyclo.ZERO if x is None else Cyclo(tab["w"], _scaled(form, tab, x, k, den_k), den * den_k) for x in data]
 
 
 def _vec_from_dense(form: DiscriminantForm, dense: list[Cyclo]) -> Vec:
     els = form.elements()
-    return Vec(form, {els[i]: c for i, c in enumerate(dense) if c.coeffs})
+    return Vec(form, {els[i]: c for i, c in enumerate(dense) if c})
 
 
 # ---------------------------------------------------------------------------
@@ -518,11 +516,14 @@ def _e0_column(part: DiscriminantForm, word: SL2Word) -> tuple[Cyclo, dict[int, 
         tab = _tables(part)
         w = tab["w"]
         col = _apply_word_dense(part, word.tokens, [cyclo.ONE] + [cyclo.ZERO] * (part.order - 1))
-        support = [(i, frozenset(c.coeffs.items())) for i, c in enumerate(col) if c.coeffs]
+        support = [(i, (c.num, c.den)) for i, c in enumerate(col) if c]
         i0, s_key = support[0]
         orbit = next((o for o in tab["orbits"] if s_key in o), None)
         if orbit is None:  # t * zeta_w^j -> j, kept for every s = t * (root of unity)
-            orbit = {frozenset((col[i0] * e_of(Fraction(j, w))).coeffs.items()): j for j in range(w)}
+            orbit = {}
+            for j in range(w):
+                x = col[i0] * e_of(Fraction(j, w))
+                orbit[x.num, x.den] = j
             tab["orbits"].append(orbit)
         exps = {i: orbit.get(c) for i, c in support}
         if None in exps.values():
@@ -646,7 +647,7 @@ def inv_average_oracle(form: DiscriminantForm, gamma: Element) -> Vec:
     total = [[0] * tab["w"] for _ in blank]
     for k, img in sums.items():
         total = [t if x is None else list(map(add, t, _scaled(form, tab, x, k, den))) for t, x in zip(total, img)]
-    return _vec_from_dense(form, [_to_cyclo(tab, t, den * len(cosets)) for t in total])
+    return _vec_from_dense(form, [Cyclo(tab["w"], t, den * len(cosets)) for t in total])
 
 
 def dim_invariants(form: DiscriminantForm) -> int:

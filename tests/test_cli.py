@@ -147,14 +147,18 @@ LOWERED_BOUNDS = ["max-order=50", "WEILINV_MAX_LEVEL=2", "WEILINV_MAX_CYCLO_ORDE
 @pytest.mark.parametrize(
     "command, symbol, bound",
     [("dim", "7^-2", "WEILINV_MAX_CYCLO_ORDER=10")]
-    + [(command, "3^-4", bound) for command in ("dim", "invariants", "induced-basis") for bound in LOWERED_BOUNDS],
+    + [(command, "3^-4", bound) for command in ("dim", "invariants", "induced-basis") for bound in LOWERED_BOUNDS]
+    # the Gauss sums behind signature() reach order 24 (3^-4) and 56 (7^+2)
+    + [("s2dim", symbol, "WEILINV_MAX_CYCLO_ORDER=10") for symbol in ("3^-4", "7^+2")],
 )
 def test_repeated_query_respects_lowered_bound(command, symbol, bound, monkeypatch):
     """A query answered once, then repeated in the same process under a
     lowered bound, fails as it would in a fresh process."""
     argv = [command, "--symbol", symbol]
     status, out = run_cli(argv)
-    assert status == 0 and json.loads(out)["dim"] == {"7^-2": 2, "3^-4": 1}[symbol]
+    key = "dim_s2" if command == "s2dim" else "dim"
+    answers = {"dim": {"7^-2": 2, "3^-4": 1}, "dim_s2": {"3^-4": 0, "7^+2": 1}}
+    assert status == 0 and json.loads(out)[key] == answers[key][symbol]
     name, value = bound.split("=")
     if name == "max-order":
         argv += ["--max-order", value]

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from weilinv.cyclo import (
     Cyclo,
     CycloOrderError,
-    arith,
     _poly_divmod,
     as_rational,
     cyclotomic_polynomial,
@@ -60,19 +59,11 @@ def test_sqrt_is_multiplicative():
         assert sqrt_int(a) * sqrt_int(b) == sqrt_int(a * b)
 
 
-def test_arith_dispatch():
-    assert arith(e_of(Fraction(1, 3)), e_of(Fraction(2, 3)), "mul") == 1
-    assert arith(sqrt_int(2), sqrt_int(2), "mul") == 2
-    fifth = sum((e_of(Fraction(k, 5)) for k in range(1, 5)), Cyclo.rational(0))
-    assert arith(Cyclo.rational(1), fifth, "add").is_zero()
-    with pytest.raises(ZeroDivisionError):
-        arith(Cyclo.rational(1), Cyclo.rational(0), "div")
-
-
 def test_as_rational():
     assert as_rational(e_of(Fraction(1, 2))) == -1
     assert as_rational(e_of(Fraction(1, 3))) is None
     assert as_rational(e_of(Fraction(1, 8)) * e_of(Fraction(-1, 8)) * 5) == 5
+    assert as_rational(sum((e_of(Fraction(k, 5)) for k in range(1, 5)), Cyclo.rational(0))) == -1
 
 
 def test_serialization_shape():
@@ -103,23 +94,54 @@ def test_field_axioms(a, b, c):
 def test_inverse(a):
     if not a.is_zero():
         assert a * a.inverse() == 1
+    with pytest.raises(ZeroDivisionError):
+        a / Cyclo.rational(0)
 
 
 @given(cyclos())
 def test_conjugation_is_an_involution(a):
     assert a.conjugate().conjugate() == a
-    assert a.conjugate() == Cyclo(a.order, {-e: c for e, c in a.coeffs.items()})
+    assert a.conjugate() == Cyclo(a.order, {-e: x for e, x in enumerate(a.num)}, a.den)
     norm = a * a.conjugate()
     assert abs(norm.embed_complex().imag) < 1e-9
 
 
 @given(cyclos())
 def test_canonical_form_is_stable(a):
-    # re-normalizing the stored coefficients must not change anything
-    again = Cyclo(a.order, dict(a.coeffs))
-    assert again.coeffs == a.coeffs
+    # re-normalizing the stored coordinates must not change anything
+    again = Cyclo(a.order, a.num, a.den)
+    assert (again.num, again.den) == (a.num, a.den)
+    negated = Cyclo(a.order, [-x for x in a.num], -a.den)
+    assert (negated.num, negated.den) == (a.num, a.den)
+    assert Cyclo(a.order, {e: Fraction(x, a.den) for e, x in enumerate(a.num)}).num == a.num
     lifted = a.to_order(a.order * 2)
     assert lifted == a
+
+
+def assert_normal_form(a):
+    """Integer coordinates, phi(order) of them, over a positive denominator
+    that shares no factor with them."""
+    assert all(type(x) is int for x in (*a.num, a.den))
+    assert len(a.num) == len(cyclotomic_polynomial(a.order)) - 1
+    assert a.den > 0 and gcd(a.den, *a.num) == 1
+
+
+@given(cyclos(), cyclos(), cyclos(), small_rationals)
+def test_results_are_in_normal_form(a, b, c, r):
+    results = [a + b, a - b, a * b, a * r, r * a, a.conjugate()]
+    if a:
+        results.append(a.inverse())
+    for x in results:
+        assert_normal_form(x)
+    # equal values built by different routes at one order have equal fields
+    m = lcm(a.order, b.order, c.order)
+    a, b, c = (x.to_order(m) for x in (a, b, c))
+    routes = [((a * b) * c, a * (b * c)), ((a + b) - b, a)]
+    if r:
+        routes.append(((a * r) / r, a))
+    for x, y in routes:
+        assert (x.order, x.num, x.den) == (y.order, y.num, y.den)
+        assert serialize(x) == serialize(y)
 
 
 def test_order_bound_is_enforced():

@@ -8,6 +8,7 @@ import sys
 
 sys.path.insert(0, "src")
 
+from weilinv.cli import exit_status_on_closed_pipe
 from weilinv.fqm import JordanSymbol, SymbolError, from_jordan_symbol
 from weilinv.weil import dim_closed_form, dim_invariants
 
@@ -47,4 +48,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(exit_status_on_closed_pipe(main))

@@ -5,6 +5,7 @@ import sys
 
 sys.path.insert(0, "src")
 
+from weilinv.cli import exit_status_on_closed_pipe
 from weilinv.fundamental import fundamental_form, fundamental_invariant
 from weilinv.weil import dim_invariants
 
@@ -27,4 +28,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(exit_status_on_closed_pipe(main))

@@ -5,7 +5,7 @@ import sys
 
 sys.path.insert(0, "src")
 
-from weilinv.cli import _verify_battery
+from weilinv.cli import _verify_battery, exit_status_on_closed_pipe
 from weilinv.fqm import from_jordan_symbol
 
 DEFAULT = [
@@ -34,4 +34,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(exit_status_on_closed_pipe(main))

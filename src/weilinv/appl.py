@@ -6,17 +6,21 @@ a finite-image representation, evaluated on the subrepresentation spanned
 by e^gamma + e^(-gamma); every trace is computed exactly and the result
 must come out an integer.  The Jacobi basis enumerates overlattices whose
 dual quotients have fundamental p-parts and attaches the product of the
-fundamental generators, mapped through theta functions.
+fundamental generators, mapped through theta functions.  Their q-expansions
+count lattice vectors by Fincke-Pohst enumeration in integers only: one
+exact square completion per coset fixes integer weights, so every loop
+range is exact and no count rests on a rounded bound.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import isqrt, lcm, prod
 
 from . import cyclo
-from .arith import factorize, frac1
+from .arith import legendre
 from .cyclo import Cyclo, e_of, sqrt_int
 from .fqm import (
     BoundExceeded,
@@ -64,8 +68,6 @@ def dim_s2(symbol) -> int:
     _, p, n, eps = _parse_prime_even(symbol)
     if p <= 3:
         return 0
-    from .arith import legendre
-
     val = (
         Fraction(p**n + 5, 24)
         - Fraction(p ** (n - 1), 4)
@@ -100,26 +102,20 @@ def dim_s2_trace(symbol) -> S2TraceData:
     """
     form, p, n, eps = _parse_prime_even(symbol)
     scalar = e_of(Fraction(form.signature(), 8)) / sqrt_int(form.order)
-    reps = [el for el in form.elements() if el <= form.neg(el)]
+    # x = level * q(beta); rho(S) gives e(2q) + e(-2q), rho(ST) e(q) + e(-3q), one term if 2 beta = 0
+    level = form.level()
+    reps = [(el, x) for el, x in zip(form.elements(), form.q_values()) if el <= form.neg(el)]
     d = len(reps)
-
-    def w(beta: Element) -> Cyclo:
-        two_q = frac1(2 * form.q(beta))
-        if form.smul(2, beta) == form.zero():
-            return e_of(two_q)
-        return e_of(two_q) + e_of(-two_q)
-
-    tr_s_raw = cyclo.ZERO
-    tr_st_raw = cyclo.ZERO
-    alpha_t = Fraction(0)
-    iso_classes = 0
-    for beta in reps:
-        wb = w(beta)
-        tr_s_raw = tr_s_raw + wb
-        tr_st_raw = tr_st_raw + e_of(-form.q(beta)) * wb
-        alpha_t += frac1(-form.q(beta))
-        if form.q(beta) == 0:
-            iso_classes += 1
+    s_exps, st_exps = Counter(), Counter()
+    for beta, x in reps:
+        s_exps[2 * x % level] += 1
+        st_exps[x] += 1
+        if form.smul(2, beta) != form.zero():
+            s_exps[-2 * x % level] += 1
+            st_exps[-3 * x % level] += 1
+    tr_s_raw, tr_st_raw = Cyclo(level, s_exps), Cyclo(level, st_exps)
+    alpha_t = Fraction(sum(-x % level for _, x in reps), level)
+    iso_classes = sum(1 for _, x in reps if x == 0)
     tr_s = cyclo.as_rational(e_of(Fraction(1, 2)) * scalar * tr_s_raw)
     if tr_s is None:
         raise InternalInconsistency("trace of the order-2 element is irrational")
@@ -166,16 +162,12 @@ def jacobi_singular_basis(gram) -> list[JacobiBasisEntry]:
     if n % 2:
         return []
     form = from_gram(gram)
-    level = form.level()
-    primes = sorted(factorize(level)) if level > 1 else []
     descs = {}
     for p, part, _ in form.p_part_decompose():
         descs[p] = fundamental_form(p, part.square_class(), part.signature())
         if descs[p] is None:
             return []
-    target = 1
-    for p in descs:
-        target *= descs[p].realize().order
+    target = prod(desc.realize().order for desc in descs.values())
     out = []
     for sub in isotropic_subgroups(form):
         if sub.order**2 * target != form.order:
@@ -194,10 +186,7 @@ def jacobi_singular_basis(gram) -> list[JacobiBasisEntry]:
         else:
             v_q = Vec.basis(qf.form, qf.form.zero())
         lifted = lift_up(qf, v_q)
-        coeffs = {}
-        for qel, c in v_q.coeffs.items():
-            r = cyclo.as_rational(c)
-            coeffs[qf.section[qel]] = int(r)
+        coeffs = {qf.section[qel]: int(cyclo.as_rational(c)) for qel, c in v_q.coeffs.items()}
         out.append(JacobiBasisEntry(sub, coeffs, n, Fraction(n, 2), lifted))
     return out
 
@@ -207,61 +196,62 @@ def jacobi_singular_basis(gram) -> list[JacobiBasisEntry]:
 # ---------------------------------------------------------------------------
 
 
-def _square_completion(q: list[list[Fraction]]):
-    """Diagonalize a positive-definite rational form: F(t) = sum d_i
-    (t_i + sum_(j>i) u_ij t_j)^2."""
-    n = len(q)
-    q = [[Fraction(x) for x in row] for row in q]
-    d = [Fraction(0)] * n
-    u = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        d[i] = q[i][i]
-        if d[i] <= 0:
-            raise ValueError("form is not positive definite")
-        for j in range(i + 1, n):
-            u[i][j] = q[i][j] / d[i]
-        for j in range(i + 1, n):
-            for k in range(j, n):
-                q[j][k] -= d[i] * u[i][j] * u[i][k]
-    return d, u
+def _enumerate_norms(qmat: list[list[int]], shift: list[Fraction], bound: int) -> tuple[int, Counter]:
+    """Count integer vectors c with F(c + shift) <= bound, F the positive
+    definite form of qmat: returns G and the counts keyed by G F(c + shift).
 
-
-def _enumerate_norms(qmat: list[list[int]], shift: list[Fraction], bound: Fraction) -> dict[Fraction, int]:
-    """Count integer vectors c with F(c + shift) <= bound for the positive
-    definite form F given by qmat, grouped by exact value of F."""
+    Square completion gives F = sum d_i y_i^2, y_i = c_i + shift_i +
+    sum_(j>i) u_ij (c_j + shift_j).  Level i gets a scale m_i making t_i =
+    m_i y_i = m_i c_i + C_i integral (C_i is integral in the c_j, j > i) and a
+    weight w_i = G d_i / m_i^2, integral for one denominator G.  So G F = sum
+    w_i t_i^2, and |t_i| <= isqrt(R // w_i) is exact for the budget R left."""
     n = len(qmat)
-    d, u = _square_completion([[Fraction(x) for x in row] for row in qmat])
-    counts: dict[Fraction, int] = {}
-    chosen = [0] * n
+    q = [[Fraction(x) for x in row] for row in qmat]
+    m, a, c0, scaled = [], [], [], []
+    for i in range(n):
+        if q[i][i] <= 0:
+            raise ValueError("form is not positive definite")
+        u = [q[i][j] / q[i][i] if j > i else Fraction(0) for j in range(n)]
+        for j in range(i + 1, n):  # complete the square in c_i
+            for k in range(j, n):
+                q[j][k] -= q[i][i] * u[j] * u[k]
+        centre = shift[i] + sum(x * y for x, y in zip(u, shift))
+        m.append(lcm(centre.denominator, *(x.denominator for x in u)))
+        a.append([int(m[i] * x) for x in u])
+        c0.append(int(m[i] * centre))
+        scaled.append(q[i][i] / (m[i] * m[i]))
+    big_g = lcm(*(x.denominator for x in scaled))
+    w = [int(big_g * x) for x in scaled]
+    top, counts, chosen = big_g * bound, Counter(), [0] * n
 
-    def recurse(i: int, remaining: Fraction, partial: Fraction) -> None:
-        if i < 0:
-            counts[partial] = counts.get(partial, 0) + 1
+    def recurse(i: int, budget: int, centre: int) -> None:
+        mi, wi = m[i], w[i]
+        s = isqrt(budget // wi)
+        lo, hi = -((s + centre) // mi), (s - centre) // mi
+        if not i:
+            base = top - budget
+            for t in range(mi * lo + centre, mi * hi + centre + 1, mi):
+                counts[base + wi * t * t] += 1
             return
-        center = shift[i]
-        for j in range(i + 1, n):
-            center += u[i][j] * (chosen[j] + shift[j])
-        # integer range for c_i: d_i (c_i + center)^2 <= remaining
-        approx = float(remaining / d[i]) ** 0.5
-        lo = int(-float(center) - approx) - 2
-        hi = int(-float(center) + approx) + 2
+        # C_(i-1) = below + a[i-1][i] c_i for every c_i of this level
+        below = c0[i - 1] + sum(a[i - 1][j] * chosen[j] for j in range(i + 1, n))
         for c_i in range(lo, hi + 1):
-            val = d[i] * (c_i + center) ** 2
-            if val <= remaining:
-                chosen[i] = c_i
-                recurse(i - 1, remaining - val, partial + val)
-        chosen[i] = 0
+            t = mi * c_i + centre
+            chosen[i] = c_i
+            recurse(i - 1, budget - wi * t * t, below + a[i - 1][i] * c_i)
 
-    recurse(n - 1, bound, Fraction(0))
-    return counts
+    recurse(n - 1, top, c0[n - 1])
+    return big_g, counts
 
 
 def theta_q_expansion(gram, subgroup_elements, coefficients: dict[Element, int], precision: int) -> list[int]:
     """Fourier coefficients c(0..precision) of sum_gamma v_gamma theta_gamma
     at z = 0, for the overlattice M generated by L and the given classes.
 
-    Coefficient keys are classes of L'/L lying in M'/L; counts come from
-    exact enumeration of lattice vectors of each norm.
+    Coefficient keys are classes of L'/L lying in M'/L.  The vectors of norm
+    at most precision in each coset are counted in a basis of M by exact
+    integer enumeration (_enumerate_norms), so no count depends on a
+    rounded range.
     """
     if precision < 0 or precision > 50:
         raise BoundExceeded("precision out of the supported range 0..50")
@@ -270,13 +260,8 @@ def theta_q_expansion(gram, subgroup_elements, coefficients: dict[Element, int],
         raise ValueError("gram construction did not record lattice data")
     n = len(gram)
     lifts = [form.lattice.lift(form.normalize(el)) for el in subgroup_elements]
-    denom = 1
-    for vec in lifts:
-        for x in vec:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-    rows = [[denom if i == j else 0 for j in range(n)] for i in range(n)]
-    for vec in lifts:
-        rows.append([int(x * denom) for x in vec])
+    denom = lcm(1, *(x.denominator for vec in lifts for x in vec))
+    rows = [[denom * (i == j) for j in range(n)] for i in range(n)] + [[int(x * denom) for x in vec] for vec in lifts]
     basis = row_lattice_basis(rows, n)  # basis of denom * M
     binv = rational_inverse(basis)
     qmat = [
@@ -284,14 +269,14 @@ def theta_q_expansion(gram, subgroup_elements, coefficients: dict[Element, int],
         for i in range(n)
     ]
     out = [0] * (precision + 1)
-    bound = Fraction(2 * precision * denom * denom)
     for el, v in coefficients.items():
         if v == 0:
             continue
         x = form.lattice.lift(form.normalize(el))
         shift = [sum(denom * x[a] * binv[a][b] for a in range(n)) for b in range(n)]
-        for norm, count in _enumerate_norms(qmat, shift, bound).items():
-            scaled = norm / (2 * denom * denom)
-            if scaled.denominator == 1 and scaled <= precision:
-                out[int(scaled)] += v * count
+        big_g, counts = _enumerate_norms(qmat, shift, 2 * precision * denom * denom)
+        step = 2 * big_g * denom * denom  # G F = step * (norm of the vector in M')
+        for norm, count in counts.items():
+            if norm % step == 0:
+                out[norm // step] += v * count
     return out

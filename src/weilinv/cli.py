@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -306,8 +307,26 @@ def _render_text(doc: dict, out) -> None:
     walk("", doc)
 
 
+def exit_status_on_closed_pipe(run) -> int:
+    """Call run(), which writes to stdout, and flush, also when it exits (as
+    --help does).  A reader that closed the pipe early gives EXIT_IO without
+    a traceback: stdout is pointed at os.devnull, so the interpreter's final
+    flush stays quiet (Python docs, signal module, "Note on SIGPIPE")."""
+    try:
+        try:
+            return run()
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    return exit_status_on_closed_pipe(lambda: _run(build_parser().parse_args(argv)))
+
+
+def _run(args) -> int:
     saved = vars(LIMITS).copy()  # the bounds of one call end with it
     try:
         apply_env_overrides()
@@ -315,17 +334,13 @@ def main(argv=None) -> int:
             LIMITS.max_form_order = args.max_order
         doc = COMMANDS[args.command](args)
     except tuple(ERROR_CODES) as exc:
-        for klass, (code, status) in ERROR_CODES.items():
-            if isinstance(exc, klass):
-                json.dump({"error": {"code": code, "message": str(exc)}}, sys.stdout)
-                sys.stdout.write("\n")
-                return status
-        raise
+        code, status = next(v for klass, v in ERROR_CODES.items() if isinstance(exc, klass))
+        print(json.dumps({"error": {"code": code, "message": str(exc)}}))
+        return status
     finally:
         vars(LIMITS).update(saved)
     if args.format == "json":
-        json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         _render_text(doc, sys.stdout)
     if args.command == "verify" and not doc["pass"]:

@@ -1,4 +1,7 @@
+import random
 from fractions import Fraction
+from itertools import product
+from math import isqrt, lcm
 
 import pytest
 
@@ -9,6 +12,7 @@ from weilinv.appl import (
     theta_q_expansion,
 )
 from weilinv.fqm import BoundExceeded, from_gram
+from weilinv.intmat import rational_inverse
 from weilinv.weil import dim_invariants, rank_of_vectors, rho_S, rho_T
 
 E8 = [
@@ -69,6 +73,13 @@ def test_jacobi_unimodular():
     assert basis[0].weight == Fraction(4)
     theta = theta_q_expansion(E8, [], basis[0].coefficients, 5)
     assert theta == [1, 240, 2160, 6720, 17520, 30240]
+
+
+def test_e8_theta_is_eisenstein_e4():
+    # theta_E8 = E_4 = 1 + 240 sum sigma_3(n) q^n
+    theta = theta_q_expansion(E8, [], {from_gram(E8).zero(): 1}, 8)
+    assert theta[0] == 1
+    assert theta[1:] == [240 * sum(d**3 for d in range(1, k + 1) if k % d == 0) for k in range(1, 9)]
 
 
 def test_jacobi_square_diag():
@@ -155,3 +166,51 @@ def test_theta_coset_brute_force():
 def test_theta_precision_bound():
     with pytest.raises(BoundExceeded):
         theta_q_expansion([[2]], [], {(0,): 1}, 200)
+
+
+def _random_even_gram(rng, n):
+    """A random even positive-definite Gram matrix of rank n (pivots of
+    Gaussian elimination all positive)."""
+    while True:
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            g[i][i] = 2 * rng.randint(1, 4)
+            for j in range(i):
+                g[i][j] = g[j][i] = rng.randint(-2, 2)
+        a = [[Fraction(x) for x in row] for row in g]
+        for i in range(n):
+            if a[i][i] <= 0:
+                break
+            for j in range(i + 1, n):
+                a[j] = [x - a[j][i] / a[i][i] * y for x, y in zip(a[j], a[i])]
+        else:
+            return g
+
+
+def test_theta_matches_box_enumeration():
+    # every x in L' with x^T Q x <= 2 precision has x_i^2 <= 2 precision (Q^-1)_ii,
+    # so |x_i| <= isqrt(2 precision (Q^-1)_ii) + 1 (the + 1 for a rational x_i)
+    rng = random.Random(20260418)
+    cases = 0
+    while cases < 40:
+        gram = _random_even_gram(rng, rng.randint(1, 4))
+        form, n = from_gram(gram), len(gram)
+        # on a class with q != 0 every coefficient is 0, so the classes are isotropic
+        classes = [el for el in form.isotropic_elements() if el != form.zero()]
+        if not classes:
+            continue
+        cases += 1
+        el = rng.choice(classes)
+        precision = rng.randint(1, 4)
+        qinv = rational_inverse(gram)
+        den = lcm(*(x.denominator for x in form.lattice.lift(el)))
+        lift = [int(x * den) for x in form.lattice.lift(el)]  # den * (the lift), integral
+        radius = [den * (isqrt(int(2 * precision * qinv[i][i])) + 1) for i in range(n)]
+        box = [range(-((r + y) // den), (r - y) // den + 1) for r, y in zip(radius, lift)]
+        brute = [0] * (precision + 1)
+        for c in product(*box):
+            x = [den * ci + y for ci, y in zip(c, lift)]
+            norm2 = sum(x[i] * gram[i][j] * x[j] for i in range(n) for j in range(n))  # 2 den^2 q(x)
+            if norm2 % (2 * den * den) == 0 and norm2 <= 2 * precision * den * den:
+                brute[norm2 // (2 * den * den)] += 1
+        assert theta_q_expansion(gram, [], {el: 1}, precision) == brute, (gram, el, precision)

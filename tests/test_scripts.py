@@ -1,7 +1,9 @@
 """The command-line scripts under scripts/ run to the end and report no
 disagreement.  verify_battery.py imports the private cli._verify_battery,
-so this also guards that name."""
+so this also guards that name.  The CLI and the scripts end quietly with
+exit code 5 (io-error) when the reader of their output closes the pipe."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -27,3 +29,26 @@ def test_script_runs_clean(argv):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
     assert not [line for line in proc.stdout.splitlines() if "MISMATCH" in line or "FAIL" in line]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-m", "weilinv.cli", "dim", "--symbol", "3^+2"],
+        ["-m", "weilinv.cli", "--help"],
+        ["scripts/dimension_table.py", "3", "2"],
+        ["scripts/verify_battery.py", "3^-2"],
+        ["scripts/fundamental_report.py"],
+    ],
+    ids=["cli", "cli_help", "dimension_table", "verify_battery", "fundamental_report"],
+)
+def test_closed_pipe_gives_no_traceback(argv):
+    # stdout buffered, as in a plain shell (unbuffered, argparse itself swallows the error of --help)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"} | {"PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.Popen(
+        [sys.executable, *argv], cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+    )
+    proc.stdout.close()  # the reader is gone before the first write
+    _, err = proc.communicate(timeout=600)
+    assert proc.returncode == 5, err
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err

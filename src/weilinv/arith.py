@@ -21,13 +21,6 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return r0, x0, y0
 
 
-def inverse_mod(a: int, n: int) -> int:
-    g, x, _ = ext_gcd(a % n, n)
-    if g != 1:
-        raise ValueError(f"{a} is not invertible mod {n}")
-    return x % n
-
-
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 by trial division."""
     if n < 1:

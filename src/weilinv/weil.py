@@ -5,13 +5,16 @@ rho is defined on the standard generators by
     rho(T) e^gamma = e(-q(gamma)) e^gamma
     rho(S) e^gamma = e(sign(D)/8)/sqrt(|D|) * sum_beta e((gamma,beta)) e^beta
 
-and extended to arbitrary matrices by Euclidean word decomposition; the
-closed product formula with its local factors is never used.  The
-projection inv averages rho over SL2(Z/N), with the cosets grouped as
-+-M_s T^n per cusp s so the per-cusp pieces sum to the total by
-construction.  Per cusp one word is applied, to e^0 of each orthogonal
-block; every column of rho(M) = rho(M_s^-1) follows from that c0 = rho(M) e^0
-by the Heisenberg intertwining, for M = (a b; c d),
+and extended to arbitrary matrices by short words in S and T: nearest-integer
+Euclid, which at least halves the lower-left entry per S letter, on lifts of
+SL2(Z/N) with small entries, and two adjacent S letters applied as rho(-1),
+e(sign(D)/4) times the permutation e^gamma -> e^-gamma.  The closed product
+formula with its local factors is never used.  The projection inv averages
+rho over SL2(Z/N), with the cosets grouped as +-M_s T^n per cusp s so the
+per-cusp pieces sum to the total by construction.  Per cusp one word is
+applied, to e^0 of each orthogonal block; every column of rho(M) = rho(M_s^-1)
+follows from that c0 = rho(M) e^0 by the Heisenberg intertwining, for
+M = (a b; c d),
 
     rho(M) e^gamma = e(-b d q(gamma)) sum_beta c0(beta) e(-b (beta,gamma)) e^(d gamma + beta).
 
@@ -40,7 +43,7 @@ from math import gcd, lcm
 from operator import add
 
 from . import cyclo
-from .arith import ext_gcd, factorize, frac1, inverse_mod, legendre
+from .arith import ext_gcd, factorize, frac1, legendre
 from .config import LIMITS
 from .cyclo import Cyclo, e_of, sqrt_int
 from .fqm import (
@@ -168,15 +171,17 @@ def t_power(n: int) -> Matrix2:
 
 
 def word_decompose(m) -> SL2Word:
-    """Euclidean decomposition of a determinant-1 integer matrix into
-    T-powers and S, with the exact product re-checked."""
+    """Nearest-integer Euclidean decomposition of a determinant-1 integer
+    matrix into T-powers and S, with the exact product re-checked.  Each S
+    letter of the loop at least halves the lower-left entry c, so there are
+    at most c.bit_length() of them, and two more when it ends at -T^n."""
     m = ((int(m[0][0]), int(m[0][1])), (int(m[1][0]), int(m[1][1])))
     (a, b), (c, d) = m
     if a * d - b * c != 1:
         raise ValueError("word decomposition needs determinant 1")
     tokens: list[tuple[str, int]] = []
     while c != 0:
-        k = a // c
+        k = (2 * a + c) // (2 * c)  # the integer nearest a / c
         if k:
             tokens.append(("T", k))
         # S^-1 T^-k M has smaller lower-left entry
@@ -234,15 +239,16 @@ def _tables(form: DiscriminantForm):
 
 
 def _word_tables(form: DiscriminantForm):
-    """_tables plus the frequency reindexing of S, built on the first word
-    applied to the form."""
+    """_tables plus the frequency reindexing of S and the negation
+    permutation, built on the first word applied to the form."""
 
     def build():
         k, orders, n = form.rank, form.orders, form.level()
         bn = form.scaled_gram()[1]  # b_gen[i][j] * orders[i] is an integer
         btilde = [[bn[i][j] * orders[i] // n % orders[i] for j in range(k)] for i in range(k)]
         freq = [[sum(btilde[i][j] * el[j] for j in range(k)) % orders[i] for i in range(k)] for el in form.elements()]
-        return {**_tables(form), "freq_index": [form.index(ell) for ell in freq]}
+        neg = [form.index(form.neg(el)) for el in form.elements()]
+        return {**_tables(form), "freq_index": [form.index(ell) for ell in freq], "neg_index": neg}
 
     return form.memo("word_tables", build)
 
@@ -310,15 +316,21 @@ def _apply_s_ints(form: DiscriminantForm, tab, data: list, u: int) -> list:
 
 def _apply_word_ints(form: DiscriminantForm, tab, tokens, data: list, u: int) -> tuple[list, int]:
     """The word applied right to left in Z[x]/(x^u - 1); returns the image
-    and the number of S letters, whose scalars are left out."""
+    and the number of S letters, whose scalars are left out.  Two adjacent S
+    letters are rho(-1), e^gamma -> e(sig/4) e^-gamma, which is central:
+    without their scalars e(sig/4)/|D| they are |D| times the negation."""
     q_exp = [q * u // tab["w"] for q in tab["q_exp"]]
-    count = 0
-    for kind, n in reversed(tokens):
-        if kind == "S":
+    count, i = 0, len(tokens)
+    while i:
+        i -= 1
+        if tokens[i][0] == "T":
+            data = [None if x is None else _rot(x, -tokens[i][1] * q) for x, q in zip(data, q_exp)]
+        elif i and tokens[i - 1][0] == "S":
+            i, count = i - 1, count + 2
+            data = [None if data[j] is None else [v * form.order for v in data[j]] for j in tab["neg_index"]]
+        else:
             data = _apply_s_ints(form, tab, data, u)
             count += 1
-        else:
-            data = [None if x is None else _rot(x, -n * q) for x, q in zip(data, q_exp)]
     return data, count
 
 
@@ -382,42 +394,34 @@ def sl2_group_order(n: int) -> int:
     return out
 
 
-def _coprime_lift_pair(x: int, y: int, n: int) -> tuple[int, int]:
-    """Lift (x, y) mod n with gcd(x, y, n) = 1 to a coprime integer pair,
-    changing only y (and x -> n when x = 0)."""
-    x %= n
-    y %= n
-    if x == 0 and y == 0:
-        raise ValueError("pair must be primitive")
-    if x == 0:
-        x = n
-    k = 1
-    for p in factorize(x):
-        if y % p != 0:
-            k *= p
-    y += k * n
-    if gcd(x, y) != 1:
-        raise InternalInconsistency("coprime lift failed")
-    return x, y
+def _nearest_steps(a: int, c: int) -> int:
+    """The number of S letters word_decompose writes for a first column (a, c)."""
+    steps = 0
+    while c:
+        a, c, steps = c, (2 * a + c) // (2 * c) * c - a, steps + 1
+    return steps
 
 
-def lift_to_sl2z(a: int, b: int, c: int, d: int, n: int) -> Matrix2:
-    """Lift a matrix of SL2(Z/N) to an integer matrix of determinant one."""
-    if n == 1:
-        return ((1, 0), (0, 1))
-    if (a * d - b * c) % n != 1:
-        raise ValueError("matrix is not in SL2(Z/N)")
-    c1, d1 = _coprime_lift_pair(c, d, n)
-    g, x, y = ext_gcd(d1, c1)  # d1*x + c1*y = 1
-    a1, b1 = x, -y  # a1*d1 - b1*c1 = 1
-    _, alpha, beta = ext_gcd(c1, d1)  # alpha*c1 + beta*d1 = 1
-    t = (alpha * (a - a1) + beta * (b - b1)) % n
-    a1 += t * c1
-    b1 += t * d1
-    m = ((a1, b1), (c1, d1))
-    if a1 * d1 - b1 * c1 != 1 or (a1 - a) % n or (b1 - b) % n or (c1 - c) % n or (d1 - d) % n:
+def _lift(a: int, c: int, n: int) -> Matrix2:
+    """A matrix of SL2(Z) with first column (a, c) mod n, gcd(a, c, n) = 1,
+    whose words are short; every matrix of SL2(Z/n) with that first column
+    is the lift times a power of T.  The lower-left entry c1 is c reduced
+    into (-n/2, n/2], or n when c = 0 mod n unless a = +-1 (the lift is then
+    +-1).  Over one period of j, the first a1 = a + j n coprime to c1 with
+    the fewest nearest-integer steps is taken; ext_gcd gives the rest."""
+    h = (n - 1) // 2
+    a0, c1 = (a + h) % n - h, (c + h) % n - h
+    unit = next((s for s in (1, -1) if (a - s) % n == 0), 0)
+    if c1 == 0 and unit:
+        a1 = unit
+    else:
+        c1 = c1 or n
+        coprime = (a0 + j * n for j in range(abs(c1) // gcd(n, c1)) if gcd(a0 + j * n, c1) == 1)
+        a1 = min(coprime, key=lambda x: _nearest_steps(x, c1), default=0)
+    _, x, y = ext_gcd(a1, c1)  # a1*x + c1*y = gcd(a1, c1)
+    if a1 * x + c1 * y != 1 or (a1 - a) % n or (c1 - c) % n:
         raise InternalInconsistency("lift to SL2(Z) failed")
-    return m
+    return ((a1, -y), (c1, x))
 
 
 def _check_level(n: int) -> None:
@@ -436,25 +440,18 @@ def _primitive_pairs(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def enumerate_cosets(n: int) -> tuple[SL2Word, ...]:
-    """All of SL2(Z/N) lifted to determinant-1 integer matrices with words."""
+    """All of SL2(Z/N) lifted to determinant-1 integer matrices with words:
+    per first column the small lift times T^t, t = 0 .. N-1."""
     _check_level(n)
     return _cosets(n)
 
 
 @cache
 def _cosets(n: int) -> tuple[SL2Word, ...]:
-    if n == 1:
-        return (word_decompose(((1, 0), (0, 1))),)
     out = []
     for a, c in _primitive_pairs(n):
-        g, x, y = ext_gcd(a, c)
-        ginv = inverse_mod(g, n)
-        d0 = x * ginv % n
-        b0 = (-y * ginv) % n
-        for t in range(n):
-            b = (b0 + t * a) % n
-            d = (d0 + t * c) % n
-            out.append(word_decompose(lift_to_sl2z(a, b, c, d, n)))
+        m = _lift(a, c, n)
+        out.extend(word_decompose(mat2_mul(m, t_power(t))) for t in range(n))
     if len(out) != sl2_group_order(n):
         raise InternalInconsistency("coset enumeration has the wrong size")
     return tuple(out)
@@ -465,7 +462,7 @@ class Cusp:
     """A cusp class of Gamma(N), keyed by +-(a, c) of order N in (Z/N)^2."""
 
     key: tuple[int, int]
-    matrix: Matrix2  # some M_s in SL2(Z) with first column = key mod N
+    matrix: Matrix2  # the small lift M_s in SL2(Z) with first column = key mod N
     inv_word: SL2Word  # word for M_s^{-1}
 
 
@@ -486,17 +483,11 @@ def cusp_classes(n: int) -> tuple[Cusp, ...]:
 
 @cache
 def _cusps(n: int) -> tuple[Cusp, ...]:
-    if n == 1:
-        ident = ((1, 0), (0, 1))
-        return (Cusp((0, 0), ident, word_decompose(ident)),)
-    keys = sorted({normalize_cusp_key(a, c, n) for a, c in _primitive_pairs(n)})
     out = []
-    for a, c in keys:
-        a1, c1 = _coprime_lift_pair(a, c, n)
-        g, x, y = ext_gcd(a1, c1)  # a1*x + c1*y = 1
-        m = ((a1, -y), (c1, x))
-        out.append(Cusp((a, c), m, word_decompose(mat2_inv(m))))
-    per_cusp = n if n == 2 else 2 * n
+    for key in sorted({normalize_cusp_key(a, c, n) for a, c in _primitive_pairs(n)}):
+        m = _lift(*key, n)
+        out.append(Cusp(key, m, word_decompose(mat2_inv(m))))
+    per_cusp = n if n <= 2 else 2 * n
     if len(out) * per_cusp != sl2_group_order(n):
         raise InternalInconsistency("cusp classes do not partition SL2(Z/N)")
     return tuple(out)
@@ -630,8 +621,10 @@ def inv_average_oracle(form: DiscriminantForm, gamma: Element) -> Vec:
     """Reference implementation of inv(e^gamma): the literal average of
     rho(M) e^gamma over every coset of SL2(Z/N), one full word evaluation
     per coset; no cusp grouping, no block factorization and no sharing of
-    word prefixes or suffixes between cosets.  The integer images are
-    summed per number of S letters and scaled once at the end."""
+    word prefixes or suffixes between cosets.  Each coset is a small lift
+    times T^t with a nearest-integer word, about 1-2 S transforms at small
+    levels (an S S pair is the rho(-1) permutation).  The integer images
+    are summed per number of S letters and scaled once at the end."""
     if form.signature() % 2:
         return Vec(form)
     tab = _word_tables(form)

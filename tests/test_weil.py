@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from weilinv import weil
 from weilinv.cyclo import Cyclo, as_rational, e_of, sqrt_int
+from weilinv.arith import ext_gcd
 from weilinv.config import LIMITS
 from weilinv.fqm import BoundExceeded, InternalInconsistency, from_jordan_symbol
 from weilinv.weil import (
@@ -30,6 +31,7 @@ from weilinv.weil import (
     word_decompose,
     xi_factor,
     S_MAT,
+    SL2Word,
     t_power,
 )
 
@@ -66,7 +68,7 @@ def test_coset_counts():
 
 
 def test_cosets_distinct_and_unimodular():
-    for n in (2, 3, 4, 6):
+    for n in (2, 3, 4, 5, 6, 7, 8):
         seen = set()
         for word in enumerate_cosets(n):
             (a, b), (c, d) = word.target
@@ -98,6 +100,45 @@ def test_cusps_partition_group():
         for cusp in cusp_classes(n):
             (a, _), (c, _) = cusp.matrix
             assert (a % n, c % n) == cusp.key or ((-a) % n, (-c) % n) == cusp.key
+            assert cusp.inv_word.matrix() == mat2_inv(cusp.matrix)
+
+
+def test_word_has_at_most_bit_length_s_letters():
+    """Nearest-integer Euclid at least halves the lower-left entry per S
+    letter; two more letters write a final -1."""
+    r = random.Random(5)
+    for _ in range(300):
+        a, c = r.randint(-(10**6), 10**6), r.randint(-(10**6), 10**6)
+        if gcd(a, c) != 1:
+            continue
+        _, x, y = ext_gcd(a, c)  # a*x + c*y = 1
+        m = mat2_mul(((a, -y), (c, x)), t_power(r.randint(-(10**6), 10**6)))
+        word = word_decompose(m)
+        assert word.matrix() == m
+        assert sum(kind == "S" for kind, _ in word.tokens) <= abs(c).bit_length() + 2, m
+
+
+def _mean_s_transforms(words, monkeypatch):
+    """Mean number of full S transforms per word, the -1 shortcut included,
+    counted in the kernel on a small form (the count depends on the tokens only)."""
+    form = from_jordan_symbol("2_II^+2")
+    tab = weil._word_tables(form)
+    calls = []
+    original = weil._apply_s_ints
+    monkeypatch.setattr(weil, "_apply_s_ints", lambda *args: calls.append(1) or original(*args))
+    for word in words:
+        weil._apply_word_ints(form, tab, word.tokens, [[1]] + [None] * (form.order - 1), 1)
+    return len(calls) / len(words)
+
+
+def test_coset_words_are_short(monkeypatch):
+    for n in (3, 4, 5, 6):
+        assert _mean_s_transforms(enumerate_cosets(n), monkeypatch) <= 1.7, n
+
+
+def test_cusp_words_are_short(monkeypatch):
+    for n in (15, 23, 31):
+        assert _mean_s_transforms([cusp.inv_word for cusp in cusp_classes(n)], monkeypatch) <= 2.5, n
 
 
 # -- generator actions ---------------------------------------------------------
@@ -184,6 +225,14 @@ def test_word_kernel_matches_defining_formulas(symbol):
         assert u == target, n
 
 
+def _explicit_word(tokens):
+    """The word of these tokens, its target multiplied out letter by letter."""
+    m = ((1, 0), (0, 1))
+    for kind, n in tokens:
+        m = mat2_mul(m, S_MAT if kind == "S" else t_power(n))
+    return SL2Word(m, tuple(tokens))
+
+
 def test_group_law_long_words_fractional_input():
     """rho(AB) v = rho(A) rho(B) v for words of at least 100 letters and a v
     with rational non-integer and irrational coefficients: the common
@@ -194,16 +243,62 @@ def test_group_law_long_words_fractional_input():
     assert any(c.den % 3 == 0 for c in v.coeffs.values())
     r = random.Random(7)
 
-    def long_matrix():
-        m = ((1, 0), (0, 1))
-        for _ in range(60):
-            m = mat2_mul(mat2_mul(m, t_power(r.choice([-3, -2, 2, 3]))), S_MAT)
-        return m
+    def long_word():  # the explicit product of 60 factors T^k S
+        return _explicit_word([tok for _ in range(60) for tok in (("T", r.choice([-3, -2, 2, 3])), ("S", 1))])
 
-    a, b = long_matrix(), long_matrix()
-    wa, wb, wab = (word_decompose(m) for m in (a, b, mat2_mul(a, b)))
+    wa, wb = long_word(), long_word()
+    wab = SL2Word(mat2_mul(wa.target, wb.target), wa.tokens + wb.tokens)
+    for w in (wa, wb, wab):
+        assert w.matrix() == w.target
     assert min(len(w.tokens) for w in (wa, wb, wab)) >= 100
     assert rho(wab, v) == rho(wa, rho(wb, v))
+
+
+def _mixed_vector(d):
+    """Coefficients 1/3, 2/3, ... with sqrt(2) e(i/8) added to every other one."""
+    root2 = sqrt_int(2)
+    return Vec(d, {
+        g: Cyclo.rational(Fraction(i + 1, 3)) + (root2 * e_of(Fraction(i, 8)) if i % 2 == 0 else 0)
+        for i, g in enumerate(d.elements())
+    })
+
+
+def test_minus_one_is_the_negation_permutation():
+    """Two adjacent S letters are applied as rho(-1) = e(sig/4) (e^gamma ->
+    e^-gamma); it must equal two full S transforms."""
+    minus_one = ((-1, 0), (0, -1))
+    assert word_decompose(minus_one).tokens == (("S", 1), ("S", 1))
+    for sym in SMALL_EVEN_SYMBOLS:
+        d = from_jordan_symbol(sym)
+        v = _mixed_vector(d)
+        assert any(as_rational(c) is None for c in v.coeffs.values())
+        assert any(c.den % 3 == 0 for c in v.coeffs.values())
+        phase = e_of(Fraction(d.signature(), 4))
+        expected = Vec(d, {d.neg(g): phase * c for g, c in v.coeffs.items()})
+        assert rho(minus_one, v) == expected, sym
+        assert rho_S(rho_S(v)) == expected, sym
+
+
+@pytest.mark.parametrize(
+    "tokens",
+    [
+        (("T", 2), ("S", 1), ("S", 1), ("T", 3)),
+        (("S", 1), ("S", 1), ("S", 1), ("T", -1)),
+        (("T", 1), ("S", 1), ("S", 1), ("S", 1), ("S", 1), ("T", 2), ("S", 1)),
+    ],
+)
+def test_words_with_adjacent_s_letters(tokens):
+    """A word with runs of S letters against its matrix's own word and
+    against the letters applied one at a time."""
+    for sym in ["2_II^+2", "3^+3", "2_2^+2.4_II^+2"]:
+        d = from_jordan_symbol(sym)
+        word = _explicit_word(tokens)
+        v = _mixed_vector(d)
+        one_by_one = v
+        for kind, n in reversed(tokens):
+            one_by_one = rho_S(one_by_one) if kind == "S" else rho(t_power(n), one_by_one)
+        assert rho(word, v) == one_by_one, sym
+        assert rho(word_decompose(word.target), v) == one_by_one, sym
 
 
 def test_rho_closed_form_for_upper_triangular():
@@ -214,9 +309,7 @@ def test_rho_closed_form_for_upper_triangular():
         for a in range(1, 3 * n):
             if gcd(a, n) != 1:
                 continue
-            from weilinv.arith import inverse_mod
-
-            dd = inverse_mod(a, n)
+            dd = pow(a, -1, n)
             # build an integer matrix (a b; c d) with c = 0 mod N
             c = n
             # solve a*d' - b*c = 1 with d' = dd + k n
@@ -412,6 +505,14 @@ def test_dim_examples():
     assert dim_invariants(from_jordan_symbol("5^+2")) == 2
     assert dim_invariants(from_jordan_symbol("2_II^-4")) == 1
     assert dim_invariants(from_jordan_symbol("3^+1")) == 0
+
+
+@pytest.mark.parametrize("p", [11, 13, 17, 19, 23])
+def test_dim_matches_closed_form_at_high_level(p):
+    """The cusp route at levels 11-23, above every other test."""
+    for sign in "+-":
+        sym = f"{p}^{sign}2"
+        assert dim_invariants(from_jordan_symbol(sym)) == dim_closed_form(sym), sym
 
 
 def test_dim_closed_form_examples():

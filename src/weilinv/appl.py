@@ -4,12 +4,13 @@ weight Jacobi form bases from lattice data.
 The cusp-form count follows the standard fixed-point dimension formula for
 a finite-image representation, evaluated on the subrepresentation spanned
 by e^gamma + e^(-gamma); every trace is computed exactly and the result
-must come out an integer.  The Jacobi basis enumerates overlattices whose
-dual quotients have fundamental p-parts and attaches the product of the
-fundamental generators, mapped through theta functions.  Their q-expansions
-count lattice vectors by Fincke-Pohst enumeration in integers only: one
-exact square completion per coset fixes integer weights, so every loop
-range is exact and no count rests on a rounded bound.
+must come out an integer.  The Jacobi basis reads each fundamental lift
+(fundamental.fundamental_lifts: an overlattice whose dual quotient has
+fundamental p-parts, with the product of the fundamental generators) as
+integer theta coefficients.  Their q-expansions count lattice vectors by
+Fincke-Pohst enumeration in integers only: one exact square completion per
+coset fixes integer weights, so every loop range is exact and no count
+rests on a rounded bound.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm, prod
+from math import isqrt, lcm
 
 from . import cyclo
 from .arith import legendre
@@ -30,18 +31,11 @@ from .fqm import (
     JordanSymbol,
     from_gram,
     from_jordan_symbol,
-    trivial_form,
 )
-from .fundamental import (
-    fundamental_form,
-    is_fundamental_quotient,
-    integer_normalize,
-    tensor_combine,
-    _generic_generator,
-)
-from .induct import IsotropicSubgroup, isotropic_subgroups, lift_up, quotient
+from .fundamental import fundamental_lifts
+from .induct import IsotropicSubgroup, lift_up
 from .intmat import rational_inverse, row_lattice_basis
-from .weil import GroupAlgebraVector, Vec, dim_invariants
+from .weil import GroupAlgebraVector, dim_invariants
 
 
 # ---------------------------------------------------------------------------
@@ -154,40 +148,17 @@ def jacobi_singular_basis(gram) -> list[JacobiBasisEntry]:
     """Generators of the space of Jacobi forms of singular weight n/2 for a
     positive-definite even lattice with the given Gram matrix.
 
-    Empty for odd rank.  Each generator comes from an overlattice M with
-    every p-part of M'/M fundamental, carrying the product of the
-    fundamental invariants.
+    Empty for odd rank.  Each generator is one fundamental lift of L'/L
+    (fundamental.fundamental_lifts): an overlattice M with every p-part of
+    M'/M fundamental, carrying the product of the fundamental invariants.
     """
     n = len(gram)
     if n % 2:
         return []
-    form = from_gram(gram)
-    descs = {}
-    for p, part, _ in form.p_part_decompose():
-        descs[p] = fundamental_form(p, part.square_class(), part.signature())
-        if descs[p] is None:
-            return []
-    target = prod(desc.realize().order for desc in descs.values())
     out = []
-    for sub in isotropic_subgroups(form):
-        if sub.order**2 * target != form.order:
-            continue
-        qf = quotient(form, sub)
-        q_parts = qf.form.p_part_decompose()
-        parts_by_prime = {p: part for p, part, _ in q_parts}
-        if not all(is_fundamental_quotient(parts_by_prime.get(p, trivial_form()), desc) for p, desc in descs.items()):
-            continue
-        part_data = [(part, emb, [_generic_generator(part, descs[p].kind)]) for p, part, emb in q_parts]
-        if part_data:
-            vecs = tensor_combine(part_data)
-            if len(vecs) != 1:
-                raise InternalInconsistency("expected a single product invariant")
-            v_q = integer_normalize(vecs[0])
-        else:
-            v_q = Vec.basis(qf.form, qf.form.zero())
-        lifted = lift_up(qf, v_q)
-        coeffs = {qf.section[qel]: int(cyclo.as_rational(c)) for qel, c in v_q.coeffs.items()}
-        out.append(JacobiBasisEntry(sub, coeffs, n, Fraction(n, 2), lifted))
+    for qf, v in fundamental_lifts(from_gram(gram)):
+        coeffs = {qf.section[qel]: int(cyclo.as_rational(c)) for qel, c in v.coeffs.items()}
+        out.append(JacobiBasisEntry(qf.subgroup, coeffs, n, Fraction(n, 2), lift_up(qf, v)))
     return out
 
 

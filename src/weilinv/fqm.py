@@ -55,11 +55,6 @@ class InternalInconsistency(AssertionError):
     """Two supposedly equivalent computations disagreed (construction bug)."""
 
 
-def _kron2(t: int) -> int:
-    """(t/2) for odd t: +1 for t = +-1 mod 8, -1 for t = +-3 mod 8."""
-    return 1 if t % 8 in (1, 7) else -1
-
-
 # ---------------------------------------------------------------------------
 # Genus symbols
 # ---------------------------------------------------------------------------
@@ -136,9 +131,9 @@ class JordanComponent:
 def _split_odd_two_adic(t: int, sign: int, n: int) -> list[int] | None:
     """Subscripts of rank-1 pieces q_u^((u/2)) summing to q_t^(sign n)."""
     if n == 1:
-        return [t] if t % 2 == 1 and _kron2(t) == sign else None
+        return [t] if t % 2 == 1 and kronecker(t, 2) == sign else None
     for u in (1, 3, 5, 7):
-        rest = _split_odd_two_adic((t - u) % 8, sign * _kron2(u), n - 1)
+        rest = _split_odd_two_adic((t - u) % 8, sign * kronecker(u, 2), n - 1)
         if rest is not None:
             return [u] + rest
     return None
@@ -176,9 +171,6 @@ class JordanSymbol:
             sub = m.group(2)
             sign = 1 if m.group(3) == "+" else -1
             n = int(m.group(4))
-            pk = prime_power(q)
-            if pk is None:
-                raise SymbolError(f"{q} is not a prime power > 1")
             if sub == "II":
                 comps.append(JordanComponent(q, n, sign, even=True))
             elif sub is not None:
@@ -375,10 +367,7 @@ class DiscriminantForm:
         """Signature of the 2-part, which equals the oddity of D mod 8."""
         if self.order % 2:
             return 0
-        for p, part, _ in self.p_part_decompose():
-            if p == 2:
-                return part.signature()
-        raise InternalInconsistency("even-order form without a 2-part")
+        return self.p_part_decompose()[0][1].signature()  # primes ascend: the 2-part is first
 
     def square_class(self) -> str:
         return "square" if is_square(self.order) else "non-square"
@@ -498,11 +487,15 @@ class DiscriminantForm:
 
         Returns a list of (p, part, embed) where embed maps part elements
         into D.  The parts of distinct primes are automatically orthogonal.
+        A form of prime-power order is its own p-part, embedded by the identity.
         """
 
         def build():
+            primes = sorted(factorize(self.order))
+            if len(primes) == 1:
+                return [(primes[0], self, PartEmbedding(self, self, _unit_gens(self)))]
             out = []
-            for p in sorted(factorize(self.order)):
+            for p in primes:
                 orders_p, gens = [], []
                 for i, d in enumerate(self.orders):
                     pe = p ** factorize(d).get(p, 0)
@@ -800,7 +793,7 @@ def _count_norm_odd2(n: int, eps: int, t: int, jj: int) -> Fraction:
     base = Fraction(2) ** (n - 2)
     if n % 2:
         half = Fraction(2) ** ((n - 3) // 2)  # n odd, so n-3 is even
-        sgn = eps * _kron2(t)
+        sgn = eps * kronecker(t, 2)
         if jj == 0:
             return base + sgn * half
         if jj == 2:
@@ -811,7 +804,7 @@ def _count_norm_odd2(n: int, eps: int, t: int, jj: int) -> Fraction:
     half = Fraction(2) ** ((n - 2) // 2)
     d_t = 1 if t % 4 == 0 else 0
     d_t2 = 1 if (t + 2) % 4 == 0 else 0
-    sgn = eps * _kron2((t - 1) % 8)
+    sgn = eps * kronecker((t - 1) % 8, 2)
     if jj == 0:
         return base + sgn * d_t * half
     if jj == 2:

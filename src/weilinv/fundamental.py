@@ -6,7 +6,10 @@ fundamental form: the smallest p-adic discriminant form with that data and
 a non-trivial invariant.  Every invariant of a p-power-level form is a
 linear combination of lifts of the fundamental generator along isotropic
 subgroups H with H-perp/H isomorphic to the fundamental form; composite
-levels reduce to the p-parts by a tensor decomposition.
+levels reduce to the p-parts by a tensor decomposition.  fundamental_lifts
+is the one enumeration of those H, at any level (every p-part of H-perp/H
+fundamental): induced_generating_set lifts them to C[D], and the Jacobi
+application in appl reads them as overlattices.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from . import cyclo
 from .arith import legendre, prime_power
@@ -24,8 +27,9 @@ from .fqm import (
     Element,
     InternalInconsistency,
     from_jordan_symbol,
+    trivial_form,
 )
-from .induct import isotropic_subgroups, lift_up, quotient
+from .induct import QuotientForm, isotropic_subgroups, lift_up, quotient
 from .weil import GroupAlgebraVector, Vec, dim_invariants, inv
 
 
@@ -248,34 +252,6 @@ def fundamental_invariant(desc: FundamentalDescriptor) -> FundamentalInvariant:
 # ---------------------------------------------------------------------------
 
 
-def induced_generating_set(form: DiscriminantForm) -> list[GroupAlgebraVector]:
-    """Lifts of the fundamental generator along every isotropic subgroup H
-    whose quotient H-perp/H is the fundamental form of (x, s); the returned
-    vectors span the entire invariant space (verified by rank elsewhere)."""
-    if form.signature() % 2:
-        return []
-    level = form.level()
-    if level == 1:
-        return [Vec.basis(form, form.zero())]
-    pk = prime_power(level)
-    if pk is None:
-        raise ValueError("prime-power level required; decompose composite forms first")
-    desc = fundamental_form(pk[0], form.square_class(), form.signature())
-    if desc is None:
-        return []
-    target_order = desc.realize().order
-    out = []
-    for sub in isotropic_subgroups(form):
-        if sub.order**2 * target_order != form.order:
-            continue
-        qf = quotient(form, sub)
-        if not is_fundamental_quotient(qf.form, desc):
-            continue
-        gen = _generic_generator(qf.form, desc.kind)
-        out.append(lift_up(qf, gen))
-    return out
-
-
 def tensor_combine(parts) -> list[GroupAlgebraVector]:
     """Products of one basis vector per p-part, re-indexed along the
     embeddings; parts is a list of (part_form, embedding, basis).
@@ -299,6 +275,51 @@ def tensor_combine(parts) -> list[GroupAlgebraVector]:
     return out
 
 
+def fundamental_lifts(form: DiscriminantForm) -> list[tuple[QuotientForm, GroupAlgebraVector]]:
+    """(H-perp/H, v) for every isotropic subgroup H whose quotient has, as
+    each p-part, the fundamental form of that p-part of D; v is the product
+    of the fundamental generators of the quotient's p-parts, normalized to
+    integers (e^0 for a trivial quotient).  Empty when some p-part of D has
+    no fundamental form.  Read as overlattices, these are the Jacobi forms
+    of singular weight."""
+    descs = {}
+    for p, part, _ in form.p_part_decompose():
+        descs[p] = fundamental_form(p, part.square_class(), part.signature())
+        if descs[p] is None:
+            return []
+    target = prod(desc.realize().order for desc in descs.values())
+    out = []
+    for sub in isotropic_subgroups(form):
+        if sub.order**2 * target != form.order:
+            continue
+        qf = quotient(form, sub)
+        q_parts = qf.form.p_part_decompose()
+        by_prime = {p: part for p, part, _ in q_parts}
+        if not all(is_fundamental_quotient(by_prime.get(p, trivial_form()), desc) for p, desc in descs.items()):
+            continue
+        if not q_parts:
+            out.append((qf, Vec.basis(qf.form, qf.form.zero())))
+            continue
+        vecs = tensor_combine([(part, emb, [_generic_generator(part, descs[p].kind)]) for p, part, emb in q_parts])
+        if len(vecs) != 1:
+            raise InternalInconsistency("expected a single product invariant")
+        out.append((qf, integer_normalize(vecs[0])))
+    return out
+
+
+def induced_generating_set(form: DiscriminantForm) -> list[GroupAlgebraVector]:
+    """Lifts of the fundamental generator along every isotropic subgroup H
+    whose quotient H-perp/H is the fundamental form of (x, s); the returned
+    vectors span the entire invariant space (verified by rank elsewhere)."""
+    if form.signature() % 2:
+        return []
+    if form.level() == 1:
+        return [Vec.basis(form, form.zero())]
+    if prime_power(form.level()) is None:
+        raise ValueError("prime-power level required; decompose composite forms first")
+    return [lift_up(qf, v) for qf, v in fundamental_lifts(form)]
+
+
 def invariant_generators(form: DiscriminantForm) -> list[GroupAlgebraVector]:
     """Generating set of C[D]^Gamma for arbitrary level: fundamental lifts
     on each p-part, tensored together."""
@@ -306,13 +327,4 @@ def invariant_generators(form: DiscriminantForm) -> list[GroupAlgebraVector]:
         return []
     if form.level() == 1:
         return [Vec.basis(form, form.zero())]
-    decomposition = form.p_part_decompose()
-    if len(decomposition) == 1 and decomposition[0][1].order == form.order:
-        # single p-part isomorphic to the form itself; avoid re-embedding
-        if prime_power(form.level()) is not None:
-            return induced_generating_set(form)
-    parts = []
-    for _, part, emb in decomposition:
-        basis = induced_generating_set(part)
-        parts.append((part, emb, basis))
-    return tensor_combine(parts)
+    return tensor_combine([(part, emb, induced_generating_set(part)) for _, part, emb in form.p_part_decompose()])

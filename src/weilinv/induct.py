@@ -75,7 +75,7 @@ def make_isotropic_subgroup(form: DiscriminantForm, gens) -> IsotropicSubgroup:
     return sub
 
 
-def isotropic_subgroups(form: DiscriminantForm, max_order: int | None = None) -> list[IsotropicSubgroup]:
+def isotropic_subgroups(form: DiscriminantForm) -> list[IsotropicSubgroup]:
     """All isotropic subgroups of D, each listed once.
 
     Breadth-first closure: extend by one isotropic element at a time,
@@ -96,8 +96,6 @@ def isotropic_subgroups(form: DiscriminantForm, max_order: int | None = None) ->
                 if h in sub.elements or not orthogonal(h):
                     continue
                 els = _close_subgroup(form, sub.generators + (h,))
-                if max_order is not None and len(els) > max_order:
-                    continue
                 if els in found:
                     continue
                 new = IsotropicSubgroup(form, sub.generators + (h,), els, _perp(form, sub.generators + (h,)))

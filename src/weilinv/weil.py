@@ -18,19 +18,19 @@ M = (a b; c d),
 
     rho(M) e^gamma = e(-b d q(gamma)) sum_beta c0(beta) e(-b (beta,gamma)) e^(d gamma + beta).
 
-The nonzero entries of c0 are one scalar times roots of unity (checked),
-so each cusp has one scalar and its entries are integer exponents.
+The nonzero entries of c0 are one scalar times roots of unity (checked on
+the integer image), so each cusp has one scalar and integer exponents.
 
 Everything is exact.  Inside a word the coefficients are dense lists of
-integers, elements of the group ring Z[x]/(x^u - 1) with x = zeta_u and u
-dividing the working order w: a root of unity rotates a list, and rho(S)
-without its scalar e(sign(D)/8)/sqrt(|D|) is a mixed-radix character
-transform, one generator axis at a time, of rotations and integer sums.
-The scalars are counted and multiplied in once.  A Cyclo is integer
+integers, elements of the group ring Z[x]/(x^u - 1) with x = zeta_u, u the
+lcm of the level and the coefficient orders: a root of unity rotates a list,
+and rho(S) without its scalar e(sign(D)/8)/sqrt(|D|) is a mixed-radix
+character transform, one generator axis at a time, of rotations and integer
+sums.  The scalars are counted and multiplied in once.  A Cyclo is integer
 power-basis coordinates over one denominator, so a vector enters the word
 by putting each coordinate of zeta_m^e at position e*u/m, over the common
-denominator, and leaves it through the Cyclo constructor, which reduces
-modulo Phi_w and divides out the gcd.
+denominator, and leaves it through the Cyclo constructor at the order
+lcm(w, u), w the working order, which reduces and divides out the gcd.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from math import gcd, lcm
 from operator import add
 
 from . import cyclo
-from .arith import ext_gcd, factorize, frac1, legendre
+from .arith import ext_gcd, factorize, frac1, kronecker, legendre
 from .config import LIMITS
 from .cyclo import Cyclo, e_of, sqrt_int
 from .fqm import (
@@ -227,13 +227,13 @@ def _check_bounds(form: DiscriminantForm) -> None:
 
 
 def _tables(form: DiscriminantForm):
-    """Memoized per-form data: the working order w, q scaled to exponents of
-    zeta_w, and the orbits of roots of unity for the cusp column check."""
+    """Memoized per-form data: the working order w and q scaled to exponents
+    of zeta_w."""
 
     def build():
         w = _working_order(form)
         step = w // form.level()
-        return {"w": w, "q_exp": [x * step for x in form.q_values()], "orbits": []}
+        return {"w": w, "q_exp": [x * step for x in form.q_values()]}
 
     return form.memo("tables", build)
 
@@ -254,7 +254,7 @@ def _word_tables(form: DiscriminantForm):
 
 
 # Inside a word an entry is a dense list of u ints, an element of Z[x]/(x^u - 1)
-# with x acting as zeta_u, or None for zero; u | w is the level times what the
+# with x acting as zeta_u, or None for zero; u is the level times what the
 # input coefficients need.  The S scalars e(sig/8)/sqrt|D| are left out of the
 # letters and multiplied in once, in Q(zeta_w), when the word is done.
 
@@ -266,13 +266,14 @@ def _rot(x: list[int], k: int) -> list[int]:
 
 
 def _scaled(form: DiscriminantForm, tab, x: list[int], k: int, den: int) -> list[int]:
-    """den times the k-th power of the S scalar times x, in Z[x]/(x^w - 1);
-    den is a multiple of the scalar power's denominator."""
+    """den times the k-th power of the S scalar times x, in Z[x]/(x^W - 1),
+    W = lcm(w, len(x)); den is a multiple of the scalar power's denominator."""
     w = tab["w"]
+    big = lcm(w, len(x))
     num, den_k = _scalar_power(form, tab, k)
-    y = [0] * w
-    y[:: w // len(x)] = x
-    terms = [[c * den // den_k * v for v in _rot(y, e)] for e, c in num.items()]
+    y = [0] * big
+    y[:: big // len(x)] = x
+    terms = [[c * den // den_k * v for v in _rot(y, e * big // w)] for e, c in num.items()]
     return terms[0] if len(terms) == 1 else list(map(sum, zip(*terms)))
 
 
@@ -336,11 +337,10 @@ def _apply_word_ints(form: DiscriminantForm, tab, tokens, data: list, u: int) ->
 
 def _apply_word_dense(form: DiscriminantForm, tokens, vec: list[Cyclo]) -> list[Cyclo]:
     """rho(word) on a dense vector.  The coefficients are scaled to integers
-    by one common denominator, which is divided out with the scalars."""
+    by one common denominator, which is divided out with the scalars; the
+    image lies in Q(zeta_W), W = lcm(w, u)."""
     tab = _word_tables(form)
     u = lcm(form.level(), *(c.order for c in vec if c))
-    if tab["w"] % u:
-        raise ValueError("target order must be a multiple of current order")
     den = lcm(*(c.den for c in vec if c))
     data: list = [None] * len(vec)
     for i, c in enumerate(vec):
@@ -349,8 +349,8 @@ def _apply_word_dense(form: DiscriminantForm, tokens, vec: list[Cyclo]) -> list[
             data[i] = [0] * u
             data[i][: step * len(c.num) : step] = [x * f for x in c.num]
     data, k = _apply_word_ints(form, tab, tokens, data, u)
-    den_k = _scalar_power(form, tab, k)[1]
-    return [cyclo.ZERO if x is None else Cyclo(tab["w"], _scaled(form, tab, x, k, den_k), den * den_k) for x in data]
+    den_k, big = _scalar_power(form, tab, k)[1], lcm(tab["w"], u)
+    return [cyclo.ZERO if x is None else Cyclo(big, _scaled(form, tab, x, k, den_k), den * den_k) for x in data]
 
 
 def _vec_from_dense(form: DiscriminantForm, dense: list[Cyclo]) -> Vec:
@@ -501,25 +501,29 @@ def _cusps(n: int) -> tuple[Cusp, ...]:
 def _e0_column(part: DiscriminantForm, word: SL2Word) -> tuple[Cyclo, dict[int, int]]:
     """rho_part(M) e^0 for M = word.target as (s, {index: k}): the entry at
     each support index is s * zeta_w^k, s being the first nonzero entry.
-    The one word application per (part, cusp), memoized on the shared part."""
+    The one word application per (part, cusp), memoized on the shared part.
+    The entries share the S scalar, so each integer image, reduced modulo
+    Phi_u, is looked up among the +- rotations of the first; only that first
+    entry is scaled into a Cyclo."""
 
     def build():
-        tab = _tables(part)
+        tab, u = _word_tables(part), part.level()
         w = tab["w"]
-        col = _apply_word_dense(part, word.tokens, [cyclo.ONE] + [cyclo.ZERO] * (part.order - 1))
-        support = [(i, (c.num, c.den)) for i, c in enumerate(col) if c]
-        i0, s_key = support[0]
-        orbit = next((o for o in tab["orbits"] if s_key in o), None)
-        if orbit is None:  # t * zeta_w^j -> j, kept for every s = t * (root of unity)
-            orbit = {}
-            for j in range(w):
-                x = col[i0] * e_of(Fraction(j, w))
-                orbit[x.num, x.den] = j
-            tab["orbits"].append(orbit)
-        exps = {i: orbit.get(c) for i, c in support}
+        start = [[1] + [0] * (u - 1)] + [None] * (part.order - 1)
+        image, k = _apply_word_ints(part, tab, word.tokens, start, u)
+        reduced = ((i, tuple(cyclo.reduce_mod_phi(u, x))) for i, x in enumerate(image) if x is not None)
+        support = [(i, x) for i, x in reduced if any(x)]
+        i0 = support[0][0]
+        rotations: dict[tuple, int] = {}  # +- zeta_u^j x_0, reduced -> its exponent over w
+        for j in range(u):
+            r = cyclo.reduce_mod_phi(u, _rot(image[i0], j))
+            rotations.setdefault(tuple(r), j * w // u)
+            rotations.setdefault(tuple(-c for c in r), (j * w // u + w // 2) % w)
+        exps = {i: rotations.get(x) for i, x in support}
         if None in exps.values():
             raise InternalInconsistency(f"cusp column check: rho(M) e^0 on {part!r} is not s times roots of unity")
-        return col[i0], {i: (j - exps[i0]) % w for i, j in exps.items()}
+        den_k = _scalar_power(part, tab, k)[1]
+        return Cyclo(w, _scaled(part, tab, image[i0], k, den_k), den_k), exps
 
     return part.memo(("e0_col", word.tokens), build)
 
@@ -723,9 +727,7 @@ def dim_closed_form(symbol) -> int | None:
             n, eps, t = c2.n, c2.sign, c2.t % 8
             if n % 2:
                 return 0
-            from .fqm import _kron2
-
-            dev = eps * 2 ** ((n + 2) // 2) * (1 if t % 4 == 0 else 0) * _kron2((t - 1) % 8)
+            dev = eps * 2 ** ((n + 2) // 2) * (1 if t % 4 == 0 else 0) * kronecker((t - 1) % 8, 2)
             size_i = 2 ** (n + 2) + dev
             size_i2 = 2**n + dev
             brace = cyclo.ONE + Fraction(eps, 2 ** (n // 2)) * e_of(Fraction(3 * t, 8)) * (

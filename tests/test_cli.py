@@ -187,22 +187,22 @@ def test_non_integer_bound_is_a_parse_error(monkeypatch):
 
 
 def test_internal_errors_have_their_own_code(monkeypatch):
-    from weilinv import cli, weil
+    from weilinv import cli, cyclo, weil
 
     form = from_jordan_symbol("5^+2")
     monkeypatch.setattr(form, "_caches", {})
     for part, _ in form.orthogonal_components():
         monkeypatch.setattr(part, "_caches", {})
-    original = weil._apply_word_dense
+    original = weil._apply_word_ints
 
-    def corrupted(part, tokens, vec):  # breaks the e^0 column check
-        col = original(part, tokens, vec)
-        support = [i for i, c in enumerate(col) if c]
+    def corrupted(part, tab, tokens, data, u):  # breaks the e^0 column check
+        image, k = original(part, tab, tokens, data, u)
+        support = [i for i, x in enumerate(image) if x is not None and any(cyclo.reduce_mod_phi(u, x))]
         if len(support) > 1:
-            col[support[-1]] = col[support[-1]] * 2
-        return col
+            image[support[-1]] = [2 * v for v in image[support[-1]]]
+        return image, k
 
-    monkeypatch.setattr(weil, "_apply_word_dense", corrupted)
+    monkeypatch.setattr(weil, "_apply_word_ints", corrupted)
     status, out = run_cli(["dim", "--symbol", "5^+2"])
     assert status == 6
     error = json.loads(out)["error"]

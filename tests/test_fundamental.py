@@ -7,13 +7,14 @@ from weilinv.fqm import from_jordan_symbol
 from weilinv.fundamental import (
     fundamental_form,
     fundamental_invariant,
+    fundamental_lifts,
     induced_generating_set,
     integer_normalize,
     invariant_generators,
     is_fundamental_quotient,
     tensor_combine,
 )
-from weilinv.induct import isotropic_subgroups, quotient
+from weilinv.induct import isotropic_subgroups, lift_up, quotient
 from weilinv.weil import Vec, dim_invariants, inv, rank_of_vectors, rho_S, rho_T
 
 
@@ -219,6 +220,21 @@ def test_tensor_combine_composite():
     assert rank_of_vectors(gens) == dim_invariants(d) == 4
     for g in gens:
         assert rho_S(g) == g and rho_T(g) == g
+
+
+@pytest.mark.parametrize(
+    "symbol, dim", [("2_II^+2.3^-2", 4), ("2_II^+2.5^+2", 4), ("3^-2.5^+2", 4), ("2_II^+2.3^-4", 2)]
+)
+def test_composite_level_lifts_span_the_invariants(symbol, dim):
+    """At composite level the lifts of fundamental_lifts (the overlattices of
+    the Jacobi basis) are invariant and span C[D]^Gamma, the same span as the
+    tensor route of invariant_generators."""
+    d = from_jordan_symbol(symbol)
+    lifts = [lift_up(qf, v) for qf, v in fundamental_lifts(d)]
+    assert rank_of_vectors(lifts) == dim_invariants(d) == dim
+    for v in lifts:
+        assert rho_S(v) == v and rho_T(v) == v
+    assert rank_of_vectors(lifts + invariant_generators(d)) == dim
 
 
 def test_tensor_combine_zero_factor():

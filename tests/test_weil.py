@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weilinv import weil
+from weilinv import cyclo, weil
 from weilinv.cyclo import Cyclo, as_rational, e_of, sqrt_int
 from weilinv.arith import ext_gcd
 from weilinv.config import LIMITS
@@ -223,6 +223,24 @@ def test_word_kernel_matches_defining_formulas(symbol):
         for _ in range(abs(n)):
             u = rho_T(u)
         assert u == target, n
+
+
+@pytest.mark.parametrize("symbol", ["3^-2", "3^+3"])
+def test_rho_s_takes_coefficients_outside_the_working_field(symbol):
+    """rho_S takes the coefficients e(1/5) and e(1/7), outside Q(zeta_24) of
+    these forms, as rho_T does: the image matches the defining formula, and
+    rho_S rho_S v = e(sig/4) v(-gamma).  On 3^+3 the S scalar is irrational."""
+    d = from_jordan_symbol(symbol)
+    v = Vec(d, {d.zero(): e_of(Fraction(1, 5)), d.elements()[5]: e_of(Fraction(1, 7))})
+    assert not rho_T(v).is_zero()
+    scalar = e_of(Fraction(d.signature(), 8)) / sqrt_int(d.order)
+    expected = Vec(d, {
+        beta: scalar * sum((c * e_of(d.b(g, beta)) for g, c in v.coeffs.items()), cyclo.ZERO)
+        for beta in d.elements()
+    })
+    assert rho_S(v) == expected
+    phase = e_of(Fraction(d.signature(), 4))
+    assert rho_S(rho_S(v)) == Vec(d, {d.neg(g): phase * c for g, c in v.coeffs.items()})
 
 
 def _explicit_word(tokens):
@@ -689,13 +707,13 @@ def test_cold_dim_applies_one_word_per_part_and_cusp(symbol, monkeypatch):
     form = from_jordan_symbol(symbol)
     _fresh_caches(monkeypatch, form)
     calls = []
-    original = weil._apply_word_dense
+    original = weil._apply_word_ints
 
-    def counting(part, tokens, vec):
+    def counting(part, tab, tokens, data, u):
         calls.append(part)
-        return original(part, tokens, vec)
+        return original(part, tab, tokens, data, u)
 
-    monkeypatch.setattr(weil, "_apply_word_dense", counting)
+    monkeypatch.setattr(weil, "_apply_word_ints", counting)
     dim = dim_invariants(form)
     parts = {id(part) for part, _ in form.orthogonal_components()}
     assert len(calls) == len(parts) * len(cusp_classes(form.level()))
@@ -710,16 +728,16 @@ def test_cusp_column_guard(monkeypatch):
     fails the named check instead of giving a wrong answer."""
     form = from_jordan_symbol("5^+2")
     _fresh_caches(monkeypatch, form)
-    original = weil._apply_word_dense
+    original = weil._apply_word_ints
 
-    def corrupted(part, tokens, vec):
-        col = original(part, tokens, vec)
-        support = [i for i, c in enumerate(col) if c]
+    def corrupted(part, tab, tokens, data, u):
+        image, k = original(part, tab, tokens, data, u)
+        support = [i for i, x in enumerate(image) if x is not None and any(cyclo.reduce_mod_phi(u, x))]
         if len(support) > 1:
-            col[support[-1]] = col[support[-1]] * 2
-        return col
+            image[support[-1]] = [2 * v for v in image[support[-1]]]
+        return image, k
 
-    monkeypatch.setattr(weil, "_apply_word_dense", corrupted)
+    monkeypatch.setattr(weil, "_apply_word_ints", corrupted)
     with pytest.raises(InternalInconsistency, match="cusp column check"):
         dim_invariants(form)
 

@@ -16,7 +16,6 @@ field, which keeps every representation matrix entry exact.
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
@@ -237,12 +236,6 @@ class Cyclo:
     __hash__ = None  # equal values of different orders differ in their fields
 
     # -- output -----------------------------------------------------------
-
-    def embed_complex(self) -> complex:
-        return sum(
-            (x / self.den * cmath.exp(2j * cmath.pi * e / self.order) for e, x in enumerate(self.num) if x),
-            complex(0),
-        )
 
     def __repr__(self) -> str:
         return f"Cyclo({self.order}, {serialize(self)!r})"

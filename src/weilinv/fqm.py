@@ -9,12 +9,14 @@ quotient of an even lattice via Smith normal form.
 
 Cache policy.  Everything derived from one form (its elements, level,
 signature, q values, p-parts, ...) is kept in the one dict form._caches,
-filled through DiscriminantForm.memo.  Derived forms (orthogonal blocks,
-p-parts, H-perp/H quotients) come from one registry, _shared_form, so equal
-generator data gives one object and one set of memos; forms of equal genus
-symbols are shared the same way.  Other pure functions of hashable
-arguments use functools.cache.  A bound is checked on every call of the
-function that enforces it, before any memo is read.
+filled through DiscriminantForm.memo.  This includes one MulBy record per
+c (D_c, D^{c*}, its base point x_c and the preimages under c), which
+kernel_of_mul, coset_dcstar, canonical_xc and q_c read.  Derived forms
+(orthogonal components, p-parts, H-perp/H quotients) come from one registry,
+_shared_form, so equal generator data gives one object and one set of
+memos; forms of equal genus symbols are shared the same way.  Other pure
+functions of hashable arguments use functools.cache.  A bound is checked
+on every call of the function that enforces it, before any memo is read.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import gcd, lcm, prod
+from typing import NamedTuple
 
 from . import cyclo
 from .arith import (
@@ -210,21 +213,6 @@ class JordanSymbol:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Block:
-    """One indecomposable orthogonal block of a constructed form.
-
-    kind is 'odd' (odd prime power q, one generator of norm a/q),
-    'odd2' (2-adic q_t^(+-1), one generator of norm t/2q) or
-    'even2' (2-adic q_II^(+-2), two generators).
-    """
-
-    kind: str
-    q: int
-    positions: tuple[int, ...]
-    data: int  # a for 'odd', t for 'odd2', sign for 'even2'
-
-
 class DiscriminantForm:
     """Finite abelian group with non-degenerate quadratic form q: D -> Q/Z."""
 
@@ -234,7 +222,6 @@ class DiscriminantForm:
         q_gen,
         b_gen,
         *,
-        blocks: tuple[Block, ...] | None = None,
         symbol: JordanSymbol | None = None,
         lattice=None,
     ):
@@ -250,7 +237,6 @@ class DiscriminantForm:
             for j in range(k):
                 if self.b_gen[i][j] != self.b_gen[j][i]:
                     raise ValueError("b must be symmetric")
-        self.blocks = blocks
         self.symbol = symbol
         self.lattice = lattice
         self._strides = []
@@ -413,58 +399,48 @@ class DiscriminantForm:
 
     # -- subquotients along multiplication by c -----------------------------------
 
+    def _mul_by(self, c: int) -> "MulBy":
+        """The record of D_c, D^{c*}, x_c and the preimages under c, built
+        once per c mod lcm(level, exponent), which determines all of it."""
+        els = self.elements()  # the order bound holds for a memoized answer too
+        c %= lcm(self.level(), self.exponent())
+
+        def build() -> MulBy:
+            n, (qn, bn) = self.level(), self.scaled_gram()
+            kernel = [el for el in els if all(c * a % d == 0 for a, d in zip(el, self.orders))]
+            # alpha -> c q(alpha) + b(alpha, gamma) is a character of D_c, so
+            # it vanishes on D_c once it does on the generators m_i e_i
+            gens = [(i, d // gcd(c, d)) for i, d in enumerate(self.orders)]
+            star = [
+                el
+                for el in els
+                if all((c * m * m * qn[i] + m * sum(x * y for x, y in zip(bn[i], el))) % n == 0 for i, m in gens)
+            ]
+            x_c = next((el for el in star if self.smul(2, el) == self.zero()), None)
+            pre: dict[Element, Element] = {}
+            for mu in els:
+                pre.setdefault(self.smul(c, mu), mu)
+            if x_c is None or sorted(self.add(x_c, g) for g in pre) != star:
+                raise InternalInconsistency(f"D^{{c*}} is not a coset of D^c with a 2-torsion base point (c = {c})")
+            return MulBy(kernel, star, x_c, pre)
+
+        return self.memo(("mul_by", c), build)
+
     def kernel_of_mul(self, c: int) -> list[Element]:
-        return [el for el in self.elements() if all((c * a) % d == 0 for a, d in zip(el, self.orders))]
+        """D_c, the elements killed by c."""
+        return self._mul_by(c).kernel
 
     def coset_dcstar(self, c: int) -> list[Element]:
-        """D^{c*}: all gamma with c*q(alpha) + b(alpha, gamma) = 0 for alpha in D_c."""
-        dc = self.kernel_of_mul(c)
-        out = []
-        for gamma in self.elements():
-            if all(frac1(c * self.q(al) + self.b(al, gamma)) == 0 for al in dc):
-                out.append(gamma)
-        return out
-
-    def subgroup_dc(self, c: int):
-        """(D_c, D^c, D^{c*}) with the coset property asserted."""
-        dc = self.kernel_of_mul(c)
-        image = sorted({self.smul(c, el) for el in self.elements()})
-        star = self.coset_dcstar(c)
-        if len(star) != len(image):
-            raise InternalInconsistency("D^{c*} is not a coset of D^c")
-        base = star[0]
-        if sorted(self.add(base, el) for el in image) != sorted(star):
-            raise InternalInconsistency("D^{c*} is not a coset of D^c")
-        return dc, image, star
+        """D^{c*}: all gamma with c*q(alpha) + b(alpha, gamma) = 0 for alpha in
+        D_c, a coset x_c + cD of D^c."""
+        return self._mul_by(c).star
 
     def canonical_xc(self, c: int) -> Element:
-        """Canonical 2-torsion base point of D^{c*}.
-
-        For forms built from a genus symbol the base point is assembled
-        blockwise: it is supported exactly on the odd 2-adic blocks whose
-        exponent equals the 2-part of c.  Other forms fall back to the
-        lexicographically least 2-torsion element of D^{c*}.
-        """
-        if self.blocks is not None:
-            x = [0] * self.rank
-            two = 1
-            cc = abs(c)
-            while cc and cc % 2 == 0:
-                two *= 2
-                cc //= 2
-            if c != 0:
-                for blk in self.blocks:
-                    if blk.kind == "odd2" and blk.q == two:
-                        t_inv = pow(blk.data, -1, blk.q)
-                        x[blk.positions[0]] = (blk.q // 2) * t_inv % blk.q
-            else:
-                # c = 0: D_0 = D and q_0 = 0 on D^{0*} = {0}
-                return self.zero()
-            return tuple(x)
-        for el in self.coset_dcstar(c):
-            if self.smul(2, el) == self.zero():
-                return el
-        raise InternalInconsistency("no 2-torsion base point found in D^{c*}")
+        """Canonical base point of D^{c*}: its lexicographically least
+        2-torsion element.  On forms from a genus symbol it is q/2 on each
+        generator e_i of order q = the 2-part of c with 2q q(e_i) odd (the
+        odd 2-adic pieces of that scale), and 0 elsewhere."""
+        return self._mul_by(c).x_c
 
     def q_c(self, c: int, gamma: Element, x_c: Element | None = None) -> Fraction:
         """q_c(gamma) = c*q(mu) + b(x_c, mu) for gamma = x_c + c*mu.
@@ -472,13 +448,13 @@ class DiscriminantForm:
         Well defined for any base point x_c in D^{c*}; different base
         points shift q_c by a constant.
         """
+        rec = self._mul_by(c)
         if x_c is None:
-            x_c = self.canonical_xc(c)
-        target = self.sub(gamma, x_c)
-        for mu in self.elements():
-            if self.smul(c, mu) == target:
-                return frac1(c * self.q(mu) + self.b(x_c, mu))
-        raise ValueError("gamma - x_c is not a multiple of c")
+            x_c = rec.x_c
+        mu = rec.pre.get(self.sub(gamma, x_c))
+        if mu is None:
+            raise ValueError("gamma - x_c is not a multiple of c")
+        return frac1(c * self.q(mu) + self.b(x_c, mu))
 
     # -- p-parts -----------------------------------------------------------------
 
@@ -538,31 +514,6 @@ class DiscriminantForm:
         q_values = self.q_values()
         return self.memo("isotropic", lambda: [el for el, x in zip(self.elements(), q_values) if x == 0])
 
-    def fingerprint(self):
-        """Isomorphism-sensitive data: order, level, signature, p-part orders
-        and the multiset of scaled Gauss sums at the 2-part."""
-        parts = []
-        for p, part, _ in self.p_part_decompose():
-            entry = (p, part.order, tuple(sorted(part.orders)))
-            if p == 2:
-                sums = tuple(
-                    sorted(cyclo.serialize(part.gauss_sum(c)) for c in range(1, 2 * part.level() + 1) if (2 * part.level()) % c == 0)
-                )
-                entry = entry + (sums,)
-            parts.append(entry)
-        return (self.order, self.level(), self.signature(), tuple(parts))
-
-    def validate(self) -> None:
-        """Check non-degeneracy exhaustively: no two elements pair alike with
-        every generator under b."""
-        els = self.elements()
-        seen = set()
-        for gamma in els:
-            row = tuple(self.b(gamma, g) for g in _unit_gens(self))
-            if row in seen:
-                raise InternalInconsistency("bilinear form is degenerate")
-            seen.add(row)
-
     def __repr__(self) -> str:
         name = str(self.symbol) if self.symbol is not None else f"orders {self.orders}"
         return f"DiscriminantForm({name}, |D|={self.order})"
@@ -570,6 +521,16 @@ class DiscriminantForm:
 
 def _unit_gens(form: DiscriminantForm) -> list[Element]:
     return [tuple(1 if i == j else 0 for i in range(form.rank)) for j in range(form.rank)]
+
+
+class MulBy(NamedTuple):
+    """Multiplication by c on one form: D_c, D^{c*} = x_c + cD and, for each
+    element of cD, its first preimage in element order."""
+
+    kernel: list[Element]
+    star: list[Element]
+    x_c: Element
+    pre: dict[Element, Element]
 
 
 class PartEmbedding:
@@ -612,7 +573,7 @@ def _signature_from_gauss_sum(form: DiscriminantForm) -> int:
 
 
 def from_jordan_symbol(symbol) -> DiscriminantForm:
-    """Realize a genus symbol as an orthogonal sum of indecomposable blocks.
+    """Realize a genus symbol as an orthogonal sum of indecomposable pieces.
 
     Equal symbol strings return the same (immutable) instance so that
     per-form caches are shared.
@@ -627,9 +588,8 @@ def _realize_symbol(symbol: JordanSymbol) -> DiscriminantForm:
     orders: list[int] = []
     q_gen: list[Fraction] = []
     b_off: dict[tuple[int, int], Fraction] = {}
-    blocks: list[Block] = []
 
-    def odd_gen_value(p: int, q: int, sign: int) -> int:
+    def odd_gen_value(p: int, sign: int) -> int:
         for a in range(1, p):
             if legendre(2 * a, p) == sign:
                 return a
@@ -638,30 +598,22 @@ def _realize_symbol(symbol: JordanSymbol) -> DiscriminantForm:
     for comp in symbol.components:
         p = comp.p
         if p != 2:
-            signs = [1] * (comp.n - 1) + [comp.sign]
-            for s in signs:
-                a = odd_gen_value(p, comp.q, s)
-                pos = len(orders)
+            for s in [1] * (comp.n - 1) + [comp.sign]:
                 orders.append(comp.q)
-                q_gen.append(frac1(Fraction(a, comp.q)))
-                blocks.append(Block("odd", comp.q, (pos,), a))
+                q_gen.append(frac1(Fraction(odd_gen_value(p, s), comp.q)))
         elif comp.even:
-            signs = [1] * (comp.n // 2 - 1) + [comp.sign]
-            for s in signs:
+            for s in [1] * (comp.n // 2 - 1) + [comp.sign]:
                 pos = len(orders)
                 orders.extend([comp.q, comp.q])
                 val = frac1(Fraction(0 if s > 0 else 1, comp.q))
                 q_gen.extend([val, val])
                 b_off[(pos, pos + 1)] = frac1(Fraction(1, comp.q))
-                blocks.append(Block("even2", comp.q, (pos, pos + 1), s))
         else:
             subs = _split_odd_two_adic(comp.t % 8, comp.sign, comp.n)
             assert subs is not None  # validated at parse time
             for u in subs:
-                pos = len(orders)
                 orders.append(comp.q)
                 q_gen.append(frac1(Fraction(u, 2 * comp.q)))
-                blocks.append(Block("odd2", comp.q, (pos,), u))
 
     k = len(orders)
     b_gen = [[Fraction(0)] * k for _ in range(k)]
@@ -670,7 +622,7 @@ def _realize_symbol(symbol: JordanSymbol) -> DiscriminantForm:
     for (i, j), v in b_off.items():
         b_gen[i][j] = v
         b_gen[j][i] = v
-    form = DiscriminantForm(orders, q_gen, b_gen, blocks=tuple(blocks), symbol=symbol)
+    form = DiscriminantForm(orders, q_gen, b_gen, symbol=symbol)
     if form.level() != symbol.level():
         raise InternalInconsistency(f"realized level {form.level()} != symbol level {symbol.level()}")
     return form

@@ -171,12 +171,11 @@ def _plus_minus_two_four(form: DiscriminantForm, t: int):
     iso = form.isotropic_elements()
     i2 = {g for g in iso if form.smul(2, g) == form.zero()}
     gamma = min(g for g in iso if g not in i2)
-    x2 = form.canonical_xc(2)
-    star = {form.add(gamma, s) for s in form.coset_dcstar(2)}
-    pair = sorted(mu for mu in iso if mu in star)
+    star = set(form.coset_dcstar(2))
+    pair = sorted(mu for mu in iso if form.sub(mu, gamma) in star)
     if len(pair) != 2:
         raise InternalInconsistency("M(gamma)_2 does not have two elements")
-    alpha = next(mu for mu in pair if form.q_c(2, form.sub(mu, gamma), x2) == 0)
+    alpha = next(mu for mu in pair if form.q_c(2, form.sub(mu, gamma)) == 0)
     vareps = 1 if t % 8 == 6 else -1
     j_plus = next(j for j in (1, 3) if vareps * form.chi(j) > 0)
     plus = [mu for mu in iso if mu not in i2 and form.b(mu, gamma) == Fraction(j_plus, 4)]

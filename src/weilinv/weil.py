@@ -865,17 +865,15 @@ def _projection_two_four(form: DiscriminantForm, gamma: Element, c2) -> Vec:
     if n % 2:
         return Vec(form)
     iso = form.isotropic_elements()
-    star2 = form.coset_dcstar(2)
-    x2 = form.canonical_xc(2)
+    star2 = set(form.coset_dcstar(2))
     phase_t4 = e_of(Fraction(t, 4))
     out: dict[Element, Cyclo] = {}
 
     _bump(out, gamma, cyclo.Cyclo.rational(Fraction(1, 12)))
     _bump(out, form.neg(gamma), phase_t4 * Fraction(1, 12))
-    star_set = {form.add(gamma, s) for s in star2}
     for mu in iso:
-        if mu in star_set:
-            w = e_of(form.q_c(2, form.sub(mu, gamma), x2)) * Fraction(1, 24)
+        if form.sub(mu, gamma) in star2:
+            w = e_of(form.q_c(2, form.sub(mu, gamma))) * Fraction(1, 24)
             _bump(out, mu, w)
             _bump(out, form.neg(mu), w * phase_t4)
     lead = e_of(Fraction(3 * t, 8)) * Fraction(eps, 12) * Fraction(2) ** (-(n // 2))
@@ -890,10 +888,7 @@ def _projection_level_eight(form: DiscriminantForm, gamma: Element, c4) -> Vec:
     eps, t = c4.sign, c4.t % 8
     sign = form.signature()
     iso = form.isotropic_elements()
-    x2 = form.canonical_xc(2)
-    x4 = form.canonical_xc(4)
-    star2 = form.coset_dcstar(2)
-    star4 = form.coset_dcstar(4)
+    star2, star4 = set(form.coset_dcstar(2)), set(form.coset_dcstar(4))
     z_phase = e_of(Fraction(sign, 4))
     sqrt2 = sqrt_int(2)
     out: dict[Element, Cyclo] = {}
@@ -911,18 +906,16 @@ def _projection_level_eight(form: DiscriminantForm, gamma: Element, c4) -> Vec:
     lead2 = e_of(Fraction(-t, 8)) * Fraction(eps, 48) * sqrt2 * Fraction(1, 8)  # 1/(4 sqrt 2)
     for a in (1, 3, 5, 7):
         ag = form.smul(a, gamma)
-        members = {form.add(ag, s) for s in star2}
         for mu in iso:
-            if mu in members:
-                w = e_of(form.q_c(2, form.sub(mu, ag), x2)) * e_of(frac1(Fraction(a - 1, 2) * form.b(mu, gamma)))
+            if form.sub(mu, ag) in star2:
+                w = e_of(form.q_c(2, form.sub(mu, ag))) * e_of(frac1(Fraction(a - 1, 2) * form.b(mu, gamma)))
                 pair(mu, w * lead2)
     lead3 = Fraction(1, 96)
     for a in (1, 5):
         ag = form.smul(a, gamma)
-        members = {form.add(ag, s) for s in star4}
         for mu in iso:
-            if mu in members:
-                w = e_of(form.q_c(4, form.sub(mu, ag), x4)) * e_of(frac1(Fraction(a - 1, 4) * form.b(mu, gamma)))
+            if form.sub(mu, ag) in star4:
+                w = e_of(form.q_c(4, form.sub(mu, ag))) * e_of(frac1(Fraction(a - 1, 4) * form.b(mu, gamma)))
                 pair(mu, w * lead3)
     for a in (1, 3, 5, 7):
         _bump(out, form.smul(a, gamma), cyclo.Cyclo.rational(Fraction(form.chi(a), 48)))
@@ -948,13 +941,12 @@ def xi_factor(m, form: DiscriminantForm) -> Cyclo:
     w = rho(mat, Vec.basis(form, form.zero()))
     dc = form.kernel_of_mul(c)
     star = form.coset_dcstar(c)
-    x_c = form.canonical_xc(c)
     ratio = sqrt_int(len(dc)) / sqrt_int(form.order)
     if set(w.coeffs) - set(star):
         raise InternalInconsistency("support of rho(M) e^0 is not inside D^{c*}")
     xi = None
     for beta in star:
-        expected_phase = e_of(-a * form.q_c(c, beta, x_c))
+        expected_phase = e_of(-a * form.q_c(c, beta))
         val = w.coefficient(beta) / (ratio * expected_phase)
         if xi is None:
             xi = val

@@ -106,6 +106,15 @@ def test_verify_command_passes():
     }
 
 
+@pytest.mark.parametrize(
+    "symbol", ["2_II^+2", "2_II^-4", "2_0^+2", "3^-2", "3^+3", "5^+2", "2_2^+2.4_II^+2", "2_II^+2.3^-2"]
+)
+def test_verify_battery_passes(symbol):
+    status, out = run_cli(["verify", "--symbol", symbol])
+    assert status == 0
+    assert json.loads(out)["pass"] is True
+
+
 def test_output_is_deterministic():
     outs = {run_cli(["invariants", "--symbol", "2_II^+2"])[1] for _ in range(3)}
     assert len(outs) == 1

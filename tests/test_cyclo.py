@@ -1,3 +1,4 @@
+import cmath
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -18,6 +19,11 @@ from weilinv.cyclo import (
 )
 
 
+def _embed(a: Cyclo) -> complex:
+    """The value of a in C, with zeta_m = exp(2 pi i / m)."""
+    return sum(x / a.den * cmath.exp(2j * cmath.pi * e / a.order) for e, x in enumerate(a.num) if x)
+
+
 def test_e_of_identity_and_half_turn():
     assert e_of(0) == 1
     assert e_of(Fraction(1, 2)) == -1
@@ -33,7 +39,7 @@ def test_e_of_is_a_character():
 def test_cosine_of_eighth_turn_is_sqrt_two():
     val = e_of(Fraction(1, 8)) + e_of(Fraction(-1, 8))
     assert val == sqrt_int(2)
-    assert abs(val.embed_complex() - 2 ** 0.5) < 1e-12
+    assert abs(_embed(val) - 2 ** 0.5) < 1e-12
 
 
 def test_sqrt_int_small_values():
@@ -42,7 +48,7 @@ def test_sqrt_int_small_values():
     for n in range(1, 51):
         r = sqrt_int(n)
         assert r * r == n
-        z = r.embed_complex()
+        z = _embed(r)
         assert abs(z.imag) < 1e-9
         assert z.real > 0
 
@@ -103,7 +109,7 @@ def test_conjugation_is_an_involution(a):
     assert a.conjugate().conjugate() == a
     assert a.conjugate() == Cyclo(a.order, {-e: x for e, x in enumerate(a.num)}, a.den)
     norm = a * a.conjugate()
-    assert abs(norm.embed_complex().imag) < 1e-9
+    assert abs(_embed(norm).imag) < 1e-9
 
 
 @given(cyclos())

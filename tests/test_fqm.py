@@ -4,9 +4,10 @@ from math import gcd
 import pytest
 
 from weilinv.arith import legendre
-from weilinv.cyclo import e_of, sqrt_int
+from weilinv.cyclo import e_of, serialize, sqrt_int
 from weilinv.fqm import (
     DiscriminantForm,
+    InternalInconsistency,
     JordanSymbol,
     SymbolError,
     count_norm,
@@ -95,13 +96,26 @@ def test_from_gram_a2():
     assert legendre(int(q * 3) * 2, 3) == -1  # type 3^-1
 
 
+def _fingerprint(d):
+    """Isomorphism-sensitive data: order, level, signature, p-part orders
+    and the multiset of scaled Gauss sums at the 2-part."""
+    parts = []
+    for p, part, _ in d.p_part_decompose():
+        entry = (p, part.order, tuple(sorted(part.orders)))
+        if p == 2:
+            n = 2 * part.level()
+            entry += (tuple(sorted(serialize(part.gauss_sum(c)) for c in range(1, n + 1) if n % c == 0)),)
+        parts.append(entry)
+    return (d.order, d.level(), d.signature(), tuple(parts))
+
+
 def test_from_gram_diag22():
     d = from_gram([[2, 0], [0, 2]])
     assert d.order == 4
     assert d.signature() == 2
     assert d.oddity() == 2
     ref = from_jordan_symbol("2_2^+2")
-    assert d.fingerprint() == ref.fingerprint()
+    assert _fingerprint(d) == _fingerprint(ref)
 
 
 def test_from_gram_rejects_bad_input():
@@ -191,24 +205,34 @@ def test_element_helpers():
 
 
 def test_subgroups_under_multiplication():
+    def parts(form, c):
+        image = sorted({form.smul(c, el) for el in form.elements()})
+        return form.kernel_of_mul(c), image, form.coset_dcstar(c)
+
     d = from_jordan_symbol("2_1^+1")
-    dc, image, star = d.subgroup_dc(2)
+    dc, image, star = parts(d, 2)
     assert dc == d.elements()
     assert image == [d.zero()]
     assert star == [(1,)]  # the distinguished 2-torsion point
     assert d.q(star[0]) == Fraction(1, 4)
 
     # c = 1: everything trivial
-    dc, image, star = d.subgroup_dc(1)
+    dc, image, star = parts(d, 1)
     assert dc == [d.zero()]
     assert sorted(image) == sorted(d.elements())
     assert sorted(star) == sorted(d.elements())
 
     # c = 0: D_0 = D and D^{0*} = {0} by non-degeneracy
     d2 = from_jordan_symbol("3^+2")
-    dc, image, star = d2.subgroup_dc(0)
+    dc, image, star = parts(d2, 0)
     assert dc == d2.elements()
     assert star == [d2.zero()]
+
+
+def test_degenerate_form_has_no_coset():
+    """On a degenerate form D^{c*} is no coset of cD, and the record says so."""
+    with pytest.raises(InternalInconsistency, match="not a coset"):
+        DiscriminantForm((2, 2), (0, 0), ((0, 0), (0, 0))).coset_dcstar(2)
 
 
 def test_canonical_xc_properties():
@@ -236,6 +260,7 @@ def test_qc_well_defined_for_any_base_point():
                         if d.smul(c, mu) == target
                     }
                     assert len(values) == 1  # independent of the lift
+                    assert d.q_c(c, gamma, x_c) == values.pop()
 
 
 def test_qc_base_point_changes_by_constant():
@@ -246,6 +271,39 @@ def test_qc_base_point_changes_by_constant():
     for x1 in points[1:]:
         deltas = {(d.q_c(2, g, x0) - d.q_c(2, g, x1)) % 1 for g in star}
         assert len(deltas) == 1
+
+
+#: symbol forms over 2-adic scales 2, 4, 8 of odd and even type, odd p and
+#: composite levels, small enough to scan D^{c*} for every c up to 2N
+XC_SWEEP = [
+    "2_1^+1", "2_7^+1", "2_3^-1", "2_5^-1", "2_0^+2", "2_2^+2", "2_6^+2", "2_4^-2", "2_II^+2", "2_II^-2",
+    "2_1^+3", "2_3^+3", "4_1^+1", "4_3^-1", "4_2^+2", "4_II^+2", "4_II^-2", "8_1^+1", "8_5^-1", "8_II^+2",
+    "2_1^+1.4_1^+1", "2_1^+1.4_7^+1", "2_II^+2.4_1^+1", "2_1^+1.8_3^-1", "4_1^+1.8_1^+1", "2_2^+2.4_II^+2",
+    "2_1^+1.4_1^+1.8_1^+1", "3^+1", "3^-2", "9^+1", "5^+1.5^-1", "2_1^+1.3^-1", "2_II^+2.3^-1",
+    "4_1^+1.3^+1", "2_0^+2.5^-1", "2_1^+1.4_1^+1.3^-1", "8_1^+1.3^-1",
+]
+
+
+def _blockwise_xc(d, c):
+    """The base point read from the genus symbol: q/2 on each rank-1
+    generator of scale q = 2^v2(c) with 2q q(e_i) odd, and 0 elsewhere."""
+    if c == 0:
+        return d.zero()
+    q = c & -c
+    odd = [(2 * q * x).denominator == 1 and (2 * q * x).numerator % 2 == 1 for x in d.q_gen]
+    return tuple(q // 2 if n == q and o else 0 for n, o in zip(d.orders, odd))
+
+
+def test_base_point_is_the_blockwise_one_for_every_form():
+    for sym in XC_SWEEP:
+        d = from_jordan_symbol(sym)
+        bare = DiscriminantForm(d.orders, d.q_gen, d.b_gen)  # the same form without its symbol
+        for c in range(2 * d.level() + 1):
+            star = d.coset_dcstar(c)
+            assert d.canonical_xc(c) == _blockwise_xc(d, c), (sym, c)
+            assert bare.coset_dcstar(c) == star
+            assert bare.canonical_xc(c) == d.canonical_xc(c)
+            assert [bare.q_c(c, g) for g in star] == [d.q_c(c, g) for g in star]
 
 
 def brute_count(symbol, denom):
@@ -344,12 +402,6 @@ def test_p_part_sum_is_orthogonal():
         assert qsum % 1 == d.q(el)
 
 
-def test_validate_non_degenerate():
-    from_jordan_symbol("2_II^+2.3^-2").validate()
-    with pytest.raises(Exception):
-        DiscriminantForm((2, 2), (0, 0), ((0, 0), (0, 0))).validate()
-
-
 def test_level_is_minimal():
     for sym in ["2_1^+1", "2_II^+2", "3^-2", "2_2^+2.4_II^+2", "2_II^+2.3^-1"]:
         d = from_jordan_symbol(sym)
@@ -369,4 +421,4 @@ def test_from_gram_of_block_sum_matches_orthogonal_sum():
     assert d.level() == ref.level()
     assert d.signature() == ref.signature()
     assert d.gauss_sum() == ref.gauss_sum()
-    assert d.fingerprint() == ref.fingerprint()
+    assert _fingerprint(d) == _fingerprint(ref)

@@ -7,12 +7,16 @@ from weilinv.cyclo import e_of
 from weilinv.fqm import from_jordan_symbol
 from weilinv.intmat import (
     invert_unimodular,
-    mat_mul,
     rational_inverse,
     row_lattice_basis,
     smith_normal_form,
 )
 from weilinv.weil import Vec, rank_of_vectors
+
+
+def mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
 
 small_matrices = st.lists(
     st.lists(st.integers(-9, 9), min_size=3, max_size=3), min_size=3, max_size=3

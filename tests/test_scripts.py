@@ -1,7 +1,6 @@
 """The command-line scripts under scripts/ run to the end and report no
-disagreement.  verify_battery.py imports the private cli._verify_battery,
-so this also guards that name.  The CLI and the scripts end quietly with
-exit code 5 (io-error) when the reader of their output closes the pipe."""
+disagreement.  The CLI and the scripts end quietly with exit code 5
+(io-error) when the reader of their output closes the pipe."""
 
 import os
 import subprocess
@@ -17,10 +16,9 @@ ROOT = Path(__file__).resolve().parent.parent
     "argv",
     [
         ["dimension_table.py", "3", "2"],
-        ["verify_battery.py", "3^-2", "2_II^+2"],
         ["fundamental_report.py"],
     ],
-    ids=["dimension_table", "verify_battery", "fundamental_report"],
+    ids=["dimension_table", "fundamental_report"],
 )
 def test_script_runs_clean(argv):
     proc = subprocess.run(
@@ -37,10 +35,9 @@ def test_script_runs_clean(argv):
         ["-m", "weilinv.cli", "dim", "--symbol", "3^+2"],
         ["-m", "weilinv.cli", "--help"],
         ["scripts/dimension_table.py", "3", "2"],
-        ["scripts/verify_battery.py", "3^-2"],
         ["scripts/fundamental_report.py"],
     ],
-    ids=["cli", "cli_help", "dimension_table", "verify_battery", "fundamental_report"],
+    ids=["cli", "cli_help", "dimension_table", "fundamental_report"],
 )
 def test_closed_pipe_gives_no_traceback(argv):
     # stdout buffered, as in a plain shell (unbuffered, argparse itself swallows the error of --help)

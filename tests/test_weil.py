@@ -748,8 +748,11 @@ def test_cusp_column_guard(monkeypatch):
         ("max_form_order", lambda: from_jordan_symbol("3^-4").elements()),
         ("max_level", lambda: cusp_classes(3)),
         ("max_level", lambda: enumerate_cosets(3)),
+        ("max_form_order", lambda: from_jordan_symbol("2_1^+1.4_1^+1").canonical_xc(4)),
+        ("max_form_order", lambda: from_jordan_symbol("2_1^+1.4_1^+1").coset_dcstar(2)),
+        ("max_form_order", lambda: from_jordan_symbol("2_1^+1.4_1^+1").q_c(2, (1, 2))),
     ],
-    ids=["elements", "cusp_classes", "enumerate_cosets"],
+    ids=["elements", "cusp_classes", "enumerate_cosets", "canonical_xc", "coset_dcstar", "q_c"],
 )
 def test_lowered_bound_holds_for_a_memoized_answer(bound, query, monkeypatch):
     query()

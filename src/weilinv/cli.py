@@ -33,12 +33,13 @@ from .weil import (
     dim_closed_form,
     dim_invariants,
     inv,
-    inv_at_cusp,
     cusp_classes,
     projection_closed_form,
     rank_of_vectors,
+    rho,
     rho_S,
     rho_T,
+    sl2_group_order,
 )
 
 EXIT_OK = 0
@@ -241,11 +242,15 @@ def _verify_battery(form: DiscriminantForm) -> list[dict]:
         record("inv-idempotent", ok)
         ok = all(rho_S(inv(form, g)) == inv(form, g) and rho_T(inv(form, g)) == inv(form, g) for g in sample)
         record("inv-image-fixed", ok)
-        total_cusps = Vec(form)
-        g0 = sample[0]
-        for cusp in cusp_classes(form.level()):
-            total_cusps = total_cusps + inv_at_cusp(form, g0, cusp.key)
-        record("cusp-partition", total_cusps == inv(form, g0))
+        # the cusp pieces of inv(e^g0) a second way: rho(+-M_s^-1) on the whole
+        # form, whose sum over T^n is N times its isotropic coordinates
+        n, g0, images = form.level(), sample[0], Vec(form)
+        for cusp in cusp_classes(n):
+            (a, b), (c, d) = cusp.inv_word.target
+            for word in [cusp.inv_word, ((-a, -b), (-c, -d))][: 2 if n >= 3 else 1]:
+                images = images + rho(word, Vec.basis(form, g0))
+        pieces = Vec(form, {mu: images.coefficient(mu) for mu in form.isotropic_elements()})
+        record("cusp-partition", pieces.scale(Fraction(n, sl2_group_order(n))) == inv(form, g0))
         if form.symbol is not None:
             ok = True
             for g in sample:

@@ -7,7 +7,8 @@ the word kernel of weil works in.  The one constructor normalizes every value:
 it reduces the coordinates modulo the M-th cyclotomic polynomial Phi_M with
 reduce_mod_phi (Phi_M is the only thing kept per order), then divides out the
 gcd of den and the coordinates.  Within a fixed order M this normal form is
-unique, so equality is syntactic after unifying orders to the lcm.  Fraction
+unique, so equality is syntactic after unifying orders to the lcm, and
+serialize prints a value at its conductor, so equal values print alike.  Fraction
 appears only at the boundaries: rational inputs, as_rational, serialize and
 the linear solve in inverse.  Roots of unity e(x) = exp(2*pi*i*x) and positive
 square roots of integers (via quadratic Gauss sums) all live in one such
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from .arith import factorize, frac1, isqrt, legendre, squarefree_part
 from .config import LIMITS
 from .intmat import Echelon
@@ -28,32 +29,30 @@ class CycloOrderError(ValueError):
     """Requested cyclotomic order exceeds the configured bound."""
 
 
-def _poly_divmod(num: list[int], den: list[int]) -> list[int]:
-    """Exact quotient of integer polynomials (remainder must vanish)."""
-    num = num[:]
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(num) - len(den), -1, -1):
-        coef = num[i + len(den) - 1]
-        if coef % den[-1]:
-            raise ArithmeticError("non-exact polynomial division")
-        q = coef // den[-1]
-        out[i] = q
-        if q:
-            for j, c in enumerate(den):
-                num[i + j] -= q * c
-    if any(num):
-        raise ArithmeticError("non-zero remainder")
-    return out
-
-
 @cache
 def cyclotomic_polynomial(m: int) -> list[int]:
-    """Coefficients (ascending) of the m-th cyclotomic polynomial."""
-    poly = [-1] + [0] * (m - 1) + [1]  # x^m - 1
-    for d in range(1, m):
-        if m % d == 0:
-            poly = _poly_divmod(poly, cyclotomic_polynomial(d))
-    return poly
+    """Coefficients (ascending) of the m-th cyclotomic polynomial.  For the
+    radical r > 1 of m, Phi_r is the product of (1 - x^d)^mu(r/d) over the
+    divisors d of r, multiplied out as a power series up to its degree
+    phi(r), and Phi_m(x) = Phi_r(x^(m/r)) (Arnold and Monagan, Math. Comp.
+    80, 2011)."""
+    if m == 1:
+        return [-1, 1]
+    primes = sorted(factorize(m))
+    r, deg = prod(primes), prod(p - 1 for p in primes)
+    poly = [1] + [0] * deg
+    for mask in range(1 << len(primes)):
+        left_out = [p for i, p in enumerate(primes) if mask >> i & 1]
+        d = r // prod(left_out)
+        if len(left_out) % 2:  # mu(r/d) = -1: divide by 1 - x^d
+            for i in range(d, deg + 1):
+                poly[i] += poly[i - d]
+        else:  # multiply by 1 - x^d
+            for i in range(deg, d - 1, -1):
+                poly[i] -= poly[i - d]
+    out = [0] * (deg * m // r + 1)
+    out[:: m // r] = poly
+    return out
 
 
 def reduce_mod_phi(m: int, y) -> list:
@@ -285,7 +284,30 @@ def as_rational(a: Cyclo) -> Fraction | None:
     return None if any(a.num[1:]) else Fraction(a.num[0], a.den)
 
 
+def _descend(a: Cyclo, p: int) -> Cyclo | None:
+    """a as a value of Q(zeta_m), m = a.order / p for a prime p dividing the
+    order, or None when it is not one."""
+    big, m = a.order, a.order // p
+    if m % p == 0:  # Phi_big(x) = Phi_m(x^p): Q(zeta_m) has the exponents divisible by p
+        return None if any(a.num[e] for e in range(len(a.num)) if e % p) else Cyclo(m, a.num[::p], a.den)
+    # zeta_big^e = zeta_p^i zeta_m^j, e = i m + j p mod big; over Q(zeta_m) the
+    # zeta_p^i, 0 < i < p, are a basis with 1 = -(their sum), so a = sum_i
+    # zeta_p^i y_i lies in Q(zeta_m) exactly when y_1 = ... = y_{p-1}, and
+    # then a = y_0 - y_1.  For p = 2 this always holds (zeta_2 = -1).
+    parts: list[dict[int, int]] = [{} for _ in range(p)]
+    m_inv, p_inv = pow(m, -1, p), pow(p, -1, m)
+    for e, x in enumerate(a.num):  # e -> (i, j) is one to one (CRT)
+        parts[e * m_inv % p][e * p_inv % m] = x
+    ys = [Cyclo(m, part, a.den) for part in parts]
+    return ys[0] - ys[1] if all(y == ys[1] for y in ys[2:]) else None
+
+
 def serialize(a: Cyclo) -> str:
-    """Canonical string form: sum(c * zeta{M}^k) with exponents ascending."""
+    """Canonical string form: sum(c * zeta{M}^k) with exponents ascending,
+    M the conductor of a, the least order whose field holds it, so that
+    equal values print alike whatever order they were computed in."""
+    for p in sorted(factorize(a.order)):
+        while a.order % p == 0 and (lower := _descend(a, p)) is not None:
+            a = lower
     parts = [f"{Fraction(x, a.den)} * zeta{a.order}^{e}" for e, x in enumerate(a.num) if x]
     return "sum(" + ", ".join(parts) + ")"

@@ -1,13 +1,16 @@
 """Discriminant forms: finite abelian groups with a Q/Z-valued quadratic form.
 
-A form is stored by a list of generator orders d_i together with the
-rational values q(g_i) and b(g_i, g_j) mod 1.  Group elements are plain
+A form is stored by a list of generator orders d_i, its level N and the
+integers qn[i] = N q(g_i) and bn[i][j] = N b(g_i, g_j) in [0, N); every value
+of q and b has a denominator dividing N.  One integer formula gives each:
+q_int(el) = N q(el) mod N, and b_row(x), with N b(x, y) = b_row(x) . y mod N;
+q() and b() return them over N as Fractions.  Group elements are plain
 coefficient tuples (a_1, ..., a_k) with 0 <= a_i < d_i, so they hash and
 sort deterministically.  Forms can be built from a genus symbol (one
 orthogonal block per indecomposable Jordan piece) or from the dual
 quotient of an even lattice via Smith normal form.
 
-Cache policy.  Everything derived from one form (its elements, level,
+Cache policy.  Everything derived from one form (its elements,
 signature, q values, p-parts, ...) is kept in the one dict form._caches,
 filled through DiscriminantForm.memo.  This includes one MulBy record per
 c (D_c, D^{c*}, its base point x_c and the preimages under c), which
@@ -228,15 +231,17 @@ class DiscriminantForm:
         self.orders = tuple(int(d) for d in orders)
         if any(d < 2 for d in self.orders):
             raise ValueError("generator orders must be >= 2")
-        self.q_gen = tuple(frac1(x) for x in q_gen)
-        self.b_gen = tuple(tuple(frac1(x) for x in row) for row in b_gen)
+        q_gen = [frac1(x) for x in q_gen]
+        b_gen = [[frac1(x) for x in row] for row in b_gen]
+        n = self._level = lcm(*(x.denominator for row in (q_gen, *b_gen) for x in row))
+        self.qn = tuple(int(x * n) for x in q_gen)
+        self.bn = tuple(tuple(int(x * n) for x in row) for row in b_gen)
         k = len(self.orders)
         for i in range(k):
-            if self.b_gen[i][i] != frac1(2 * self.q_gen[i]):
+            if self.bn[i][i] != 2 * self.qn[i] % n:
                 raise ValueError("diagonal of b must equal 2q mod 1")
-            for j in range(k):
-                if self.b_gen[i][j] != self.b_gen[j][i]:
-                    raise ValueError("b must be symmetric")
+            if any(self.bn[i][j] != self.bn[j][i] for j in range(k)):
+                raise ValueError("b must be symmetric")
         self.symbol = symbol
         self.lattice = lattice
         self._strides = []
@@ -295,31 +300,31 @@ class DiscriminantForm:
 
     # -- the quadratic and bilinear forms -------------------------------------
 
-    def q(self, el: Element) -> Fraction:
-        total = Fraction(0)
+    def q_int(self, el: Element) -> int:
+        """N q(el) in [0, N), N = level(): the sum over i of
+        a_i (a_i qn[i] + sum over j > i of bn[i][j] a_j), el = (a_1, ..., a_k)."""
+        total = 0
         for i, a in enumerate(el):
             if a:
-                total += a * a * self.q_gen[i]
-                for j in range(i + 1, self.rank):
-                    if el[j]:
-                        total += a * el[j] * self.b_gen[i][j]
-        return frac1(total)
+                total += a * (a * self.qn[i] + sum(x * y for x, y in zip(self.bn[i][i + 1 :], el[i + 1 :])))
+        return total % self._level
+
+    def b_row(self, x: Element) -> list[int]:
+        """The row r with N b(x, y) = r . y mod N, N = level(); built once
+        per x where many y are tested."""
+        return [sum(a * y for a, y in zip(row, x)) % self._level for row in self.bn]
+
+    def q(self, el: Element) -> Fraction:
+        return Fraction(self.q_int(el), self._level)
 
     def b(self, x: Element, y: Element) -> Fraction:
-        total = Fraction(0)
-        for i, a in enumerate(x):
-            if a:
-                row = self.b_gen[i]
-                for j, c in enumerate(y):
-                    if c:
-                        total += a * c * row[j]
-        return frac1(total)
+        return Fraction(sum(r * c for r, c in zip(self.b_row(x), y)) % self._level, self._level)
 
     # -- invariants -------------------------------------------------------------
 
     def level(self) -> int:
         """Smallest N with N*q(gamma) integral for every gamma."""
-        return self.memo("level", lambda: lcm(*(x.denominator for r in (self.q_gen, *self.b_gen) for x in r)))
+        return self._level
 
     def gauss_sum(self, c: int = 1) -> Cyclo:
         """Sum of e(c*q(gamma)) over all of D, computed exactly: one Cyclo of
@@ -383,7 +388,7 @@ class DiscriminantForm:
         def build():
             groups: list[list[int]] = []  # positions linked by a nonzero b, merged as they meet
             for i in range(self.rank):
-                linked = [g for g in groups if any(self.b_gen[i][j] for j in g)]
+                linked = [g for g in groups if any(self.bn[i][j] for j in g)]
                 groups = [g for g in groups if g not in linked] + [sorted({i}.union(*linked))]
             unit = _unit_gens(self)
             return [(self.subform([self.orders[i] for i in g], [unit[i] for i in g]), tuple(g)) for g in sorted(groups)]
@@ -393,9 +398,8 @@ class DiscriminantForm:
     def subform(self, orders: list[int], gens: list[Element]) -> "DiscriminantForm":
         """The form with generators of the given orders and the values of q
         and b at gens, from the shared registry (_shared_form)."""
-        q_gen = tuple(self.q(g) for g in gens)
-        b_gen = tuple(tuple(self.b(g, h) if g != h else frac1(2 * q) for h in gens) for g, q in zip(gens, q_gen))
-        return _shared_form(tuple(orders), q_gen, b_gen)
+        b_gen = tuple(tuple(self.b(g, h) for h in gens) for g in gens)
+        return _shared_form(tuple(orders), tuple(self.q(g) for g in gens), b_gen)
 
     # -- subquotients along multiplication by c -----------------------------------
 
@@ -406,16 +410,13 @@ class DiscriminantForm:
         c %= lcm(self.level(), self.exponent())
 
         def build() -> MulBy:
-            n, (qn, bn) = self.level(), self.scaled_gram()
+            n = self.level()
             kernel = [el for el in els if all(c * a % d == 0 for a, d in zip(el, self.orders))]
             # alpha -> c q(alpha) + b(alpha, gamma) is a character of D_c, so
             # it vanishes on D_c once it does on the generators m_i e_i
-            gens = [(i, d // gcd(c, d)) for i, d in enumerate(self.orders)]
-            star = [
-                el
-                for el in els
-                if all((c * m * m * qn[i] + m * sum(x * y for x, y in zip(bn[i], el))) % n == 0 for i, m in gens)
-            ]
+            gens = [self.smul(d // gcd(c, d), e) for d, e in zip(self.orders, _unit_gens(self))]
+            tests = [(c * self.q_int(g), self.b_row(g)) for g in gens]
+            star = [el for el in els if all((cq + sum(r * y for r, y in zip(row, el))) % n == 0 for cq, row in tests)]
             x_c = next((el for el in star if self.smul(2, el) == self.zero()), None)
             pre: dict[Element, Element] = {}
             for mu in els:
@@ -486,29 +487,10 @@ class DiscriminantForm:
 
     # -- convenience ----------------------------------------------------------------
 
-    def scaled_gram(self) -> tuple[list[int], list[list[int]]]:
-        """(qn, bn): level() times q_gen and b_gen, as integers in [0, level).
-        level() * b(x, y) = sum x_i bn[i][j] y_j mod level."""
-
-        def build():
-            n = self.level()
-            return [int(x * n) for x in self.q_gen], [[int(x * n) for x in row] for row in self.b_gen]
-
-        return self.memo("scaled_gram", build)
-
     def q_values(self) -> list[int]:
-        """level() * q of every element, an integer in [0, level), in the
-        order of elements(); computed once, in integers."""
+        """q_int of every element, in the order of elements(); computed once."""
         els = self.elements()  # the order bound holds for a memoized answer too
-
-        def build():
-            n, k, (qn, bn) = self.level(), self.rank, self.scaled_gram()
-            return [
-                sum(a * (a * qn[i] + sum(bn[i][j] * el[j] for j in range(i + 1, k))) for i, a in enumerate(el)) % n
-                for el in els
-            ]
-
-        return self.memo("q_values", build)
+        return self.memo("q_values", lambda: [self.q_int(el) for el in els])
 
     def isotropic_elements(self) -> list[Element]:
         q_values = self.q_values()
@@ -600,28 +582,22 @@ def _realize_symbol(symbol: JordanSymbol) -> DiscriminantForm:
         if p != 2:
             for s in [1] * (comp.n - 1) + [comp.sign]:
                 orders.append(comp.q)
-                q_gen.append(frac1(Fraction(odd_gen_value(p, s), comp.q)))
+                q_gen.append(Fraction(odd_gen_value(p, s), comp.q))
         elif comp.even:
             for s in [1] * (comp.n // 2 - 1) + [comp.sign]:
                 pos = len(orders)
                 orders.extend([comp.q, comp.q])
-                val = frac1(Fraction(0 if s > 0 else 1, comp.q))
+                val = Fraction(0 if s > 0 else 1, comp.q)
                 q_gen.extend([val, val])
-                b_off[(pos, pos + 1)] = frac1(Fraction(1, comp.q))
+                b_off[(pos, pos + 1)] = b_off[(pos + 1, pos)] = Fraction(1, comp.q)
         else:
             subs = _split_odd_two_adic(comp.t % 8, comp.sign, comp.n)
             assert subs is not None  # validated at parse time
             for u in subs:
                 orders.append(comp.q)
-                q_gen.append(frac1(Fraction(u, 2 * comp.q)))
+                q_gen.append(Fraction(u, 2 * comp.q))
 
-    k = len(orders)
-    b_gen = [[Fraction(0)] * k for _ in range(k)]
-    for i in range(k):
-        b_gen[i][i] = frac1(2 * q_gen[i])
-    for (i, j), v in b_off.items():
-        b_gen[i][j] = v
-        b_gen[j][i] = v
+    b_gen = [[2 * q if i == j else b_off.get((i, j), 0) for j in range(len(orders))] for i, q in enumerate(q_gen)]
     form = DiscriminantForm(orders, q_gen, b_gen, symbol=symbol)
     if form.level() != symbol.level():
         raise InternalInconsistency(f"realized level {form.level()} != symbol level {symbol.level()}")
@@ -666,14 +642,9 @@ def from_gram(gram) -> DiscriminantForm:
     dual_vecs = []
     for row in gens:
         dual_vecs.append([sum(Fraction(g_inv[i][k]) * row[k] for k in range(n)) for i in range(n)])
-    q_gen = [frac1(Fraction(sum(dual_vecs[j][i] * row[i] for i in range(n)), 2)) for j, row in enumerate(gens)]
-    b_gen = [[Fraction(0)] * len(gens) for _ in gens]
-    for a in range(len(gens)):
-        for b_ in range(len(gens)):
-            if a == b_:
-                b_gen[a][a] = frac1(2 * q_gen[a])
-            else:
-                b_gen[a][b_] = frac1(sum(dual_vecs[a][i] * gens[b_][i] for i in range(n)))
+    # b(x_a, x_b) = x_a . G x_b = dual_a . gens_b and q(x_a) = b(x_a, x_a) / 2 for x_a = G^-1 gens_a
+    b_gen = [[sum(x * y for x, y in zip(dual, row)) for row in gens] for dual in dual_vecs]
+    q_gen = [row[a] / 2 for a, row in enumerate(b_gen)]
     form = DiscriminantForm(orders, q_gen, b_gen, lattice=Lattice(g, dual_vecs))
     if form.order != prod(abs(d) for d in diag):
         raise InternalInconsistency("group order does not match |det G|")

@@ -54,8 +54,7 @@ def _close_subgroup(form: DiscriminantForm, gens: tuple[Element, ...]) -> tuple[
 
 def _orthogonal_to(form: DiscriminantForm, gens):
     """The test b(x, g) = 0 for every g in gens, in integers scaled by the level."""
-    n, bn = form.level(), form.scaled_gram()[1]
-    rows = [[sum(b * a for b, a in zip(row, g)) % n for row in bn] for g in gens]
+    n, rows = form.level(), [form.b_row(g) for g in gens]
     return lambda x: all(sum(a * r for a, r in zip(x, row)) % n == 0 for row in rows)
 
 

@@ -243,10 +243,9 @@ def _word_tables(form: DiscriminantForm):
     permutation, built on the first word applied to the form."""
 
     def build():
-        k, orders, n = form.rank, form.orders, form.level()
-        bn = form.scaled_gram()[1]  # b_gen[i][j] * orders[i] is an integer
-        btilde = [[bn[i][j] * orders[i] // n % orders[i] for j in range(k)] for i in range(k)]
-        freq = [[sum(btilde[i][j] * el[j] for j in range(k)) % orders[i] for i in range(k)] for el in form.elements()]
+        n = form.level()
+        # e(b(el, e_i)) = zeta_{d_i}^f_i, f_i = d_i b(el, e_i) an integer since d_i e_i = 0
+        freq = [[r * d // n % d for r, d in zip(form.b_row(el), form.orders)] for el in form.elements()]
         neg = [form.index(form.neg(el)) for el in form.elements()]
         return {**_tables(form), "freq_index": [form.index(ell) for ell in freq], "neg_index": neg}
 
@@ -364,8 +363,7 @@ def _vec_from_dense(form: DiscriminantForm, dense: list[Cyclo]) -> Vec:
 
 
 def rho_T(v: Vec) -> Vec:
-    _require_even(v.form)
-    return Vec(v.form, {el: e_of(-v.form.q(el)) * c for el, c in v.coeffs.items()})
+    return rho(t_power(1), v)
 
 
 def rho_S(v: Vec) -> Vec:

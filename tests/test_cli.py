@@ -115,6 +115,29 @@ def test_verify_battery_passes(symbol):
     assert json.loads(out)["pass"] is True
 
 
+def test_cusp_partition_can_fail(monkeypatch):
+    """With the scale of the cusp terms of 3^-2 doubled, inv doubles; the cusp
+    pieces that verify computes from rho on the whole form do not, so
+    cusp-partition fails.  Only this form is corrupted, on fresh memos, so
+    that no shared form keeps a doubled answer."""
+    from weilinv import weil
+
+    form = from_jordan_symbol("3^-2")
+    monkeypatch.setattr(form, "_caches", {})
+    original = weil._cusp_terms
+
+    def doubled(f, cusp):
+        scale, terms = original(f, cusp)
+        return (scale * 2 if f is form else scale), terms
+
+    monkeypatch.setattr(weil, "_cusp_terms", doubled)
+    status, out = run_cli(["verify", "--symbol", "3^-2"])
+    checks = {c["property"]: c["pass"] for c in json.loads(out)["checks"]}
+    assert status == 1
+    assert checks["cusp-partition"] is False and checks["inv-idempotent"] is False
+    assert checks["polarization-identity"] is True
+
+
 def test_output_is_deterministic():
     outs = {run_cli(["invariants", "--symbol", "2_II^+2"])[1] for _ in range(3)}
     assert len(outs) == 1

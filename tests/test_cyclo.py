@@ -1,6 +1,7 @@
 import cmath
 import random
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import given, strategies as st
 from weilinv.cyclo import (
     Cyclo,
     CycloOrderError,
-    _poly_divmod,
     as_rational,
     cyclotomic_polynomial,
     e_of,
@@ -17,6 +17,34 @@ from weilinv.cyclo import (
     serialize,
     sqrt_int,
 )
+
+
+def _poly_divmod(num: list[int], den: list[int]) -> list[int]:
+    """Exact quotient of integer polynomials (remainder must vanish)."""
+    num = num[:]
+    out = [0] * (len(num) - len(den) + 1)
+    for i in range(len(num) - len(den), -1, -1):
+        coef = num[i + len(den) - 1]
+        if coef % den[-1]:
+            raise ArithmeticError("non-exact polynomial division")
+        q = coef // den[-1]
+        out[i] = q
+        if q:
+            for j, c in enumerate(den):
+                num[i + j] -= q * c
+    if any(num):
+        raise ArithmeticError("non-zero remainder")
+    return out
+
+
+@cache
+def _phi_by_division(m: int) -> list[int]:
+    """Phi_m as x^m - 1 divided by Phi_d for every proper divisor d of m."""
+    poly = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            poly = _poly_divmod(poly, _phi_by_division(d))
+    return poly
 
 
 def _embed(a: Cyclo) -> complex:
@@ -79,6 +107,22 @@ def test_serialization_shape():
     assert s.startswith("sum(") and "zeta8" in s
 
 
+def test_serialization_prints_the_conductor():
+    assert e_of(Fraction(1, 4)) == e_of(Fraction(1, 8)) * e_of(Fraction(1, 8))
+    assert serialize(e_of(Fraction(1, 8)) * e_of(Fraction(1, 8))) == "sum(1 * zeta4^1)"
+    assert serialize(e_of(Fraction(1, 2))) == "sum(-1 * zeta1^0)"
+    assert serialize(e_of(Fraction(1, 6))) == "sum(1 * zeta3^0, 1 * zeta3^1)"  # zeta6 = 1 + zeta3
+    assert serialize(e_of(Fraction(1, 10))) == "sum(-1 * zeta5^3)"
+    assert serialize(e_of(Fraction(1, 3)).to_order(60)) == "sum(1 * zeta3^1)"
+
+
+def test_cyclotomic_polynomial_matches_division():
+    """The product formula against x^m - 1 divided by the Phi_d of its proper
+    divisors, on every m up to 200 and on large m up to 2520."""
+    for m in [*range(1, 201), 420, 840, 1155, 2048, 2187, 2310, 2401, 2520]:
+        assert cyclotomic_polynomial(m) == _phi_by_division(m), m
+
+
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 
 
@@ -122,6 +166,16 @@ def test_canonical_form_is_stable(a):
     assert Cyclo(a.order, {e: Fraction(x, a.den) for e, x in enumerate(a.num)}).num == a.num
     lifted = a.to_order(a.order * 2)
     assert lifted == a
+
+
+@given(cyclos(), st.sampled_from([1, 2, 3, 4, 5, 6, 10, 12]), st.sampled_from([1, 2, 3, 5, 7]))
+def test_equal_values_serialize_alike(a, k, j):
+    """A value lifted to a multiple of its order, or built as a product at a
+    larger order, prints as it does at its own order."""
+    assert serialize(a.to_order(a.order * k)) == serialize(a)
+    unit = e_of(Fraction(1, j))
+    b = (a * unit).to_order(a.order * j * k) * unit.conjugate()
+    assert b == a and serialize(b) == serialize(a)
 
 
 def assert_normal_form(a):

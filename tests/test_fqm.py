@@ -30,6 +30,10 @@ def test_symbol_rejects_garbage():
             JordanSymbol.parse(text)
 
 
+def _unit_gens(d):
+    return [tuple(int(i == j) for i in range(d.rank)) for j in range(d.rank)]
+
+
 def test_symbol_merge_rule():
     merged = JordanSymbol.parse("2_1^+1.2_1^+1")
     assert str(merged) == "2_2^+2"
@@ -44,10 +48,11 @@ def test_symbol_merge_rule():
         assert str(merged) == expected
         assert str(JordanSymbol.parse(str(merged))) == expected
         a, b = (from_jordan_symbol(p) for p in pieces)
+        ea, eb = _unit_gens(a), _unit_gens(b)
         direct = DiscriminantForm(
             a.orders + b.orders,
-            a.q_gen + b.q_gen,
-            [row + (0,) * b.rank for row in a.b_gen] + [(0,) * a.rank + row for row in b.b_gen],
+            [a.q(g) for g in ea] + [b.q(g) for g in eb],
+            [[a.b(g, h) for h in ea] + [0] * b.rank for g in ea] + [[0] * a.rank + [b.b(g, h) for h in eb] for g in eb],
         )
         form = from_jordan_symbol(merged)
         assert (form.order, form.level(), form.signature()) == (direct.order, direct.level(), direct.signature())
@@ -57,7 +62,7 @@ def test_symbol_merge_rule():
 def test_from_jordan_symbol_small_cases():
     d5 = from_jordan_symbol("5^+1")
     assert d5.order == 5
-    a = int(d5.q_gen[0] * 5)
+    a = int(d5.q((1,)) * 5)
     assert legendre(2 * a, 5) == 1
 
     d2 = from_jordan_symbol("2_II^+2")
@@ -134,6 +139,24 @@ def test_polarization_identity():
         for g in els:
             for h in els:
                 assert (d.q(d.add(g, h)) - d.q(g) - d.q(h)) % 1 == d.b(g, h)
+
+
+def test_integer_formulas_match_the_rational_sums():
+    """q_int, b_row, q and b against the double sums over the generator
+    values qn[i]/N and bn[i][j]/N, on symbol forms and a Gram form with
+    off-diagonal b."""
+    forms = [from_jordan_symbol(s) for s in ("2_II^+2.3^-1", "2_1^+1.4_5^-1.8_II^+2", "4_II^-2", "9^+1.3^-1")]
+    for d in forms + [from_gram([[4, 2, 2], [2, 4, 2], [2, 2, 6]]), from_gram([[6, 3], [3, 6]])]:
+        n, k = d.level(), d.rank
+        q_gen, b_gen = [Fraction(x, n) for x in d.qn], [[Fraction(x, n) for x in row] for row in d.bn]
+        els = d.elements()
+        for x in els[:: max(1, len(els) // 64)]:
+            q = sum(x[i] * x[i] * q_gen[i] + sum(x[i] * x[j] * b_gen[i][j] for j in range(i + 1, k)) for i in range(k)) % 1
+            assert d.q(x) == q and d.q_int(x) == q * n
+            row = d.b_row(x)
+            for y in els[:: max(1, len(els) // 16)]:
+                b = sum(x[i] * y[j] * b_gen[i][j] for i in range(k) for j in range(k)) % 1
+                assert d.b(x, y) == b and sum(r * c for r, c in zip(row, y)) % n == b * n
 
 
 def test_milgram_identity_battery():
@@ -290,14 +313,15 @@ def _blockwise_xc(d, c):
     if c == 0:
         return d.zero()
     q = c & -c
-    odd = [(2 * q * x).denominator == 1 and (2 * q * x).numerator % 2 == 1 for x in d.q_gen]
+    odd = [(2 * q * x).denominator == 1 and (2 * q * x).numerator % 2 == 1 for x in map(d.q, _unit_gens(d))]
     return tuple(q // 2 if n == q and o else 0 for n, o in zip(d.orders, odd))
 
 
 def test_base_point_is_the_blockwise_one_for_every_form():
     for sym in XC_SWEEP:
         d = from_jordan_symbol(sym)
-        bare = DiscriminantForm(d.orders, d.q_gen, d.b_gen)  # the same form without its symbol
+        e = _unit_gens(d)
+        bare = DiscriminantForm(d.orders, [d.q(g) for g in e], [[d.b(g, h) for h in e] for g in e])  # without its symbol
         for c in range(2 * d.level() + 1):
             star = d.coset_dcstar(c)
             assert d.canonical_xc(c) == _blockwise_xc(d, c), (sym, c)

@@ -190,7 +190,7 @@ def test_quotients_of_equal_data_share_one_form(symbol, count, distinct, monkeyp
     quotients = [quotient(d, s).form for s in isotropic_subgroups(d) if s.order**2 * target == d.order]
     forms = {id(q): q for q in quotients}.values()
     assert len(quotients) == count and len(forms) == distinct
-    assert len({(q.orders, q.q_gen, q.b_gen) for q in forms}) == distinct
+    assert len({(q.orders, q.level(), q.qn, q.bn) for q in forms}) == distinct
     first = [q.p_part_decompose() for q in forms]
     built = []
     original = fqm.DiscriminantForm.__init__

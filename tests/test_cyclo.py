@@ -123,6 +123,27 @@ def test_cyclotomic_polynomial_matches_division():
         assert cyclotomic_polynomial(m) == _phi_by_division(m), m
 
 
+def test_cyclotomic_polynomials_multiply_to_x_m_minus_one():
+    """x^m - 1 is the product of Phi_d over the divisors d of m, the identity
+    the division inverts, on every m up to 2520: both sides are evaluated at a
+    random point modulo the prime 2^61 - 1 (a wrong Phi_m survives with
+    probability at most 2520 / 2^61)."""
+    p, top = (1 << 61) - 1, 2520
+    x = random.Random(2520).randrange(2, p)
+    powers = [1]
+    for _ in range(top):
+        powers.append(powers[-1] * x % p)
+    value = [None] + [
+        sum(c * powers[i] for i, c in enumerate(cyclotomic_polynomial(m)) if c) % p for m in range(1, top + 1)
+    ]
+    for m in range(1, top + 1):
+        product = 1
+        for d in range(1, m + 1):
+            if m % d == 0:
+                product = product * value[d] % p
+        assert product == (powers[m] - 1) % p, m
+
+
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 
 

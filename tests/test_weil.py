@@ -216,6 +216,7 @@ def test_word_kernel_matches_defining_formulas(symbol):
     for g in d.elements():
         expected = Vec(d, {beta: scalar * e_of(d.b(g, beta)) for beta in d.elements()})
         assert rho_S(Vec.basis(d, g)) == expected, g
+        assert rho_T(Vec.basis(d, g)) == Vec(d, {g: e_of(-d.q(g))}), g
     v = rho_S(Vec.basis(d, d.zero())) + Vec.basis(d, d.elements()[-1]).scale(Fraction(1, 3))
     for n in (1, 2, 5, -3):
         # rho_T applied n times equals rho(T^n); for n < 0, |n| times undoes it

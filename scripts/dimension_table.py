@@ -5,8 +5,9 @@ Usage: python scripts/dimension_table.py [max_p] [max_n]
 """
 
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from weilinv.cli import exit_status_on_closed_pipe
 from weilinv.fqm import JordanSymbol, SymbolError, from_jordan_symbol

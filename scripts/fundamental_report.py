@@ -2,8 +2,9 @@
 """Print the fundamental forms with their invariants and support splits."""
 
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from weilinv.cli import exit_status_on_closed_pipe
 from weilinv.fundamental import fundamental_form, fundamental_invariant

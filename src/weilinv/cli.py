@@ -173,10 +173,9 @@ def _cmd_s2dim(args) -> dict:
 def _cmd_jacobi(args) -> dict:
     if args.gram is None:
         raise SymbolError("jacobi requires a Gram matrix file")
-    with open(args.gram, encoding="utf-8") as fh:
-        gram = json.load(fh)
-    form = from_gram(gram)
-    doc = _form_header(form, f"gram:{args.gram}")
+    form, name = _load_form(args)
+    gram = form.lattice.gram if form.lattice else []  # the rank-0 form has no lattice record
+    doc = _form_header(form, name)
     if len(gram) % 2:
         doc["note"] = "odd rank: the singular-weight space is trivial"
     entries = jacobi_singular_basis(gram)

@@ -19,16 +19,15 @@ class Limits:
 LIMITS = Limits()
 
 
-def apply_env_overrides(environ=None) -> None:
+def apply_env_overrides() -> None:
     """Read WEILINV_MAX_ORDER / WEILINV_MAX_LEVEL / WEILINV_MAX_CYCLO_ORDER."""
-    env = os.environ if environ is None else environ
     for var, attr in (
         ("WEILINV_MAX_ORDER", "max_form_order"),
         ("WEILINV_MAX_LEVEL", "max_level"),
         ("WEILINV_MAX_CYCLO_ORDER", "max_cyclo_order"),
     ):
-        if var in env:
+        if var in os.environ:
             try:
-                setattr(LIMITS, attr, int(env[var]))
+                setattr(LIMITS, attr, int(os.environ[var]))
             except ValueError:
-                raise ValueError(f"{var} must be an integer, not {env[var]!r}") from None
+                raise ValueError(f"{var} must be an integer, not {os.environ[var]!r}") from None

@@ -11,13 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .config import LIMITS
-from .fqm import (
-    BoundExceeded,
-    DiscriminantForm,
-    Element,
-    InternalInconsistency,
-)
+from .fqm import DiscriminantForm, Element, InternalInconsistency
 from .intmat import invert_unimodular, rational_inverse, row_lattice_basis, smith_normal_form
 from .weil import GroupAlgebraVector, Vec
 
@@ -81,8 +75,6 @@ def isotropic_subgroups(form: DiscriminantForm) -> list[IsotropicSubgroup]:
     which must be orthogonal to the current generators (forced by
     q(h+k) = q(h) + q(k) + b(h,k)); deduplicate by element set.
     """
-    if form.order > LIMITS.max_form_order:
-        raise BoundExceeded(f"|D| = {form.order} exceeds bound {LIMITS.max_form_order}")
     iso = form.isotropic_elements()
     zero_sub = make_isotropic_subgroup(form, ())
     found: dict[tuple[Element, ...], IsotropicSubgroup] = {zero_sub.elements: zero_sub}

@@ -18,8 +18,14 @@ M = (a b; c d),
 
     rho(M) e^gamma = e(-b d q(gamma)) sum_beta c0(beta) e(-b (beta,gamma)) e^(d gamma + beta).
 
-The nonzero entries of c0 are one scalar times roots of unity (checked on
-the integer image), so each cusp has one scalar and integer exponents.
+With beta = mu - d gamma its coefficient at e^mu is
+c0(mu - d gamma) e(b (d q(gamma) - (gamma, mu))), read with N q and N b from
+q_int and b_row, N the level.  The nonzero entries of c0 are one scalar
+times roots of unity (checked on the integer image), so each cusp has one
+scalar and integer exponents.  rho(-M) at e^mu is e(sig/4) times rho(M) at
+e^-mu.  On the isotropic diagonal mu = gamma the q and b terms vanish, as
+q(gamma) = 0 and (gamma, +-gamma) = +-2 q(gamma) = 0: the trace of a cusp
+piece needs only c0((1-d) gamma) and e(sig/4) c0(-(1+d) gamma).
 
 Everything is exact.  Inside a word the coefficients are dense lists of
 integers, elements of the group ring Z[x]/(x^u - 1) with x = zeta_u, u the
@@ -35,12 +41,12 @@ lcm(w, u), w the working order, which reduces and divides out the gcd.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
-from operator import add
+from operator import add, mul
 
 from . import cyclo
 from .arith import ext_gcd, factorize, frac1, kronecker, legendre
@@ -526,50 +532,50 @@ def _e0_column(part: DiscriminantForm, word: SL2Word) -> tuple[Cyclo, dict[int, 
     return part.memo(("e0_col", word.tokens), build)
 
 
-def _column(form: DiscriminantForm, word: SL2Word):
-    """(s, entry): rho(M) e^gamma, M = word.target, has s * zeta_W^entry(gamma, mu)
-    at e^mu (0 where entry is None), W = _working_order(form) = s.order;
-    the intertwining identity (module docstring) applied part by part."""
-    tab = _tables(form)
-    w, q_exp = tab["w"], tab["q_exp"]
-    (_, b), (_, d) = word.target
-    s = cyclo.ONE
-    parts = []
-    for part, positions in form.orthogonal_components():
+def _column(form: DiscriminantForm, word: SL2Word, js: list[int]) -> tuple[Cyclo, list[int | None]]:
+    """(s, ks): rho(M) e^0, M = word.target, is s * zeta_W^k at the element
+    of index j, k the entry of ks for each j of js, 0 where k is None,
+    W = _working_order(form) = s.order; the product of the parts' memoized
+    _e0_column, read through the per-form table of the index in each part
+    of each element."""
+    w, comps = _tables(form)["w"], form.orthogonal_components()
+    els = form.elements()
+    tables = form.memo("part_index", lambda: [[p.index([el[i] for i in pos]) for el in els] for p, pos in comps])
+    s, ks = cyclo.ONE, [0] * len(js)
+    for (part, _), idx in zip(comps, tables):
         part_s, exps = _e0_column(part, word)
-        s = s * part_s
-        parts.append((part, positions, exps, w // _tables(part)["w"]))
-
-    def entry(gamma: Element, mu: Element) -> int | None:
-        beta = form.sub(mu, form.smul(d, gamma))
-        k = 0
-        for part, positions, exps, step in parts:
-            kp = exps.get(part.index(tuple(beta[i] for i in positions)))
-            if kp is None:
-                return None
-            k += kp * step
-        qg, qb, qbg = (q_exp[form.index(x)] for x in (gamma, beta, form.add(beta, gamma)))
-        return (k - b * d * qg - b * (qbg - qb - qg)) % w
-
-    return s.to_order(w), entry
+        s, step = s * part_s, w // _tables(part)["w"]
+        ks = [None if k is None or (e := exps.get(idx[j])) is None else k + e * step for k, j in zip(ks, js)]
+    return s.to_order(w), ks
 
 
-def _cusp_terms(form: DiscriminantForm, cusp: Cusp):
-    """(scale, terms): the partial average over +-M_s T^n maps e^gamma to
-    scale * (sum of zeta_W^k over k in terms(gamma, mu)) at e^mu, W = scale.order."""
-    n = form.level()
-    w = _tables(form)["w"]
-    z = form.signature() * w // 4  # rho(-1) e^-mu = e(sig/4) e^mu
-    s, entry = _column(form, cusp.inv_word)
+def _entries(form: DiscriminantForm, word: SL2Word, gamma: Element, mus: list[Element]) -> tuple[Cyclo, list]:
+    """(s, ks): rho(M) e^gamma, M = word.target = (a b; c d), is s * zeta_W^k
+    at each mu of mus, k its entry of ks (0 where k is None), W = s.order;
+    the intertwining identity (module docstring) on the column of e^0."""
+    (_, b), (_, d) = word.target
+    dg, row, dq = form.smul(d, gamma), form.b_row(gamma), d * form.q_int(gamma)
+    s, ks = _column(form, word, [form.index(form.sub(mu, dg)) for mu in mus])
+    step = s.order // form.level()
+    return s, [None if k is None else k + step * b * (dq - sum(map(mul, row, mu))) for k, mu in zip(ks, mus)]
 
-    def terms(gamma: Element, mu: Element) -> list[int]:
-        ks = [entry(gamma, mu)]
-        if n >= 3:
-            k = entry(gamma, form.neg(mu))
-            ks.append(None if k is None else (k + z) % w)
-        return [k for k in ks if k is not None]
 
-    return s * Fraction(n, sl2_group_order(n)), terms
+def _cusp_terms(form: DiscriminantForm, cusp: Cusp, gamma: Element) -> Vec:
+    """The piece of inv(e^gamma) at the cusp: the partial average of
+    rho(+-M_s T^n) e^gamma (no +- for N <= 2), which keeps the isotropic
+    coordinates.  Each exponent k(mu) of rho(M_s^-1) e^gamma is computed
+    once; the -M_s^-1 term at -mu is k(mu) + sig/4, as rho(-1) e^mu = e(sig/4) e^-mu."""
+    n, iso = form.level(), form.isotropic_elements()
+    s, ks = _entries(form, cusp.inv_word, gamma, iso)
+    z = form.signature() * s.order // 4
+    counts: defaultdict[Element, Counter] = defaultdict(Counter)
+    for mu, k in zip(iso, ks):
+        if k is not None:
+            counts[mu][k] += 1
+            if n >= 3:
+                counts[form.neg(mu)][k + z] += 1
+    scale = s * Fraction(n, sl2_group_order(n))
+    return Vec(form, {mu: scale * Cyclo(s.order, c) for mu, c in counts.items()})
 
 
 def inv_at_cusp(form: DiscriminantForm, gamma: Element, s: tuple[int, int]) -> Vec:
@@ -583,23 +589,16 @@ def inv_at_cusp(form: DiscriminantForm, gamma: Element, s: tuple[int, int]) -> V
         raise ValueError(f"({a}, {c}) does not have order {n} in (Z/{n})^2")
     key = normalize_cusp_key(a, c, n)
     cusp = next(cu for cu in cusp_classes(n) if cu.key == key)
-    gamma = form.normalize(gamma)
-    scale, terms = _cusp_terms(form, cusp)
-    out: dict[Element, Cyclo] = {}
-    for mu in form.isotropic_elements():
-        counts = Counter(terms(gamma, mu))
-        if counts:
-            out[mu] = scale * Cyclo(scale.order, counts)
-    return Vec(form, out)
+    return _cusp_terms(form, cusp, form.normalize(gamma))
 
 
 def _inv_basis(form: DiscriminantForm, gamma: Element) -> Vec:
-    """inv(e^gamma) for even signature, as the sum of all cusp contributions (memoized)."""
+    """inv(e^gamma) for even signature, as the sum of all cusp pieces (memoized)."""
     _check_bounds(form)
     gamma = form.normalize(gamma)
 
     def build() -> Vec:
-        return sum((inv_at_cusp(form, gamma, cusp.key) for cusp in cusp_classes(form.level())), Vec(form))
+        return sum((_cusp_terms(form, cusp, gamma) for cusp in cusp_classes(form.level())), Vec(form))
 
     return form.memo(("inv", gamma), build)
 
@@ -647,22 +646,22 @@ def inv_average_oracle(form: DiscriminantForm, gamma: Element) -> Vec:
 
 def dim_invariants(form: DiscriminantForm) -> int:
     """dim C[D]^Gamma as the exact trace of inv, summed over the isotropic
-    diagonal; gamma and -gamma share a diagonal entry.  Each cusp counts
-    root-of-unity exponents in integers and makes one Cyclo."""
+    diagonal, where the q and b terms of the identity vanish: per cusp the
+    exponents c0[(1-d) gamma] and c0[-(1+d) gamma] + sig/4 are counted in
+    integers and make one Cyclo."""
     _check_bounds(form)
     if form.signature() % 2:
         return 0
 
     def build() -> int:
-        total = cyclo.ZERO
-        for cusp in cusp_classes(form.level()):
-            scale, terms = _cusp_terms(form, cusp)
-            counts: Counter = Counter()
-            for gamma in form.isotropic_elements():
-                neg = form.neg(gamma)
-                if neg >= gamma:
-                    counts.update(terms(gamma, gamma) * (1 if neg == gamma else 2))
-            total = total + scale * Cyclo(scale.order, counts)
+        n, iso, total = form.level(), form.isotropic_elements(), cyclo.ZERO
+        for cusp in cusp_classes(n):
+            d = cusp.inv_word.target[1][1]  # c0 at (1-d) gamma, then for N >= 3 at -(1+d) gamma (+ sig/4)
+            js = [form.index(form.smul(e - d, g)) for e in ((1, -1) if n >= 3 else (1,)) for g in iso]
+            s, ks = _column(form, cusp.inv_word, js)
+            z = form.signature() * s.order // 4
+            counts = Counter(k + z * (i >= len(iso)) for i, k in enumerate(ks) if k is not None)
+            total = total + s * Fraction(n, sl2_group_order(n)) * Cyclo(s.order, counts)
         value = cyclo.as_rational(total)
         if value is None or value.denominator != 1 or value < 0:
             raise InternalInconsistency(f"trace of inv is not a non-negative integer: {total}")

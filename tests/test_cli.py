@@ -116,7 +116,7 @@ def test_verify_battery_passes(symbol):
 
 
 def test_cusp_partition_can_fail(monkeypatch):
-    """With the scale of the cusp terms of 3^-2 doubled, inv doubles; the cusp
+    """With the cusp pieces of 3^-2 doubled, inv doubles; the cusp
     pieces that verify computes from rho on the whole form do not, so
     cusp-partition fails.  Only this form is corrupted, on fresh memos, so
     that no shared form keeps a doubled answer."""
@@ -126,9 +126,9 @@ def test_cusp_partition_can_fail(monkeypatch):
     monkeypatch.setattr(form, "_caches", {})
     original = weil._cusp_terms
 
-    def doubled(f, cusp):
-        scale, terms = original(f, cusp)
-        return (scale * 2 if f is form else scale), terms
+    def doubled(f, cusp, gamma):
+        piece = original(f, cusp, gamma)
+        return piece.scale(2) if f is form else piece
 
     monkeypatch.setattr(weil, "_cusp_terms", doubled)
     status, out = run_cli(["verify", "--symbol", "3^-2"])

@@ -20,13 +20,22 @@ ROOT = Path(__file__).resolve().parent.parent
     ],
     ids=["dimension_table", "fundamental_report"],
 )
-def test_script_runs_clean(argv):
-    proc = subprocess.run(
-        [sys.executable, f"scripts/{argv[0]}", *argv[1:]], cwd=ROOT, capture_output=True, text=True, timeout=600
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
-    assert not [line for line in proc.stdout.splitlines() if "MISMATCH" in line or "FAIL" in line]
+def test_script_runs_clean(argv, tmp_path):
+    """From the root of the repository, and from another directory without
+    PYTHONPATH: a script finds src/ next to itself."""
+    bare = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    for cwd, env in ((ROOT, None), (tmp_path, bare)):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+            cwd=cwd,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip()
+        assert not [line for line in proc.stdout.splitlines() if "MISMATCH" in line or "FAIL" in line]
 
 
 @pytest.mark.parametrize(

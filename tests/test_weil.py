@@ -464,6 +464,23 @@ def test_cusp_partition_sums_to_inv():
             assert total == inv(d, g), (sym, g)
 
 
+def test_non_isotropic_basis_vectors_project_to_zero():
+    """inv(e^gamma) = 0 when q(gamma) != 0: the only cusp test whose gamma
+    reaches the q(gamma) term of the intertwining identity."""
+    count = 0
+    for sym in SMALL_EVEN_SYMBOLS:
+        d = from_jordan_symbol(sym)
+        for g in d.elements():
+            if d.q(g):
+                count += 1
+                total = Vec(d)
+                for cusp in cusp_classes(d.level()):
+                    total = total + inv_at_cusp(d, g, cusp.key)
+                assert total.is_zero(), (sym, g)
+                assert inv(d, g).is_zero() and inv_average_oracle(d, g).is_zero(), (sym, g)
+    assert count == 127
+
+
 def test_cusp_contribution_support():
     # support of the cusp piece lies in (a gamma + D^{c*}) cap I
     for sym in ["2_0^+2", "2_2^+2.4_II^+2"]:
@@ -684,11 +701,10 @@ def test_column_identity_matches_word_route(symbol, steps):
     for n in steps:  # M = T^n1 S T^n2 S ...: any matrix of SL2(Z)
         m = mat2_mul(mat2_mul(m, t_power(n)), S_MAT)
     word = word_decompose(m)
-    s, entry = weil._column(form, word)
     for gamma in form.elements():
         column = rho(word, Vec.basis(form, gamma))
-        for mu in form.elements():
-            k = entry(gamma, mu)
+        s, ks = weil._entries(form, word, gamma, form.elements())
+        for mu, k in zip(form.elements(), ks):
             expected = column.coefficient(mu)
             if k is None:
                 assert expected.is_zero()

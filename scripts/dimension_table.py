@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Print dimension tables for the covered families, closed form vs trace.
+"""Print dimension tables for the covered families, closed form vs trace;
+exit with status 1 when a closed value differs from the trace (MISMATCH).
 
 Usage: python scripts/dimension_table.py [max_p] [max_n]
 """
@@ -22,16 +23,18 @@ def rows(max_p: int, max_n: int):
     for n in range(2, max_n + 1, 2):
         for eps in ("+", "-"):
             yield f"2_II^{eps}{n}"
-    for n in range(1, max_n + 1):
-        for t in range(8):
-            for eps in ("+", "-"):
-                yield f"2_{t}^{eps}{n}"
+    for tail in ("", ".4_II^+2"):
+        for n in range(1, max_n + 1):
+            for t in range(8):
+                for eps in ("+", "-"):
+                    yield f"2_{t}^{eps}{n}{tail}"
 
 
 def main() -> int:
     max_p = int(sys.argv[1]) if len(sys.argv) > 1 else 7
     max_n = int(sys.argv[2]) if len(sys.argv) > 2 else 4
     print(f"{'symbol':>14} {'|D|':>6} {'sign':>4} {'closed':>6} {'trace':>6}")
+    status = 0
     for sym in rows(max_p, max_n):
         try:
             parsed = JordanSymbol.parse(sym)
@@ -43,9 +46,10 @@ def main() -> int:
         closed = dim_closed_form(parsed)
         trace = dim_invariants(form)
         tag = "" if closed in (None, trace) else "  MISMATCH"
+        status = 1 if tag else status
         closed_s = "-" if closed is None else str(closed)
         print(f"{sym:>14} {form.order:>6} {form.signature():>4} {closed_s:>6} {trace:>6}{tag}")
-    return 0
+    return status
 
 
 if __name__ == "__main__":

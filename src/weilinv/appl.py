@@ -46,11 +46,9 @@ from .weil import GroupAlgebraVector, dim_invariants
 def _parse_prime_even(symbol) -> tuple[DiscriminantForm, int, int, int]:
     if isinstance(symbol, str):
         symbol = JordanSymbol.parse(symbol)
-    if len(symbol.components) != 1:
+    kind, comp = symbol.family() or (None, None)
+    if kind != "elementary":
         raise ValueError("expected a single component of prime level")
-    comp = symbol.components[0]
-    if comp.level != comp.p:
-        raise ValueError("expected prime level")
     if comp.n % 2:
         raise ValueError("only even rank is supported")
     return from_jordan_symbol(symbol), comp.p, comp.n, comp.sign
@@ -177,6 +175,8 @@ def _enumerate_norms(qmat: list[list[int]], shift: list[Fraction], bound: int) -
     weight w_i = G d_i / m_i^2, integral for one denominator G.  So G F = sum
     w_i t_i^2, and |t_i| <= isqrt(R // w_i) is exact for the budget R left."""
     n = len(qmat)
+    if not n:
+        return 1, Counter({0: 1})
     q = [[Fraction(x) for x in row] for row in qmat]
     m, a, c0, scaled = [], [], [], []
     for i in range(n):

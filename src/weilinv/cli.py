@@ -174,7 +174,7 @@ def _cmd_jacobi(args) -> dict:
     if args.gram is None:
         raise SymbolError("jacobi requires a Gram matrix file")
     form, name = _load_form(args)
-    gram = form.lattice.gram if form.lattice else []  # the rank-0 form has no lattice record
+    gram = form.lattice.gram
     doc = _form_header(form, name)
     if len(gram) % 2:
         doc["note"] = "odd rank: the singular-weight space is trivial"

@@ -201,6 +201,28 @@ class JordanSymbol:
             sig += c.excess() if c.p == 2 else -c.excess()
         return sig % 8
 
+    def family(self) -> tuple[str, JordanComponent] | None:
+        """The family of the closed formulas that the symbol belongs to, as
+        (kind, component), or None; the one reading of component shapes:
+        "elementary" p^(eps n) or 2_II^(eps n), "two-odd" 2_t^(eps n),
+        "two-four" 2_t^(eps n).4_II^+2 (its 2-component) and "level-eight"
+        2_t^(+-1).4_t'^(+-1).8_II^+2 (its 4-component)."""
+        comps = self.components
+        if len(comps) == 1 and comps[0].q == comps[0].p:
+            return ("elementary" if comps[0].t is None else "two-odd"), comps[0]
+
+        def odd_two(c, q):  # q_t^(eps n)
+            return c.q == q and c.t is not None
+
+        def plane(c, q):  # q_II^+2
+            return c.q == q and c.even and c.n == 2 and c.sign == 1
+
+        if len(comps) == 2 and odd_two(comps[0], 2) and plane(comps[1], 4):
+            return "two-four", comps[0]
+        if len(comps) == 3 and odd_two(comps[0], 2) and odd_two(comps[1], 4) and plane(comps[2], 8):
+            return ("level-eight", comps[1]) if comps[0].n == comps[1].n == 1 else None
+        return None
+
     def __str__(self) -> str:
         return ".".join(str(c) for c in self.components)
 
@@ -625,8 +647,6 @@ def from_gram(gram) -> DiscriminantForm:
         for j in range(n):
             if g[i][j] != g[j][i]:
                 raise ValueError("Gram matrix must be symmetric")
-    if n == 0:
-        return trivial_form()
     u, s, v = smith_normal_form(g)
     diag = [s[i][i] for i in range(n)]
     if any(d == 0 for d in diag):
@@ -678,34 +698,25 @@ def trivial_form() -> DiscriminantForm:
 
 
 def count_norm(symbol, j: int) -> int:
-    """Number of elements of norm j/p (resp. j/2, j/4) in p^(eps n),
-    2_II^(eps n), 2_t^(eps n); closed form, no enumeration."""
+    """Number of elements of norm j/p in p^(eps n) or 2_II^(eps n), and of
+    norm j/4 in 2_t^(eps n); closed form, no enumeration."""
     if isinstance(symbol, str):
         symbol = JordanSymbol.parse(symbol)
     if len(symbol.components) != 1:
         raise ValueError("count_norm expects a single homogeneous component")
-    comp = symbol.components[0]
-    n, eps = comp.n, comp.sign
-    if comp.p != 2:
-        p = comp.p
-        if comp.q != p:
-            raise ValueError("no closed count for exponent > p")
-        jj = j % p
-        if n % 2 == 0:
-            delta = 1 if jj == 0 else 0
-            val = Fraction(p) ** (n - 1) + eps * legendre(-1, p) ** (n // 2) * (p * delta - 1) * Fraction(p) ** ((n - 2) // 2)
-        else:
-            val = Fraction(p) ** (n - 1) + eps * legendre(-1, p) ** ((n - 1) // 2) * legendre(2, p) * legendre(
-                jj, p
-            ) * Fraction(p) ** ((n - 1) // 2)
-    elif comp.even:
-        if comp.q != 2:
-            raise ValueError("no closed count for exponent > 2")
-        val = Fraction(2) ** (n - 1) + eps * (-1) ** (j % 2) * Fraction(2) ** ((n - 2) // 2)
-    else:
-        if comp.q != 2:
-            raise ValueError("no closed count for exponent > 2")
+    kind, comp = symbol.family() or (None, symbol.components[0])
+    if kind is None:
+        raise ValueError(f"no closed count for {comp}: its scale {comp.q} is not prime")
+    n, eps, p = comp.n, comp.sign, comp.p
+    if kind == "two-odd":
         val = _count_norm_odd2(n, eps, comp.t % 8, j % 4)
+    elif n % 2 == 0:
+        delta = 1 if j % p == 0 else 0
+        val = Fraction(p) ** (n - 1) + eps * kronecker(-1, p) ** (n // 2) * (p * delta - 1) * Fraction(p) ** ((n - 2) // 2)
+    else:
+        val = Fraction(p) ** (n - 1) + eps * legendre(-1, p) ** ((n - 1) // 2) * legendre(2, p) * legendre(
+            j, p
+        ) * Fraction(p) ** ((n - 1) // 2)
     if val.denominator != 1:
         raise InternalInconsistency("norm count is not an integer")
     return int(val)

@@ -10,6 +10,7 @@ and are adjoint to each other for the standard inner products.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 
 from .fqm import DiscriminantForm, Element, InternalInconsistency
 from .intmat import invert_unimodular, rational_inverse, row_lattice_basis, smith_normal_form
@@ -33,67 +34,55 @@ class IsotropicSubgroup:
         return f"IsotropicSubgroup(order={self.order}, generators={list(self.generators)})"
 
 
-def _close_subgroup(form: DiscriminantForm, gens: tuple[Element, ...]) -> tuple[Element, ...]:
-    seen = {form.zero()}
-    frontier = [form.zero()]
-    while frontier:
-        cur = frontier.pop()
-        for g in gens:
-            nxt = form.add(cur, g)
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return tuple(sorted(seen))
-
-
-def _orthogonal_to(form: DiscriminantForm, gens):
-    """The test b(x, g) = 0 for every g in gens, in integers scaled by the level."""
-    n, rows = form.level(), [form.b_row(g) for g in gens]
-    return lambda x: all(sum(a * r for a, r in zip(x, row)) % n == 0 for row in rows)
-
-
-def _perp(form: DiscriminantForm, gens) -> tuple[Element, ...]:
-    return tuple(filter(_orthogonal_to(form, gens), form.elements()))
+def _extend(form: DiscriminantForm, sub: IsotropicSubgroup, h: Element, seen=()) -> IsotropicSubgroup | None:
+    """H + <h> from H = sub: its elements are the cosets j h + H, j = 0, 1, ...
+    up to the first j h in H, and its H-perp is sub.perp cut by b(h, .) = 0;
+    None when its element set is in seen."""
+    members, els, jh = set(sub.elements), list(sub.elements), h
+    while jh not in members:
+        els.extend(form.add(jh, x) for x in sub.elements)
+        jh = form.add(jh, h)
+    els = tuple(sorted(els))
+    if els in seen:
+        return None
+    row, n = form.b_row(h), form.level()
+    perp = tuple(x for x in sub.perp if sum(map(mul, row, x)) % n == 0)
+    if len(perp) * len(els) != form.order:
+        raise InternalInconsistency("|H| * |H-perp| != |D|")
+    return IsotropicSubgroup(form, sub.generators + (h,), els, perp)
 
 
 def make_isotropic_subgroup(form: DiscriminantForm, gens) -> IsotropicSubgroup:
     gens = tuple(form.normalize(g) for g in gens)
-    els = _close_subgroup(form, gens)
-    for el in els:
+    sub = IsotropicSubgroup(form, (), (form.zero(),), tuple(form.elements()))
+    for g in gens:
+        sub = _extend(form, sub, g)
+    for el in sub.elements:
         if form.q(el) != 0:
             raise ValueError(f"subgroup generated by {gens} is not isotropic at {el}")
-    sub = IsotropicSubgroup(form, gens, els, _perp(form, gens))
-    if len(sub.perp) * len(els) != form.order:
-        raise InternalInconsistency("|H| * |H-perp| != |D|")
     return sub
 
 
 def isotropic_subgroups(form: DiscriminantForm) -> list[IsotropicSubgroup]:
     """All isotropic subgroups of D, each listed once.
 
-    Breadth-first closure: extend by one isotropic element at a time,
-    which must be orthogonal to the current generators (forced by
-    q(h+k) = q(h) + q(k) + b(h,k)); deduplicate by element set.
+    Breadth-first: extend each subgroup H of the last round by every
+    isotropic h in H-perp (forced by q(h+k) = q(h) + q(k) + b(h,k)), in
+    element order; an extension whose element set was found before is
+    dropped.
     """
-    iso = form.isotropic_elements()
+    iso = set(form.isotropic_elements())
     zero_sub = make_isotropic_subgroup(form, ())
     found: dict[tuple[Element, ...], IsotropicSubgroup] = {zero_sub.elements: zero_sub}
     frontier = [zero_sub]
     while frontier:
         nxt = []
         for sub in frontier:
-            orthogonal = _orthogonal_to(form, sub.generators)
-            for h in iso:
-                if h in sub.elements or not orthogonal(h):
-                    continue
-                els = _close_subgroup(form, sub.generators + (h,))
-                if els in found:
-                    continue
-                new = IsotropicSubgroup(form, sub.generators + (h,), els, _perp(form, sub.generators + (h,)))
-                if len(new.perp) * len(els) != form.order:
-                    raise InternalInconsistency("|H| * |H-perp| != |D|")
-                found[els] = new
-                nxt.append(new)
+            for h in sub.perp:
+                new = _extend(form, sub, h, found) if h in iso else None
+                if new is not None:
+                    found[new.elements] = new
+                    nxt.append(new)
         frontier = nxt
     return sorted(found.values(), key=lambda s: (s.order, s.elements))
 

@@ -691,51 +691,34 @@ def dim_closed_form(symbol) -> int | None:
         symbol = JordanSymbol.parse(symbol)
     if symbol.signature() % 2:
         return 0
-    comps = symbol.components
-    if len(comps) == 0:
+    if not symbol.components:
         return 1
-    if len(comps) == 1:
-        c = comps[0]
-        n, eps = c.n, c.sign
-        if c.p != 2:
-            if c.q != c.p:
-                return None
-            p = c.p
-            if n % 2 == 0:
-                val = Fraction(p ** (n - 1) - p, p * p - 1) + eps * legendre(-1, p) ** (n // 2) * p ** ((n - 2) // 2) + 1
-            else:
-                val = Fraction(p ** (n - 1) - 1, p * p - 1)
-            return _as_int(val)
-        if c.even:
-            if c.q != 2:
-                return None
-            val = Fraction(2 ** (n - 1) + 1, 3) + eps * Fraction(2) ** ((n - 2) // 2)
-            return _as_int(val)
-        if c.q != 2:
-            return None
-        t = c.t % 8
+    kind, c = symbol.family() or (None, None)
+    if kind == "elementary":
+        p, n, eps = c.p, c.n, c.sign
+        if n % 2:
+            val = Fraction(p ** (n - 1) - 1, p * p - 1)
+        else:
+            val = Fraction(p ** (n - 1) - p, p * p - 1) + eps * kronecker(-1, p) ** (n // 2) * p ** ((n - 2) // 2) + 1
+    elif kind == "two-odd":
+        n, eps, t = c.n, c.sign, c.t % 8
         if t % 4 == 2:
             return 0
         val = (Fraction(2) ** (n - 3) + 1) / 3 + eps * (-1) ** (t // 4) * Fraction(2) ** ((n - 4) // 2)
-        return _as_int(val)
-    if len(comps) == 2:
-        c2, c4 = comps
-        if c2.q == 2 and not c2.even and c4.q == 4 and c4.even and c4.n == 2 and c4.sign == 1:
-            n, eps, t = c2.n, c2.sign, c2.t % 8
-            if n % 2:
-                return 0
-            dev = eps * 2 ** ((n + 2) // 2) * (1 if t % 4 == 0 else 0) * kronecker((t - 1) % 8, 2)
-            size_i = 2 ** (n + 2) + dev
-            size_i2 = 2**n + dev
-            brace = cyclo.ONE + Fraction(eps, 2 ** (n // 2)) * e_of(Fraction(3 * t, 8)) * (
-                cyclo.ONE + e_of(Fraction(t, 4))
-            )
-            total = brace * Fraction(size_i, 12) + e_of(Fraction(t, 4)) * Fraction(size_i2, 12)
-            val = cyclo.as_rational(total)
-            if val is None:
-                raise InternalInconsistency("dimension formula did not evaluate to a rational")
-            return _as_int(val)
-    return None
+    elif kind == "two-four":
+        n, eps, t = c.n, c.sign, c.t % 8
+        if n % 2:
+            return 0
+        dev = eps * 2 ** ((n + 2) // 2) * (1 if t % 4 == 0 else 0) * kronecker((t - 1) % 8, 2)
+        size_i = 2 ** (n + 2) + dev
+        size_i2 = 2**n + dev
+        brace = cyclo.ONE + Fraction(eps, 2 ** (n // 2)) * e_of(Fraction(3 * t, 8)) * (cyclo.ONE + e_of(Fraction(t, 4)))
+        val = cyclo.as_rational(brace * Fraction(size_i, 12) + e_of(Fraction(t, 4)) * Fraction(size_i2, 12))
+        if val is None:
+            raise InternalInconsistency("dimension formula did not evaluate to a rational")
+    else:
+        return None
+    return _as_int(val)
 
 
 def _as_int(val: Fraction) -> int:
@@ -763,38 +746,11 @@ def projection_closed_form(form: DiscriminantForm, gamma: Element) -> Vec | None
     gamma = form.normalize(gamma)
     if form.q(gamma) != 0:
         return None
-    comps = symbol.components
-    if len(comps) == 0:
+    if not symbol.components:
         return Vec.basis(form, gamma)
-    if len(comps) == 1:
-        c = comps[0]
-        if c.p != 2 and c.q == c.p:
-            return _projection_odd_elementary(form, gamma, c)
-        if c.p == 2 and c.even and c.q == 2:
-            return _projection_two_even(form, gamma, c)
-        if c.p == 2 and not c.even and c.q == 2:
-            return _projection_two_odd(form, gamma, c)
-        return None
-    if len(comps) == 2:
-        c2, c4 = comps
-        if c2.q == 2 and not c2.even and c4.q == 4 and c4.even and c4.n == 2 and c4.sign == 1:
-            return _projection_two_four(form, gamma, c2)
-    if len(comps) == 3:
-        c2, c4, c8 = comps
-        if (
-            c2.q == 2
-            and not c2.even
-            and c2.n == 1
-            and c4.q == 4
-            and not c4.even
-            and c4.n == 1
-            and c8.q == 8
-            and c8.even
-            and c8.n == 2
-            and c8.sign == 1
-        ):
-            return _projection_level_eight(form, gamma, c4)
-    return None
+    kind, comp = symbol.family() or (None, None)
+    build = _PROJECTIONS.get(kind)
+    return None if build is None else build(form, gamma, comp)
 
 
 def _bump(out: dict[Element, Cyclo], el: Element, c) -> None:
@@ -802,13 +758,14 @@ def _bump(out: dict[Element, Cyclo], el: Element, c) -> None:
     out[el] = out.get(el, cyclo.ZERO) + c
 
 
-def _projection_odd_elementary(form: DiscriminantForm, gamma: Element, comp) -> Vec:
+def _projection_elementary(form: DiscriminantForm, gamma: Element, comp) -> Vec:
+    """p^(eps n); 2_II^(eps n) is its case p = 2 (even rank, (-1/2) = 1)."""
     p, n, eps = comp.p, comp.n, comp.sign
     iso = form.isotropic_elements()
     out: dict[Element, Cyclo] = {}
 
     if n % 2 == 0:
-        lead = Fraction(eps * legendre(-1, p) ** (n // 2), (p * p - 1)) * Fraction(p) ** (-((n - 2) // 2))
+        lead = Fraction(eps * kronecker(-1, p) ** (n // 2), (p * p - 1)) * Fraction(p) ** (-((n - 2) // 2))
         for mu in iso:
             c = Fraction(p) if form.b(mu, gamma) == 0 else Fraction(0)
             _bump(out, mu, cyclo.Cyclo.rational((c - 1) * lead))
@@ -824,19 +781,6 @@ def _projection_odd_elementary(form: DiscriminantForm, gamma: Element, comp) -> 
                 _bump(out, mu, cyclo.Cyclo.rational(sym * lead))
         for a in range(1, p):
             _bump(out, form.smul(a, gamma), cyclo.Cyclo.rational(Fraction(legendre(a, p), p * p - 1)))
-    return Vec(form, out)
-
-
-def _projection_two_even(form: DiscriminantForm, gamma: Element, comp) -> Vec:
-    n, eps = comp.n, comp.sign
-    iso = form.isotropic_elements()
-    lead = Fraction(eps, 3) * Fraction(2) ** (-((n - 2) // 2))
-    out: dict[Element, Cyclo] = {}
-    for mu in iso:
-        c = Fraction(2) if form.b(mu, gamma) == 0 else Fraction(0)
-        out[mu] = cyclo.Cyclo.rational((c - 1) * lead)
-    g = form.normalize(gamma)
-    out[g] = out.get(g, cyclo.ZERO) + Fraction(1, 3)
     return Vec(form, out)
 
 
@@ -917,6 +861,14 @@ def _projection_level_eight(form: DiscriminantForm, gamma: Element, c4) -> Vec:
     for a in (1, 3, 5, 7):
         _bump(out, form.smul(a, gamma), cyclo.Cyclo.rational(Fraction(form.chi(a), 48)))
     return Vec(form, out)
+
+
+_PROJECTIONS = {
+    "elementary": _projection_elementary,
+    "two-odd": _projection_two_odd,
+    "two-four": _projection_two_four,
+    "level-eight": _projection_level_eight,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,18 @@ def test_jacobi_command(tmp_path):
     assert doc["rank"] == doc["dim"] == 0
 
 
+def test_jacobi_rank_zero_gram(tmp_path):
+    """The empty Gram matrix is the rank-0 lattice: its one theta series is 1."""
+    path = tmp_path / "gram.json"
+    path.write_text("[]")
+    status, out = run_cli(["jacobi", "--precision", "3", "--gram", str(path)])
+    assert status == 0, out
+    doc = json.loads(out)
+    assert doc["dim"] == doc["rank"] == 1
+    assert doc["weight"] == "0"
+    assert [e["theta"] for e in doc["basis"]] == [[1, 0, 0, 0]]
+
+
 def test_s2dim_command():
     status, out = run_cli(["s2dim", "--symbol", "7^+2", "--check"])
     assert status == 0

@@ -24,6 +24,37 @@ def test_symbol_parsing_roundtrip():
         assert str(sym) == text
 
 
+@pytest.mark.parametrize(
+    "text,kind,component",
+    [
+        ("3^+1", "elementary", "3^+1"),
+        ("7^-4", "elementary", "7^-4"),
+        ("2_II^+2", "elementary", "2_II^+2"),
+        ("2_II^-6", "elementary", "2_II^-6"),
+        ("2_1^+1", "two-odd", "2_1^+1"),
+        ("2_6^-4", "two-odd", "2_6^-4"),
+        ("2_2^+2.4_II^+2", "two-four", "2_2^+2"),
+        ("2_7^+1.4_II^+2", "two-four", "2_7^+1"),
+        ("2_1^+1.4_1^+1.8_II^+2", "level-eight", "4_1^+1"),
+        ("2_3^-1.4_5^-1.8_II^+2", "level-eight", "4_5^-1"),
+        ("9^+1", None, None),
+        ("4_II^+2", None, None),
+        ("4_1^+1", None, None),
+        ("2_II^+2.4_II^+2", None, None),
+        ("2_2^+2.4_II^-2", None, None),
+        ("2_0^+2.4_1^+1.8_II^+2", None, None),
+        ("3^+1.5^+1", None, None),
+        ("", None, None),
+    ],
+)
+def test_symbol_family(text, kind, component):
+    family = JordanSymbol.parse(text).family()
+    if kind is None:
+        assert family is None
+    else:
+        assert (family[0], str(family[1])) == (kind, component)
+
+
 def test_symbol_rejects_garbage():
     for text in ["bogus^^", "6^+1", "2^+1", "2_II^-3", "2_0^-2", "4_1^+2"]:
         with pytest.raises(SymbolError):
@@ -350,7 +381,7 @@ def test_count_norm_odd_matches_bruteforce(p, n, eps):
         assert count_norm(sym, j) == counts.get(j, 0)
 
 
-@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("n", [2, 4, 6])
 @pytest.mark.parametrize("eps", [1, -1])
 def test_count_norm_even_two_adic_matches_bruteforce(n, eps):
     sym = f"2_II^{'+' if eps > 0 else '-'}{n}"

@@ -59,6 +59,55 @@ def test_perp_sizes():
             assert len(s.perp) * s.order == d.order
 
 
+def _closure(d, gens):
+    seen, frontier = {d.zero()}, [d.zero()]
+    while frontier:
+        cur = frontier.pop()
+        for g in gens:
+            nxt = d.add(cur, g)
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return frozenset(seen)
+
+
+def _isotropic_closures(d):
+    """The element sets of the subgroups generated by at most three isotropic
+    elements that come out isotropic.  A triple is closed over one generating
+    pair of each isotropic pair-subgroup, which gives the same set."""
+    iso = d.isotropic_elements()
+
+    def isotropic(els):
+        return all(d.q_int(x) == 0 for x in els)
+
+    pairs = {}
+    for i, a in enumerate(iso):
+        for b in iso[i:]:
+            els = _closure(d, (a, b))
+            if isotropic(els):
+                pairs.setdefault(els, (a, b))
+    triples = {_closure(d, (*gens, c)) for gens in pairs.values() for c in iso}
+    return set(pairs) | {els for els in triples if isotropic(els)}
+
+
+@pytest.mark.parametrize(
+    "symbol",
+    ["4_II^+2", "8_II^+2", "9^+2", "2_2^+2.4_II^+2", "2_II^+2.3^-2", "2_1^+1.4_1^+1.8_II^+2"],
+)
+def test_isotropic_subgroups_match_exhaustive_closures(symbol):
+    """Every isotropic subgroup is found, once.  Three generators suffice:
+    |H|^2 <= |D| bounds |H| by 9 where |D| <= 81, and a group of order at
+    most 9 has at most three generators; on the larger form, of 2-rank 4,
+    an H with four generators would contain all of D[2], which is not
+    isotropic there."""
+    d = from_jordan_symbol(symbol)
+    if d.order > 81:
+        assert len(d.kernel_of_mul(2)) == 16 and any(d.q_int(x) for x in d.kernel_of_mul(2))
+    found = [frozenset(s.elements) for s in isotropic_subgroups(d)]
+    assert len(found) == len(set(found))
+    assert set(found) == _isotropic_closures(d)
+
+
 def test_subgroups_rejects_non_isotropic_generator():
     d = from_jordan_symbol("2_0^+2")
     bad = next(g for g in d.elements() if d.q(g) != 0)

@@ -2,6 +2,7 @@
 disagreement.  The CLI and the scripts end quietly with exit code 5
 (io-error) when the reader of their output closes the pipe."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -36,6 +37,20 @@ def test_script_runs_clean(argv, tmp_path):
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip()
         assert not [line for line in proc.stdout.splitlines() if "MISMATCH" in line or "FAIL" in line]
+
+
+def test_dimension_table_fails_on_mismatch(monkeypatch, capsys):
+    """A closed value that differs from the trace is a MISMATCH row and exit
+    status 1; the 2_t^(eps n).4_II^+2 rows are in the table."""
+    spec = importlib.util.spec_from_file_location("dimension_table", ROOT / "scripts" / "dimension_table.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sys, "argv", ["dimension_table.py", "3", "2"])
+    assert script.main() == 0
+    assert "2_0^+2.4_II^+2" in capsys.readouterr().out
+    monkeypatch.setattr(script, "dim_closed_form", lambda symbol: 99)
+    assert script.main() == 1
+    assert "MISMATCH" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -116,26 +116,34 @@ def _cmd_dim(args) -> dict:
 
 
 def _invariant_basis(form: DiscriminantForm):
-    ech = Echelon()
-    picked = []
+    """(gamma, inv(e^gamma)) for the first isotropic gammas whose projections
+    are independent.  With M the matrix of the generators, inv(e^gamma) =
+    M (M^* M)^+ conj(M[gamma]) is new exactly when the row M[gamma] is, so
+    the picks are read from the rows and only dim gammas are projected."""
+    dim = dim_invariants(form)
+    gens = invariant_generators(form) if dim else []
+    rows, picked = Echelon(), []
     for gamma in form.isotropic_elements():
-        v = inv(form, gamma)
-        if ech.add(v.coeffs):
-            picked.append((gamma, v))
-    return picked
+        if len(picked) == dim:
+            break
+        if rows.add({j: g.coeffs[gamma] for j, g in enumerate(gens) if gamma in g.coeffs}):
+            picked.append(gamma)
+    basis = [(gamma, inv(form, gamma)) for gamma in picked]
+    images = Echelon()
+    if len(picked) != dim or not all(images.add(v.coeffs) for _, v in basis):
+        raise InternalError("basis rank check: the projection basis has the wrong rank")
+    return basis
 
 
 def _cmd_invariants(args) -> dict:
     form, name = _load_form(args)
     doc = _form_header(form, name)
     picked = _invariant_basis(form)
-    doc["dim"] = dim_invariants(form)
+    doc["dim"] = len(picked)
     doc["basis"] = [
         {"projected_from": list(gamma), "vector": _vector_doc(integer_normalize(v))}
         for gamma, v in picked
     ]
-    if len(picked) != doc["dim"]:
-        raise InternalError("basis rank check: the projection basis has the wrong rank")
     return doc
 
 

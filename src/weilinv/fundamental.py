@@ -321,9 +321,15 @@ def induced_generating_set(form: DiscriminantForm) -> list[GroupAlgebraVector]:
 
 def invariant_generators(form: DiscriminantForm) -> list[GroupAlgebraVector]:
     """Generating set of C[D]^Gamma for arbitrary level: fundamental lifts
-    on each p-part, tensored together."""
+    on each p-part, tensored together; memoized per form, returned as a new
+    list."""
     if form.signature() % 2:
         return []
-    if form.level() == 1:
-        return [Vec.basis(form, form.zero())]
-    return tensor_combine([(part, emb, induced_generating_set(part)) for _, part, emb in form.p_part_decompose()])
+    form.elements()  # the order bound, checked before the memo is read
+
+    def build():
+        if form.level() == 1 or prime_power(form.level()):
+            return induced_generating_set(form)
+        return tensor_combine([(part, emb, induced_generating_set(part)) for _, part, emb in form.p_part_decompose()])
+
+    return list(form.memo("generators", build))

@@ -1,11 +1,17 @@
 import io
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
+from weilinv import cli
 from weilinv.cli import main
-from weilinv.fqm import from_jordan_symbol
+from weilinv.fqm import from_gram, from_jordan_symbol
+from weilinv.intmat import Echelon
+from weilinv.weil import inv
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(args):
@@ -53,6 +59,54 @@ def test_invariants_command():
     doc = json.loads(out)
     assert doc["dim"] == 2
     assert len(doc["basis"]) == 2
+
+
+def _cusp_greedy_basis(form):
+    """The oracle of invariants: inv on every isotropic gamma, in order, each
+    image kept when it is independent of the kept ones."""
+    ech, picked = Echelon(), []
+    for gamma in form.isotropic_elements():
+        v = inv(form, gamma)
+        if ech.add(v.coeffs):
+            picked.append((gamma, v))
+    return picked
+
+
+GREEDY_BASIS_SOURCES = [
+    "3^-2", "3^+2", "5^+2", "5^-2", "7^+2", "2_II^+2", "2_II^-2", "2_II^+4", "2_II^-4", "2_0^+2", "2_4^-2",
+    "4_II^+2", "8_II^+2", "9^+2", "3^+3", "3^-4", "3^+4", "2_II^+6", "2_2^+2.4_II^+2", "2_0^+2.4_II^+2",
+    "2_II^+2.3^-2", "2_II^+2.5^+2", "3^-2.5^+2", "2_II^+2.3^-4", "3^-1.9^+1", "2_1^+1.4_1^+1.8_II^+2",
+    "5^+1.5^+1", "11^+2", "13^-2", "3^+1.5^+1", "16_II^+2", "27^-1.3^+1", "tests/gram_4I4.json",
+]
+
+
+@pytest.mark.parametrize("source", GREEDY_BASIS_SOURCES)
+def test_generator_row_picks_match_the_cusp_greedy_basis(source):
+    """invariants reads its picks from the rows of the generator matrix and
+    projects only those; the greedy loop over every projection picks the
+    same elements and the same vectors."""
+    if source.endswith(".json"):
+        with open(ROOT / source, encoding="utf-8") as fh:
+            form = from_gram(json.load(fh))
+    else:
+        form = from_jordan_symbol(source)
+    assert cli._invariant_basis(form) == _cusp_greedy_basis(form)
+
+
+@pytest.mark.parametrize("symbol, dim", [("3^+5", 10), ("2_II^+6", 15), ("3^-4", 1)])
+def test_invariants_projects_only_dim_elements(symbol, dim, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "inv", lambda form, gamma: calls.append(gamma) or inv(form, gamma))
+    status, out = run_cli(["invariants", "--symbol", symbol])
+    assert status == 0 and json.loads(out)["dim"] == len(calls) == dim
+
+
+def test_generator_rows_of_too_low_rank_fail_the_basis_check(monkeypatch):
+    monkeypatch.setattr(cli, "invariant_generators", lambda form: [])
+    status, out = run_cli(["invariants", "--symbol", "3^-4"])
+    assert status == 6
+    error = json.loads(out)["error"]
+    assert error["code"] == "internal-error" and "basis rank check" in error["message"]
 
 
 def test_parse_error_exit_code():

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from weilinv.config import LIMITS
 from weilinv.cyclo import Cyclo
-from weilinv.fqm import from_jordan_symbol
+from weilinv.fqm import BoundExceeded, from_jordan_symbol
 from weilinv.fundamental import (
     fundamental_form,
     fundamental_invariant,
@@ -250,3 +251,18 @@ def test_integer_normalize_rules():
     n = integer_normalize(v)
     assert n.coefficient(d.zero()) == Cyclo.rational(1)
     assert n.coefficient((1, 0)) == Cyclo.rational(2)
+
+
+def test_memoized_generators_respect_the_order_bound(monkeypatch):
+    """A repeated call under a lowered max_form_order fails as a cold one does."""
+    d = from_jordan_symbol("3^-4")
+    invariant_generators(d)
+    monkeypatch.setattr(LIMITS, "max_form_order", 50)
+    with pytest.raises(BoundExceeded):
+        invariant_generators(d)
+
+
+def test_memoized_generators_are_not_aliased():
+    d = from_jordan_symbol("3^-4")
+    invariant_generators(d).append(None)
+    assert len(invariant_generators(d)) == 1

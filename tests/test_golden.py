@@ -3,18 +3,18 @@
 The digests are SHA-256 of stdout, recorded before the exact elimination
 routines were merged into one; the composite-level `invariants` and the
 `dim --check 5^-3` digests were recorded before the cusp columns were
-derived from the e^0 column.  A refactor that keeps every result exact
-keeps every digest; a digest that changes means some output changed.
+derived from the e^0 column; the `invariants` digests of 3^+5, 2_II^+6,
+5^+4 and 7^-4 were recorded while invariants still projected every
+isotropic element, before it read its picks from the generators.  A
+refactor that keeps every result exact keeps every digest; a digest that
+changes means some output changed.
 """
 
 import hashlib
-from pathlib import Path
 
 import pytest
 
-from test_cli import run_cli
-
-ROOT = Path(__file__).resolve().parent.parent
+from test_cli import ROOT, run_cli
 
 GOLDEN = [
     (["invariants", "--symbol", "5^+2"], "40afb8bfec565bc8d3c5a99ee69de33cc1687dd936c5522d30893c183ebcf698"),
@@ -24,6 +24,10 @@ GOLDEN = [
     (["induced-basis", "--check", "--symbol", "3^-4"], "e1c1721cab44575510db1a0d43693ed24a3f20d643731bf79828b4baf47c0d8b"),
     (["induced-basis", "--check", "--symbol", "2_II^+2.3^-2"], "24ae5a7384b5458ff6ddcbc13ebc5af0e51cba02efec67bc1608901008aead77"),
     (["invariants", "--symbol", "2_II^+2.3^-2"], "812c8b8ddf9767490c702a10c518f891cb58248e3c08d0e7b6764ffb0466fdd3"),
+    (["invariants", "--symbol", "3^+5"], "a89d62b488f95b22f6eb8092f026a8d802ca2ab15cb8761b639571a9c9753e18"),
+    (["invariants", "--symbol", "2_II^+6"], "f7bae15b45544456e344c0e6570b909eb389ae305666b6ef5a9d7efdd7ae90cf"),
+    (["invariants", "--symbol", "5^+4"], "a9c386a3ddf84ad8acb7c1327b20c6176868426a94a8604833a184d60a7ed810"),
+    (["invariants", "--symbol", "7^-4"], "4422dfc36081a84dc57dc66921965c6645297c174b77da76af1bca75eef72612"),
     (["dim", "--check", "--symbol", "3^-2"], "b59ce5b18ffa4e1edc0f46d63ff31c0bed7d768a59b1b714ab38162d0f86feac"),
     (["dim", "--check", "--symbol", "5^-3"], "ba6e7c49eda1f569412bf0857b2054449288f2c91851bda57aa105b7a0159967"),
     (["verify", "--symbol", "2_0^+2"], "e3244c6f5c49ecf6a3a261ee7c6c149b048bc78db78ca5c9411cfe1f1fb580bb"),

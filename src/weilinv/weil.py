@@ -27,15 +27,20 @@ e^-mu.  On the isotropic diagonal mu = gamma the q and b terms vanish, as
 q(gamma) = 0 and (gamma, +-gamma) = +-2 q(gamma) = 0: the trace of a cusp
 piece needs only c0((1-d) gamma) and e(sig/4) c0(-(1+d) gamma).
 
-Everything is exact.  Inside a word the coefficients are dense lists of
-integers, elements of the group ring Z[x]/(x^u - 1) with x = zeta_u, u the
-lcm of the level and the coefficient orders: a root of unity rotates a list,
-and rho(S) without its scalar e(sign(D)/8)/sqrt(|D|) is a mixed-radix
-character transform, one generator axis at a time, of rotations and integer
-sums.  The scalars are counted and multiplied in once.  A Cyclo is integer
-power-basis coordinates over one denominator, so a vector enters the word
-by putting each coordinate of zeta_m^e at position e*u/m, over the common
-denominator, and leaves it through the Cyclo constructor at the order
+Everything is exact.  Inside a word a coefficient is an element of
+Z[x]/(x^u - 1), x = zeta_u, u a multiple of the level, as u non-negative
+digits packed into one int (Kronecker substitution): an entry holds C
+blocks, one per input column, digit e of block c at bit (c*u + e)*B.
+zeta_u^j rotates every block by j*B bits (two masks per j); rho(S) without
+its scalar e(sign(D)/8)/sqrt(|D|) is a mixed-radix character transform, one
+generator axis at a time, of rotations and int sums; an S S pair multiplies
+by |D|.  An S letter sums at most |D| digits into one, so no digit carries
+when B is the bit length of c0 * terms * |D|^s, c0 the largest input digit,
+`terms` the images summed and s the S letters.  The scalars are counted and
+multiplied in once.  A Cyclo is integer power-basis coordinates over one
+denominator: a coordinate c of zeta_m^e enters at digit e*u/m, over the
+common denominator, and -c as c at digit e*u/m + u/2 (u even, x^(u/2) = -1
+modulo Phi_u); the image leaves through the Cyclo constructor at the order
 lcm(w, u), w the working order, which reduces and divides out the gcd.
 """
 
@@ -46,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
-from operator import add, mul
+from operator import add, itemgetter, mul
 
 from . import cyclo
 from .arith import ext_gcd, factorize, frac1, kronecker, legendre
@@ -245,23 +250,23 @@ def _tables(form: DiscriminantForm):
 
 
 def _word_tables(form: DiscriminantForm):
-    """_tables plus the frequency reindexing of S and the negation
-    permutation, built on the first word applied to the form."""
+    """_tables plus the S data (frequency reindexing; per axis, for each t,
+    the pick of zeta_d^(m t), m < d) and the negation permutation."""
 
     def build():
         n = form.level()
         # e(b(el, e_i)) = zeta_{d_i}^f_i, f_i = d_i b(el, e_i) an integer since d_i e_i = 0
         freq = [[r * d // n % d for r, d in zip(form.b_row(el), form.orders)] for el in form.elements()]
         neg = [form.index(form.neg(el)) for el in form.elements()]
-        return {**_tables(form), "freq_index": [form.index(ell) for ell in freq], "neg_index": neg}
+        picks = [[itemgetter(*(m * t % d for m in range(d))) for t in range(d)] for d in form.orders]
+        return {**_tables(form), "freq_index": [form.index(ell) for ell in freq], "neg_index": neg, "picks": picks}
 
     return form.memo("word_tables", build)
 
 
-# Inside a word an entry is a dense list of u ints, an element of Z[x]/(x^u - 1)
-# with x acting as zeta_u, or None for zero; u is the level times what the
-# input coefficients need.  The S scalars e(sig/8)/sqrt|D| are left out of the
-# letters and multiplied in once, in Q(zeta_w), when the word is done.
+# Inside a word an entry is a packed int (module docstring), 0 for zero; the
+# S scalars e(sig/8)/sqrt|D| are left out of the letters and multiplied in
+# once, in Q(zeta_w), when the word is done.
 
 
 def _rot(x: list[int], k: int) -> list[int]:
@@ -295,49 +300,73 @@ def _scalar_power(form: DiscriminantForm, tab, k: int) -> tuple[dict[int, int], 
     return form.memo(("scalar_pow", k), build)
 
 
-def _apply_s_ints(form: DiscriminantForm, tab, data: list, u: int) -> list:
+def _rotations(u: int, bits: int, blocks: int) -> tuple[tuple[int, int, int, int], ...]:
+    """(low, high, up, down) per j: x * zeta_u^j in every block is
+    ((x & low) << up) | ((x & high) >> down), low the digits below u - j."""
+    ones = sum(1 << c * u * bits for c in range(blocks))
+    lows = [ones * ((1 << (u - j) * bits) - 1) for j in range(u)]
+    return tuple((low, lows[0] ^ low, j * bits, (u - j) * bits) for j, low in enumerate(lows))
+
+
+def _unpack(x: int, u: int, bits: int, blocks: int) -> list[list[int] | None]:
+    """The digit lists of the blocks of x, None for a zero block."""
+    mask = (1 << bits) - 1
+    digits = [x >> e & mask for e in range(0, u * bits * blocks, bits)]
+    return [d if any(d) else None for d in (digits[c * u : c * u + u] for c in range(blocks))]
+
+
+def _apply_s_ints(form: DiscriminantForm, tab, data: list[int], rot) -> list[int]:
     """rho(S) without its scalar: per-axis character sums of rotations,
     then the frequency reindexing."""
-    n = form.order
-    for axis, d in enumerate(form.orders):
-        stride = form._strides[axis]
-        cuts = [u - r * u // d for r in range(1, d)]  # x * zeta_d^r = x[cut:] + x[:cut]
-        out = [None] * n
+    n, u = form.order, len(rot)
+    for d, stride, picks in zip(form.orders, form._strides, tab["picks"]):
+        masks = [rot[r * u // d] for r in range(1, d)]  # x * zeta_d^r
+        out = [0] * n
         for base in range(0, n, d * stride):
             for off in range(base, base + stride):
-                rots = []  # entry t of the column, times each zeta_d^r that it meets
-                for t in range(d):
+                acc = None  # the column's character sums, entry t at a time
+                for t, pick in enumerate(picks):
                     x = data[off + t * stride]
-                    if x is not None:
-                        rots.append((t, [x] + [x[c:] + x[:c] for c in cuts] if t else [x]))
-                for m in range(d) if rots else ():
-                    acc = None
-                    for t, r in rots:
-                        y = r[m * t % d]
-                        acc = y if acc is None else map(add, acc, y)
-                    out[off + m * stride] = list(acc)
+                    if x:
+                        row = pick([x, *[((x & lo) << a) | ((x & hi) >> b) for lo, hi, a, b in masks]] if t else [x])
+                        acc = row if acc is None else list(map(add, acc, row))
+                if acc is not None:
+                    out[off : off + d * stride : stride] = acc
         data = out
     return [data[i] for i in tab["freq_index"]]
 
 
-def _apply_word_ints(form: DiscriminantForm, tab, tokens, data: list, u: int) -> tuple[list, int]:
-    """The word applied right to left in Z[x]/(x^u - 1); returns the image
-    and the number of S letters, whose scalars are left out.  Two adjacent S
-    letters are rho(-1), e^gamma -> e(sig/4) e^-gamma, which is central:
-    without their scalars e(sig/4)/|D| they are |D| times the negation."""
+def _apply_word_packed(form: DiscriminantForm, tab, tokens, data: list[int], rot) -> tuple[list[int], int]:
+    """The word right to left on packed entries, rot = _rotations(u, B, C);
+    returns the image and the number of S letters, whose scalars are left
+    out.  Two adjacent S letters are rho(-1), e(sig/4) times the negation
+    e^gamma -> e^-gamma: without their scalars, |D| times the negation."""
+    u = len(rot)
     q_exp = [q * u // tab["w"] for q in tab["q_exp"]]
     count, i = 0, len(tokens)
     while i:
         i -= 1
         if tokens[i][0] == "T":
-            data = [None if x is None else _rot(x, -tokens[i][1] * q) for x, q in zip(data, q_exp)]
+            steps = [rot[-tokens[i][1] * q % u] for q in q_exp]
+            data = [((x & lo) << a) | ((x & hi) >> b) for x, (lo, hi, a, b) in zip(data, steps)]
         elif i and tokens[i - 1][0] == "S":
             i, count = i - 1, count + 2
-            data = [None if data[j] is None else [v * form.order for v in data[j]] for j in tab["neg_index"]]
+            data = [data[j] * form.order for j in tab["neg_index"]]
         else:
-            data = _apply_s_ints(form, tab, data, u)
+            data = _apply_s_ints(form, tab, data, rot)
             count += 1
     return data, count
+
+
+def _apply_word_ints(form: DiscriminantForm, tab, tokens, data: list, u: int) -> tuple[list, int]:
+    """_apply_word_packed with one block, on entries given as lists of u
+    non-negative digits (None for zero)."""
+    top = max([1] + [max(x) for x in data if x is not None])
+    bits = (top * form.order ** sum(kind == "S" for kind, _ in tokens)).bit_length()
+    shifts, mask = range(0, u * bits, bits), (1 << bits) - 1
+    packed = [0 if x is None else sum(v << e for v, e in zip(x, shifts)) for x in data]
+    image, k = _apply_word_packed(form, tab, tokens, packed, _rotations(u, bits, 1))
+    return [[x >> e & mask for e in shifts] if x else None for x in image], k
 
 
 def _apply_word_dense(form: DiscriminantForm, tokens, vec: list[Cyclo]) -> list[Cyclo]:
@@ -345,14 +374,14 @@ def _apply_word_dense(form: DiscriminantForm, tokens, vec: list[Cyclo]) -> list[
     by one common denominator, which is divided out with the scalars; the
     image lies in Q(zeta_W), W = lcm(w, u)."""
     tab = _word_tables(form)
-    u = lcm(form.level(), *(c.order for c in vec if c))
+    u = lcm(2, form.level(), *(c.order for c in vec if c))
     den = lcm(*(c.den for c in vec if c))
     data: list = [None] * len(vec)
     for i, c in enumerate(vec):
         if c:
-            step, f = u // c.order, den // c.den
-            data[i] = [0] * u
-            data[i][: step * len(c.num) : step] = [x * f for x in c.num]
+            step, f, data[i] = u // c.order, den // c.den, [0] * u
+            for e, v in enumerate(c.num):  # -v zeta_u^j = v zeta_u^(j + u/2)
+                data[i][(e * step + (v < 0) * u // 2) % u] += abs(v) * f
     data, k = _apply_word_ints(form, tab, tokens, data, u)
     den_k, big = _scalar_power(form, tab, k)[1], lcm(tab["w"], u)
     return [cyclo.ZERO if x is None else Cyclo(big, _scaled(form, tab, x, k, den_k), den * den_k) for x in data]
@@ -624,24 +653,41 @@ def inv_average_oracle(form: DiscriminantForm, gamma: Element) -> Vec:
     per coset; no cusp grouping, no block factorization and no sharing of
     word prefixes or suffixes between cosets.  Each coset is a small lift
     times T^t with a nearest-integer word, about 1-2 S transforms at small
-    levels (an S S pair is the rho(-1) permutation).  The integer images
-    are summed per number of S letters and scaled once at the end."""
+    levels (an S S pair is the rho(-1) permutation).  Only each word is
+    shared: it is applied once to every e^beta with N q(beta) = N q(gamma),
+    one packed block per beta, and the class's answers are memoized; the
+    images are summed per number of S letters, unpacked and scaled once."""
     if form.signature() % 2:
         return Vec(form)
-    tab = _word_tables(form)
-    u, blank, g = form.level(), [None] * form.order, form.index(form.normalize(gamma))
+    _check_bounds(form)
+    g, qn = form.index(form.normalize(gamma)), form.q_values()
+    return form.memo(("oracle", qn[g]), lambda: _oracle_class(form, qn[g]))[g]
+
+
+def _oracle_class(form: DiscriminantForm, qn: int) -> dict[int, Vec]:
+    """inv_average_oracle of every e^beta with N q(beta) = qn, by element index."""
+    tab, u = _word_tables(form), form.level()
+    cols = [i for i, x in enumerate(form.q_values()) if x == qn]
     cosets = enumerate_cosets(u)
-    start = [[1] + [0] * (u - 1) if i == g else None for i in range(form.order)]
-    sums: dict[int, list] = {}  # number of S letters -> sum of the integer images
+    by_count = defaultdict(list)  # number of S letters -> the coset words
     for word in cosets:
-        image, k = _apply_word_ints(form, tab, word.tokens, start, u)
-        acc = sums.get(k, blank)
-        sums[k] = [x if a is None else a if x is None else list(map(add, a, x)) for a, x in zip(acc, image)]
-    den = max(_scalar_power(form, tab, k)[1] for k in sums)
-    total = [[0] * tab["w"] for _ in blank]
-    for k, img in sums.items():
-        total = [t if x is None else list(map(add, t, _scaled(form, tab, x, k, den))) for t, x in zip(total, img)]
-    return _vec_from_dense(form, [Cyclo(tab["w"], t, den * len(cosets)) for t in total])
+        by_count[sum(kind == "S" for kind, _ in word.tokens)].append(word.tokens)
+    den = max(_scalar_power(form, tab, k)[1] for k in by_count)
+    totals = [[None] * form.order for _ in cols]
+    for k, words in by_count.items():
+        bits = (len(words) * form.order**k).bit_length()
+        rot, start, acc = _rotations(u, bits, len(cols)), [0] * form.order, [0] * form.order
+        for c, i in enumerate(cols):
+            start[i] = 1 << c * u * bits
+        for tokens in words:
+            acc = list(map(add, acc, _apply_word_packed(form, tab, tokens, start, rot)[0]))
+        for i, x in enumerate(acc):
+            for total, y in zip(totals, _unpack(x, u, bits, len(cols))):
+                if y is not None:
+                    y = _scaled(form, tab, y, k, den)
+                    total[i] = y if total[i] is None else list(map(add, total[i], y))
+    dense = ([cyclo.ZERO if t is None else Cyclo(tab["w"], t, den * len(cosets)) for t in total] for total in totals)
+    return {i: _vec_from_dense(form, x) for i, x in zip(cols, dense)}
 
 
 def dim_invariants(form: DiscriminantForm) -> int:
@@ -869,38 +915,3 @@ _PROJECTIONS = {
     "two-four": _projection_two_four,
     "level-eight": _projection_level_eight,
 }
-
-
-# ---------------------------------------------------------------------------
-# Extraction of the scalar factor of the product formula
-# ---------------------------------------------------------------------------
-
-
-def xi_factor(m, form: DiscriminantForm) -> Cyclo:
-    """The unitary scalar xi with
-    rho(M) e^0 = xi sqrt(|D_c|/|D|) sum_{beta in D^{c*}} e(-a q_c(beta)) e^beta,
-    recovered from the computed action rather than from local factors.
-    """
-    _require_even(form)
-    if isinstance(m, SL2Word):
-        mat = m.target
-    else:
-        mat = ((int(m[0][0]), int(m[0][1])), (int(m[1][0]), int(m[1][1])))
-    a, c = mat[0][0], mat[1][0]
-    w = rho(mat, Vec.basis(form, form.zero()))
-    dc = form.kernel_of_mul(c)
-    star = form.coset_dcstar(c)
-    ratio = sqrt_int(len(dc)) / sqrt_int(form.order)
-    if set(w.coeffs) - set(star):
-        raise InternalInconsistency("support of rho(M) e^0 is not inside D^{c*}")
-    xi = None
-    for beta in star:
-        expected_phase = e_of(-a * form.q_c(c, beta))
-        val = w.coefficient(beta) / (ratio * expected_phase)
-        if xi is None:
-            xi = val
-        elif not (xi == val):
-            raise InternalInconsistency("xi extraction is inconsistent across D^{c*}")
-    if xi is None or not (xi * xi.conjugate() == 1):
-        raise InternalInconsistency("extracted xi is not unitary")
-    return xi

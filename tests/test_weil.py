@@ -29,7 +29,6 @@ from weilinv.weil import (
     rho_T,
     sl2_group_order,
     word_decompose,
-    xi_factor,
     S_MAT,
     SL2Word,
     t_power,
@@ -271,6 +270,32 @@ def test_group_law_long_words_fractional_input():
         assert w.matrix() == w.target
     assert min(len(w.tokens) for w in (wa, wb, wab)) >= 100
     assert rho(wab, v) == rho(wa, rho(wb, v))
+
+
+@pytest.mark.parametrize("symbol", ["3^+3", "5^+2"])
+def test_negative_coordinates_at_odd_level(symbol):
+    """Power-basis coordinates -c enter the kernel as c times zeta_u^(u/2) = -1,
+    u even although the level is odd: rho_S matches the defining formula, and
+    the group law holds on words of at least 100 letters."""
+    d = from_jordan_symbol(symbol)
+    els = d.elements()
+    v = Vec(d, {els[1]: Cyclo.rational(-1), els[2]: cyclo.ONE - e_of(Fraction(1, 3)), els[4]: sqrt_int(5)})
+    assert all(min(c.num) < 0 for c in v.coeffs.values())
+    scalar = e_of(Fraction(d.signature(), 8)) / sqrt_int(d.order)
+    expected = Vec(d, {
+        beta: scalar * sum((c * e_of(d.b(g, beta)) for g, c in v.coeffs.items()), cyclo.ZERO)
+        for beta in els
+    })
+    assert rho_S(v) == expected
+    r = random.Random(11)
+
+    def long_word():  # the explicit product of 50 factors T^k S
+        return _explicit_word([tok for _ in range(50) for tok in (("T", r.choice([-3, -2, 2, 3])), ("S", 1))])
+
+    wa, wb = long_word(), long_word()
+    ab = mat2_mul(wa.target, wb.target)
+    assert min(len(w.tokens) for w in (wa, wb)) >= 100
+    assert rho(ab, v) == rho(wa, rho(wb, v)) == rho(SL2Word(ab, wa.tokens + wb.tokens), v)
 
 
 def _mixed_vector(d):
@@ -657,6 +682,21 @@ def test_four_torsion_perp_vanishes_with_character_at_five():
 # -- the scalar factor ------------------------------------------------------------
 
 
+def xi_factor(m, form):
+    """The unitary scalar xi with
+    rho(M) e^0 = xi sqrt(|D_c|/|D|) sum_{beta in D^{c*}} e(-a q_c(beta)) e^beta,
+    recovered from the computed action rather than from local factors."""
+    (a, _), (c, _) = m
+    w = rho(m, Vec.basis(form, form.zero()))
+    star = form.coset_dcstar(c)
+    ratio = sqrt_int(len(form.kernel_of_mul(c))) / sqrt_int(form.order)
+    assert set(w.coeffs) <= set(star), "support of rho(M) e^0 is not inside D^{c*}"
+    xis = [w.coefficient(beta) / (ratio * e_of(-a * form.q_c(c, beta))) for beta in star]
+    assert xis and all(x == xis[0] for x in xis), "xi is inconsistent across D^{c*}"
+    assert xis[0] * xis[0].conjugate() == 1, "xi is not unitary"
+    return xis[0]
+
+
 def test_xi_identity_and_s():
     d = from_jordan_symbol("3^-2")  # signature 0
     assert xi_factor(((1, 0), (0, 1)), d) == 1
@@ -759,6 +799,63 @@ def test_cusp_column_guard(monkeypatch):
         dim_invariants(form)
 
 
+def _check_packed_blocks(form, tokens):
+    """The packed kernel with one block per element of the largest q-class
+    gives, column by column, exactly the lists of one _apply_word_ints run per
+    column, so no digit carries into the next block; returns the S count."""
+    tab, u, q_values = weil._word_tables(form), form.level(), form.q_values()
+    qn = max(set(q_values), key=q_values.count)
+    cols = [i for i, x in enumerate(q_values) if x == qn]
+    assert len(cols) > 1
+    bits = (form.order ** sum(kind == "S" for kind, _ in tokens)).bit_length()
+    start = [0] * form.order
+    for c, i in enumerate(cols):
+        start[i] = 1 << c * u * bits
+    image, k = weil._apply_word_packed(form, tab, tokens, start, weil._rotations(u, bits, len(cols)))
+    blocks = [weil._unpack(x, u, bits, len(cols)) for x in image]
+    for c, i in enumerate(cols):
+        single = [[1] + [0] * (u - 1) if j == i else None for j in range(form.order)]
+        assert weil._apply_word_ints(form, tab, tokens, single, u) == ([b[c] for b in blocks], k), (tokens, i)
+    return k
+
+
+@pytest.mark.parametrize("symbol", ["3^+3", "4_II^+2", "5^+2", "2_II^+2.3^-2"])
+def test_packed_blocks_equal_single_columns(symbol):
+    """_check_packed_blocks on every coset word at levels 3, 4, 5 and 6."""
+    form = from_jordan_symbol(symbol)
+    for word in enumerate_cosets(form.level()):
+        _check_packed_blocks(form, word.tokens)
+
+
+@pytest.mark.parametrize("symbol", ["3^+3", "2_2^+2.4_II^+2"])
+def test_packed_blocks_on_long_words(symbol):
+    """_check_packed_blocks on a word of at least 120 letters with S S pairs,
+    where the digit bound |D|^s runs to hundreds of bits."""
+    r = random.Random(symbol)
+    tokens = [tok for _ in range(60) for tok in (("T", r.randint(1, 9)), ("S", 1)) + (("S", 1),) * (r.random() < 0.3)]
+    assert len(tokens) >= 120 and any(a == b == ("S", 1) for a, b in zip(tokens, tokens[1:]))
+    assert _check_packed_blocks(from_jordan_symbol(symbol), tokens) == sum(kind == "S" for kind, _ in tokens)
+
+
+def test_oracle_applies_each_coset_word_once_per_q_class(monkeypatch):
+    """The first oracle call of a q-class applies every coset word once, to all
+    of the class at once; another gamma of the class applies none."""
+    form = from_jordan_symbol("5^+2")
+    _fresh_caches(monkeypatch, form)
+    calls = []
+    original = weil._apply_word_packed
+    monkeypatch.setattr(weil, "_apply_word_packed", lambda *args: calls.append(1) or original(*args))
+    iso, cosets = form.isotropic_elements(), enumerate_cosets(form.level())
+    outputs = [inv_average_oracle(form, iso[1])]
+    assert len(calls) == len(cosets)
+    outputs.append(inv_average_oracle(form, iso[2]))
+    assert len(calls) == len(cosets)
+    other = next(g for g in form.elements() if form.q(g) != 0)
+    outputs.append(inv_average_oracle(form, other))
+    assert len(calls) == 2 * len(cosets)
+    assert outputs == [inv(form, g) for g in (iso[1], iso[2], other)]
+
+
 @pytest.mark.parametrize(
     "bound, query",
     [
@@ -768,8 +865,13 @@ def test_cusp_column_guard(monkeypatch):
         ("max_form_order", lambda: from_jordan_symbol("2_1^+1.4_1^+1").canonical_xc(4)),
         ("max_form_order", lambda: from_jordan_symbol("2_1^+1.4_1^+1").coset_dcstar(2)),
         ("max_form_order", lambda: from_jordan_symbol("2_1^+1.4_1^+1").q_c(2, (1, 2))),
+        ("max_level", lambda: inv_average_oracle(from_jordan_symbol("3^-2"), (0, 1))),
+        ("max_form_order", lambda: inv_average_oracle(from_jordan_symbol("3^-2"), (0, 1))),
     ],
-    ids=["elements", "cusp_classes", "enumerate_cosets", "canonical_xc", "coset_dcstar", "q_c"],
+    ids=[
+        "elements", "cusp_classes", "enumerate_cosets", "canonical_xc", "coset_dcstar", "q_c",
+        "oracle_level", "oracle_order",
+    ],
 )
 def test_lowered_bound_holds_for_a_memoized_answer(bound, query, monkeypatch):
     query()

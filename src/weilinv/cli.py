@@ -13,10 +13,13 @@ import json
 import os
 import sys
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from . import cyclo
 from .appl import dim_s2, dim_s2_trace, jacobi_singular_basis, theta_q_expansion
 from .config import LIMITS, apply_env_overrides
+from .cyclo import Cyclo
 from .fqm import (
     BoundExceeded,
     DiscriminantForm,
@@ -26,10 +29,11 @@ from .fqm import (
     from_jordan_symbol,
 )
 from .fundamental import integer_normalize, invariant_generators
-from .intmat import Echelon
+from .intmat import Echelon, rational_inverse
 from .weil import (
     OddSignatureError,
     Vec,
+    check_invariant_basis,
     dim_closed_form,
     dim_invariants,
     inv,
@@ -115,24 +119,73 @@ def _cmd_dim(args) -> dict:
     return doc
 
 
-def _invariant_basis(form: DiscriminantForm):
-    """(gamma, inv(e^gamma)) for the first isotropic gammas whose projections
-    are independent.  With M the matrix of the generators, inv(e^gamma) =
-    M (M^* M)^+ conj(M[gamma]) is new exactly when the row M[gamma] is, so
-    the picks are read from the rows and only dim gammas are projected."""
+def _rational(c, el) -> Fraction:
+    r = cyclo.as_rational(c)
+    if r is None:
+        raise InternalError(f"basis rank check: generator coefficient {c} at {list(el)} is irrational")
+    return r
+
+
+def _generator_basis(form: DiscriminantForm):
+    """(picks, B): the first isotropic gammas whose rows M[gamma] of the
+    generator matrix M are independent, eliminated over Q, and the dim
+    generators at the pivot columns of those rows, scaled to integer maps
+    element -> int and checked to be fixed by rho.  Being dim independent
+    invariants, they are a basis B of C[D]^G.  With inv = M (M^* M)^+ M^*,
+    inv(e^gamma) is new exactly when the row M[gamma] is, so the picks are
+    those of the greedy loop over every inv(e^gamma)."""
     dim = dim_invariants(form)
     gens = invariant_generators(form) if dim else []
     rows, picked = Echelon(), []
     for gamma in form.isotropic_elements():
         if len(picked) == dim:
             break
-        if rows.add({j: g.coeffs[gamma] for j, g in enumerate(gens) if gamma in g.coeffs}):
+        if rows.add({j: _rational(g.coeffs[gamma], gamma) for j, g in enumerate(gens) if gamma in g.coeffs}):
             picked.append(gamma)
-    basis = [(gamma, inv(form, gamma)) for gamma in picked]
-    images = Echelon()
-    if len(picked) != dim or not all(images.add(v.coeffs) for _, v in basis):
+    if len(picked) != dim:
         raise InternalError("basis rank check: the projection basis has the wrong rank")
-    return basis
+    basis = []
+    for j in sorted(rows.rows):
+        b = {el: _rational(c, el) for el, c in gens[j].coeffs.items()}
+        den = lcm(*(x.denominator for x in b.values()))
+        basis.append({el: int(x * den) for el, x in b.items()})
+    check_invariant_basis(form, basis)
+    return picked, basis
+
+
+def _projector(basis):
+    """gamma -> inv(e^gamma) = sum_i (G^-1 B[gamma])_i b_i, a map element ->
+    Fraction, for a basis B of C[D]^G of integer vectors and G = B^T B: inv
+    is the orthogonal projection onto C[D]^G, as rho is unitary.  G^-1 is
+    read as A / den with A an integer matrix, so the sums are in integers."""
+    gram = [[sum(x * b[el] for el, x in a.items() if el in b) for b in basis] for a in basis]
+    inverse = rational_inverse(gram)
+    den = lcm(*(x.denominator for row in inverse for x in row))
+    adj = [[int(x * den) for x in row] for row in inverse]
+
+    def project(gamma) -> dict:
+        col = [b.get(gamma, 0) for b in basis]
+        out: dict = {}
+        for row, b in zip(adj, basis):
+            if y := sum(map(mul, row, col)):
+                for el, x in b.items():
+                    out[el] = out.get(el, 0) + y * x
+        return {el: Fraction(x, den) for el, x in out.items() if x}
+
+    return project
+
+
+def _invariant_basis(form: DiscriminantForm):
+    """(gamma, inv(e^gamma)) for the picks of _generator_basis, projected
+    through the Gram matrix of its basis.  The images are independent when
+    their coordinates at the picks are: a dependency among the images is one
+    among those rows."""
+    picked, basis = _generator_basis(form)
+    project, rows = _projector(basis), Echelon()
+    images = [project(gamma) for gamma in picked]
+    if not all(rows.add({j: v[g] for j, g in enumerate(picked) if g in v}) for v in images):
+        raise InternalError("basis rank check: the projection basis has the wrong rank")
+    return [(gamma, Vec(form, {el: Cyclo.rational(x) for el, x in v.items()})) for gamma, v in zip(picked, images)]
 
 
 def _cmd_invariants(args) -> dict:

@@ -716,14 +716,60 @@ def dim_invariants(form: DiscriminantForm) -> int:
     return form.memo(("dim",), build)
 
 
+def check_invariant_basis(form: DiscriminantForm, vectors: list[dict[Element, int]]) -> None:
+    """Raise InternalInconsistency("basis invariance check: ...") unless rho
+    fixes every vector, a map element -> integer coefficient.  rho(T) fixes
+    a vector exactly when its support is isotropic.  For rho(S) the vectors
+    are packed one block each, a coefficient -v as v at digit u/2,
+    u = lcm(2, N); one S transform without its scalar gives X, and
+    rho(S) b = b reads X = conj(G) b entry by entry, G = sum_gamma e(q(gamma))
+    = sqrt|D| e(sig/8) the Gauss sum (Milgram), so conj(G) has the digits
+    sum_gamma x^(-u q(gamma)).  Both sides are compared as integer digits
+    folded by x^(u/2) = -1 and reduced modulo Phi_u."""
+    iso = set(form.isotropic_elements())
+    for i, v in enumerate(vectors):
+        if not iso.issuperset(v):
+            raise InternalInconsistency(f"basis invariance check: vector {i} is not supported on isotropic elements")
+    if not vectors:
+        return
+    _require_even(form)
+    tab, n, u = _word_tables(form), form.level(), lcm(2, form.level())
+    half = u // 2
+    ints = [{form.index(el): x for el, x in v.items()} for v in vectors]
+    bits = (max((abs(x) for v in ints for x in v.values()), default=1) * form.order).bit_length()
+    data = [0] * form.order
+    for c, v in enumerate(ints):
+        for i, x in v.items():
+            data[i] |= abs(x) << (c * u + (x < 0) * half) * bits
+    image = _apply_s_ints(form, tab, data, _rotations(u, bits, len(ints)))
+
+    def fold(x: list[int]) -> list[int]:
+        return cyclo.reduce_mod_phi(u, [a - b for a, b in zip(x[:half], x[half:])])
+
+    gauss = [0] * u
+    for qn in form.q_values():
+        gauss[-qn * (u // n) % u] += 1
+    gauss = fold(gauss)
+    els, zero = form.elements(), [0] * len(gauss)
+    for i, x in enumerate(image):
+        for c, (v, y) in enumerate(zip(ints, _unpack(x, u, bits, len(ints)))):
+            if (zero if y is None else fold(y)) != [v.get(i, 0) * g for g in gauss]:
+                raise InternalInconsistency(f"basis invariance check: rho(S) moves vector {c} at {els[i]}")
+
+
 # ---------------------------------------------------------------------------
 # Rank of a family of vectors (exact elimination in intmat.Echelon)
 # ---------------------------------------------------------------------------
 
 
 def rank_of_vectors(vectors: list[Vec]) -> int:
+    """The rank over Q when every coordinate is rational, else over the
+    cyclotomic field; the same Echelon either way."""
+    rows = [{el: cyclo.as_rational(c) for el, c in v.coeffs.items()} for v in vectors]
+    if any(None in row.values() for row in rows):
+        rows = [v.coeffs for v in vectors]
     ech = Echelon()
-    return sum(ech.add(v.coeffs) for v in vectors)
+    return sum(ech.add(row) for row in rows)
 
 
 # ---------------------------------------------------------------------------

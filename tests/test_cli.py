@@ -1,15 +1,18 @@
 import io
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from weilinv import cli
 from weilinv.cli import main
+from weilinv.cyclo import Cyclo, e_of
 from weilinv.fqm import from_gram, from_jordan_symbol
+from weilinv.fundamental import invariant_generators
 from weilinv.intmat import Echelon
-from weilinv.weil import inv
+from weilinv.weil import Vec, inv
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -83,22 +86,67 @@ GREEDY_BASIS_SOURCES = [
 @pytest.mark.parametrize("source", GREEDY_BASIS_SOURCES)
 def test_generator_row_picks_match_the_cusp_greedy_basis(source):
     """invariants reads its picks from the rows of the generator matrix and
-    projects only those; the greedy loop over every projection picks the
-    same elements and the same vectors."""
+    projects only those, through the Gram matrix of the picked generators;
+    the greedy loop over every cusp-route projection picks the same elements
+    and the same vectors, and the projector agrees with the cusp route on
+    every isotropic element, not only on the picks."""
     if source.endswith(".json"):
         with open(ROOT / source, encoding="utf-8") as fh:
             form = from_gram(json.load(fh))
     else:
         form = from_jordan_symbol(source)
     assert cli._invariant_basis(form) == _cusp_greedy_basis(form)
+    project = cli._projector(cli._generator_basis(form)[1])
+    for gamma in form.isotropic_elements():  # inv is memoized by the greedy loop
+        assert Vec(form, {el: Cyclo.rational(x) for el, x in project(gamma).items()}) == inv(form, gamma), gamma
 
 
 @pytest.mark.parametrize("symbol, dim", [("3^+5", 10), ("2_II^+6", 15), ("3^-4", 1)])
 def test_invariants_projects_only_dim_elements(symbol, dim, monkeypatch):
+    """invariants builds its basis from the generators' Gram matrix and calls
+    the cusp-route inv for no element."""
     calls = []
     monkeypatch.setattr(cli, "inv", lambda form, gamma: calls.append(gamma) or inv(form, gamma))
     status, out = run_cli(["invariants", "--symbol", symbol])
-    assert status == 0 and json.loads(out)["dim"] == len(calls) == dim
+    assert status == 0 and json.loads(out)["dim"] == dim and calls == []
+
+
+def _invariants_error(monkeypatch, symbol, generators):
+    monkeypatch.setattr(cli, "invariant_generators", generators)
+    status, out = run_cli(["invariants", "--symbol", symbol])
+    assert status == 6
+    error = json.loads(out)["error"]
+    assert error["code"] == "internal-error"
+    return error["message"]
+
+
+def test_generator_fixed_by_t_but_not_by_s_fails_the_invariance_check(monkeypatch):
+    message = _invariants_error(monkeypatch, "3^-4", lambda form: [Vec.basis(form, form.zero())])
+    assert "basis invariance check" in message and "rho(S)" in message
+
+
+def test_irrational_generator_fails_the_basis_rank_check(monkeypatch):
+    def generators(form):
+        return [v.scale(e_of(Fraction(1, 3))) for v in invariant_generators(form)]
+
+    message = _invariants_error(monkeypatch, "3^-4", generators)
+    assert "basis rank check" in message and "irrational" in message
+
+
+def test_invariants_of_an_odd_signature_form_are_empty():
+    status, out = run_cli(["invariants", "--symbol", "2_1^+1"])
+    doc = json.loads(out)
+    assert status == 0 and doc["dim"] == 0 and doc["basis"] == []
+
+
+def test_generator_with_non_isotropic_support_fails_the_invariance_check(monkeypatch):
+    def generators(form):
+        (g,) = invariant_generators(form)
+        beta = next(el for el in form.elements() if form.q(el) != 0)
+        return [g + Vec.basis(form, beta)]
+
+    message = _invariants_error(monkeypatch, "3^-4", generators)
+    assert "basis invariance check" in message and "not supported on isotropic elements" in message
 
 
 def test_generator_rows_of_too_low_rank_fail_the_basis_check(monkeypatch):

@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from weilinv.cyclo import e_of
+from weilinv.cyclo import Cyclo, as_rational, e_of
 from weilinv.fqm import from_jordan_symbol
 from weilinv.intmat import (
+    Echelon,
     invert_unimodular,
     rational_inverse,
     row_lattice_basis,
@@ -96,3 +97,24 @@ def test_rank_grows_by_a_basis_vector_outside_the_support(vs, data):
     free = [g for g in FORM.elements() if all(g not in v.coeffs for v in vs)]
     gamma = data.draw(st.sampled_from(free))
     assert rank_of_vectors(vs + [Vec.basis(FORM, gamma)]) == rank_of_vectors(vs) + 1
+
+
+integer_vectors = st.dictionaries(st.sampled_from(FORM.elements()), st.integers(-3, 3), max_size=5).map(
+    lambda c: Vec(FORM, {el: Cyclo.rational(x) for el, x in c.items()})
+)
+
+
+def _cyclo_rank(vs):
+    ech = Echelon()
+    return sum(ech.add(v.coeffs) for v in vs)
+
+
+@given(st.lists(integer_vectors, min_size=1, max_size=5), st.data())
+def test_rank_over_q_equals_the_cyclotomic_elimination(vs, data):
+    """Integer families are eliminated over Q; Echelon on the same rows as
+    Cyclo values gives the same rank.  An irrational multiple of one of the
+    vectors sends the family through the Cyclo elimination and adds nothing."""
+    assert rank_of_vectors(vs) == _cyclo_rank(vs)
+    c = data.draw(roots.filter(lambda c: as_rational(c) is None))
+    mixed = vs + [data.draw(st.sampled_from(vs)).scale(c)]
+    assert rank_of_vectors(mixed) == _cyclo_rank(mixed) == rank_of_vectors(vs)

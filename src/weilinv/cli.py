@@ -76,7 +76,10 @@ def _load_form(args) -> tuple[DiscriminantForm, str]:
     if args.symbol is not None:
         return from_jordan_symbol(args.symbol), args.symbol
     with open(args.gram, encoding="utf-8") as fh:
-        gram = json.load(fh)
+        try:
+            gram = json.load(fh)
+        except RecursionError:  # the parser recurses once per nesting level
+            raise OSError(f"{args.gram}: JSON nested too deeply to parse") from None
     return from_gram(gram), f"gram:{args.gram}"
 
 
@@ -232,6 +235,8 @@ def _cmd_s2dim(args) -> dict:
 
 
 def _cmd_jacobi(args) -> dict:
+    if not 0 <= args.precision <= 50:
+        raise BoundExceeded("precision out of the supported range 0..50")
     if args.gram is None:
         raise SymbolError("jacobi requires a Gram matrix file")
     form, name = _load_form(args)

@@ -44,7 +44,7 @@ from .arith import (
 )
 from .config import LIMITS
 from .cyclo import Cyclo, e_of, sqrt_int
-from .intmat import invert_unimodular, rational_inverse, smith_normal_form
+from .intmat import rational_inverse, smith_normal_form
 
 Element = tuple[int, ...]
 
@@ -647,18 +647,13 @@ def from_gram(gram) -> DiscriminantForm:
         for j in range(n):
             if g[i][j] != g[j][i]:
                 raise ValueError("Gram matrix must be symmetric")
-    u, s, v = smith_normal_form(g)
+    _, s, _, v_inv = smith_normal_form(g)
     diag = [s[i][i] for i in range(n)]
     if any(d == 0 for d in diag):
         raise ValueError("Gram matrix must be non-singular")
     g_inv = rational_inverse(g)
-    v_inv = invert_unimodular(v)
-    gens = []
-    orders = []
-    for j in range(n):
-        if diag[j] > 1:
-            orders.append(diag[j])
-            gens.append(v_inv[j])
+    orders = [d for d in diag if d > 1]
+    gens = [v_inv[j] for j, d in enumerate(diag) if d > 1]
     dual_vecs = []
     for row in gens:
         dual_vecs.append([sum(Fraction(g_inv[i][k]) * row[k] for k in range(n)) for i in range(n)])

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from operator import mul
 
 from .fqm import DiscriminantForm, Element, InternalInconsistency
-from .intmat import invert_unimodular, rational_inverse, row_lattice_basis, smith_normal_form
+from .intmat import lattice_coordinates, row_lattice_basis, smith_normal_form
 from .weil import GroupAlgebraVector, Vec
 
 
@@ -102,37 +102,27 @@ def quotient(form: DiscriminantForm, subgroup: IsotropicSubgroup) -> QuotientFor
     """Realize H-perp/H with its own generators via Smith normal form.
 
     H-perp and H are lifted to full-rank integer lattices in Z^k (k the
-    number of generators of D); the quotient of those lattices yields
-    generator orders and representatives.
+    number of generators of D).  H's Hermite basis is written in the
+    triangular H-perp basis by integer back-substitution; the Smith form of
+    those coordinates gives the generator orders, and the rows of V^-1 times
+    the H-perp basis give the generators.  All lattice arithmetic is in
+    integers.
     """
     k = form.rank
     perp = subgroup.perp
     if k == 0:
         return QuotientForm(form, subgroup, form, {(): ()}, {(): ()})
-    perp_rows = [list(el) for el in perp] + [
-        [form.orders[i] if i == j else 0 for j in range(k)] for i in range(k)
-    ]
-    h_rows = [list(el) for el in subgroup.elements] + [
-        [form.orders[i] if i == j else 0 for j in range(k)] for i in range(k)
-    ]
-    basis_perp = row_lattice_basis(perp_rows, k)
-    basis_h = row_lattice_basis(h_rows, k)
-    inv_perp = rational_inverse(basis_perp)
-    coords = []
-    for row in basis_h:
-        vec = [sum(row[a] * inv_perp[a][b] for a in range(k)) for b in range(k)]
-        if any(x.denominator != 1 for x in vec):
-            raise InternalInconsistency("H lattice is not inside the H-perp lattice")
-        coords.append([int(x) for x in vec])
-    u, s, v = smith_normal_form(coords)
-    v_inv = invert_unimodular(v)
-    gen_rows = []
-    orders = []
-    for j in range(k):
-        if s[j][j] > 1:
-            orders.append(s[j][j])
-            gen_rows.append([sum(v_inv[j][a] * basis_perp[a][b] for a in range(k)) for b in range(k)])
-    gens = [form.normalize(tuple(r)) for r in gen_rows]
+    diagonal = [[form.orders[i] if i == j else 0 for j in range(k)] for i in range(k)]
+    basis_perp = row_lattice_basis([list(el) for el in perp] + diagonal, k)
+    basis_h = row_lattice_basis([list(el) for el in subgroup.elements] + diagonal, k)
+    try:
+        coords = [lattice_coordinates(basis_perp, row) for row in basis_h]
+    except ValueError:
+        raise InternalInconsistency("H lattice is not inside the H-perp lattice") from None
+    _, s, _, v_inv = smith_normal_form(coords)
+    picks = [j for j in range(k) if s[j][j] > 1]
+    orders = [s[j][j] for j in picks]
+    gens = [form.normalize([sum(v_inv[j][a] * basis_perp[a][b] for a in range(k)) for b in range(k)]) for j in picks]
     qf = form.subform(orders, gens)
     if qf.order * subgroup.order**2 != form.order:
         raise InternalInconsistency("|H-perp/H| != |D| / |H|^2")
@@ -152,8 +142,8 @@ def quotient(form: DiscriminantForm, subgroup: IsotropicSubgroup) -> QuotientFor
             projection[el] = qel
     if len(projection) != len(perp):
         raise InternalInconsistency("cosets do not cover H-perp")
-    for qel in qf.elements():
-        if qf.q(qel) != form.q(section[qel]):
+    for qel in qf.elements():  # q values compared as integers over the two levels
+        if qf.q_int(qel) * form.level() != form.q_int(section[qel]) * qf.level():
             raise InternalInconsistency("quotient form does not restrict q correctly")
     return QuotientForm(form, subgroup, qf, section, projection)
 

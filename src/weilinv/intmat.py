@@ -1,5 +1,5 @@
-"""Exact matrix utilities: the one field elimination routine (Echelon),
-Smith normal form and lattice bases."""
+"""Exact matrix utilities: the one field elimination routine (Echelon), Smith
+normal form with V^-1, triangular lattice bases and integer coordinates in them."""
 
 from __future__ import annotations
 
@@ -10,17 +10,19 @@ def _identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def smith_normal_form(a: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Return (U, S, V) with U*A*V = S diagonal, U and V unimodular.
+def smith_normal_form(a: list[list[int]]) -> tuple[list[list[int]], ...]:
+    """Return (U, S, V, V^-1) with U*A*V = S diagonal, U and V unimodular.
 
     The diagonal is normalized so each entry is non-negative and divides
-    the next.
+    the next.  V^-1 undoes each column operation as a row operation: a swap
+    swaps rows, col_dst += f col_src becomes row_src -= f row_dst.
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
     s = [row[:] for row in a]
     u = _identity(rows)
     v = _identity(cols)
+    v_inv = _identity(cols)
 
     def swap_rows(i, j):
         s[i], s[j] = s[j], s[i]
@@ -31,6 +33,7 @@ def smith_normal_form(a: list[list[int]]) -> tuple[list[list[int]], list[list[in
             r[i], r[j] = r[j], r[i]
         for r in v:
             r[i], r[j] = r[j], r[i]
+        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     def add_row(src, dst, f):
         s[dst] = [x + f * y for x, y in zip(s[dst], s[src])]
@@ -41,6 +44,7 @@ def smith_normal_form(a: list[list[int]]) -> tuple[list[list[int]], list[list[in
             r[dst] += f * r[src]
         for r in v:
             r[dst] += f * r[src]
+        v_inv[src] = [x - f * y for x, y in zip(v_inv[src], v_inv[dst])]
 
     t = 0
     while t < min(rows, cols):
@@ -91,7 +95,7 @@ def smith_normal_form(a: list[list[int]]) -> tuple[list[list[int]], list[list[in
         if s[i][i] < 0:
             s[i] = [-x for x in s[i]]
             u[i] = [-x for x in u[i]]
-    return u, s, v
+    return u, s, v, v_inv
 
 
 class Echelon:
@@ -143,19 +147,12 @@ def rational_inverse(m: list[list[int]]) -> list[list[Fraction]]:
     return [[ech.rows[i].get(n + j, Fraction(0)) for j in range(n)] for i in range(n)]
 
 
-def invert_unimodular(m: list[list[int]]) -> list[list[int]]:
-    """Inverse of an integer matrix with determinant +-1."""
-    out = rational_inverse(m)
-    if any(x.denominator != 1 for row in out for x in row):
-        raise ValueError("matrix is not unimodular")
-    return [[int(x) for x in row] for row in out]
-
-
 def row_lattice_basis(rows: list[list[int]], n: int) -> list[list[int]]:
     """Basis (as rows) of the lattice in Z^n spanned by the given rows.
 
     The input must span a full-rank sublattice.  Computed by column-style
-    Hermite reduction via repeated gcd elimination.
+    Hermite reduction via repeated gcd elimination; the basis is upper
+    triangular with a positive diagonal.
     """
     work = [row[:] for row in rows if any(row)]
     basis: list[list[int]] = []
@@ -183,3 +180,19 @@ def row_lattice_basis(rows: list[list[int]], n: int) -> list[list[int]]:
         basis.append(pivot)
         work = rest
     return basis
+
+
+def lattice_coordinates(basis: list[list[int]], row: list[int]) -> list[int]:
+    """The integer x with x * basis = row, for a square upper-triangular
+    basis with non-zero diagonal (as from row_lattice_basis), by
+    back-substitution with divmod; ValueError when row is not in the lattice.
+    Step i clears entry i of the rest, so a zero remainder at every step
+    leaves no residue."""
+    x, rest = [], list(row)
+    for i, b in enumerate(basis):
+        c, r = divmod(rest[i], b[i])
+        if r:
+            raise ValueError("row is not in the lattice")
+        rest = [y - c * z for y, z in zip(rest, b)]
+        x.append(c)
+    return x

@@ -179,6 +179,38 @@ def test_gram_io_error(tmp_path):
     assert json.loads(out)["error"]["code"] == "io-error"
 
 
+def test_deeply_nested_gram_is_an_io_error(tmp_path):
+    path = tmp_path / "gram.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    status, out = run_cli(["dim", "--gram", str(path)])
+    assert status == 5
+    assert json.loads(out)["error"]["code"] == "io-error"
+
+
+def test_recursion_error_outside_the_gram_parser_is_not_mapped(monkeypatch):
+    def deep(form):
+        raise RecursionError("deep")
+
+    monkeypatch.setattr(cli, "dim_invariants", deep)
+    with pytest.raises(RecursionError):
+        run_cli(["dim", "--symbol", "3^-2"])
+
+
+@pytest.mark.parametrize("precision", ["-1", "51", "60"])
+def test_jacobi_precision_is_checked_before_any_work(precision, tmp_path, monkeypatch):
+    """[[2,1],[1,2]] has no singular-weight basis, so theta_q_expansion,
+    which checks the range too, is never reached for it."""
+    path = tmp_path / "gram.json"
+    path.write_text("[[2,1],[1,2]]")
+    status, out = run_cli(["jacobi", "--precision", precision, "--gram", str(path)])
+    assert status == 3
+    assert json.loads(out)["error"]["code"] == "bound-exceeded"
+    monkeypatch.setattr(cli, "_load_form", None)  # no form is loaded
+    assert run_cli(["jacobi", "--precision", precision, "--gram", str(path)])[0] == 3
+    monkeypatch.undo()
+    assert run_cli(["jacobi", "--precision", "50", "--gram", str(path)])[0] == 0
+
+
 def test_jacobi_command(tmp_path):
     path = tmp_path / "gram.json"
     path.write_text("[[2,0],[0,2]]")

@@ -1,8 +1,13 @@
+import dataclasses
+import json
+from pathlib import Path
+
 import pytest
 
-from weilinv import fqm
-from weilinv.fqm import from_jordan_symbol
+from weilinv import fqm, induct, intmat
+from weilinv.fqm import InternalInconsistency, from_gram, from_jordan_symbol
 from weilinv.fundamental import fundamental_form
+from weilinv.intmat import rational_inverse, row_lattice_basis, smith_normal_form
 from weilinv.induct import (
     descend,
     isotropic_subgroups,
@@ -253,3 +258,84 @@ def test_quotients_of_equal_data_share_one_form(symbol, count, distinct, monkeyp
         again = q.p_part_decompose()
         assert len(again) == len(parts) and all(a is b for (_, a, _), (_, b, _) in zip(again, parts))
     assert built == []
+
+
+def _fraction_quotient(form, subgroup):
+    """The orders, generators, section and projection of H-perp/H by the
+    former Fraction route of quotient: H's coordinates from the product with
+    rational_inverse(basis_perp), V^-1 as the inverse of V over Q."""
+    k = form.rank
+    diagonal = [[form.orders[i] if i == j else 0 for j in range(k)] for i in range(k)]
+    basis_perp = row_lattice_basis([list(el) for el in subgroup.perp] + diagonal, k)
+    basis_h = row_lattice_basis([list(el) for el in subgroup.elements] + diagonal, k)
+    inv_perp = rational_inverse(basis_perp)
+    coords = [[sum(row[a] * inv_perp[a][b] for a in range(k)) for b in range(k)] for row in basis_h]
+    assert all(x.denominator == 1 for row in coords for x in row)
+    _, s, v, _ = smith_normal_form([[int(x) for x in row] for row in coords])
+    v_inv = rational_inverse(v)
+    assert all(x.denominator == 1 for row in v_inv for x in row)
+    orders, gens = [], []
+    for j in range(k):
+        if s[j][j] > 1:
+            orders.append(s[j][j])
+            row = [sum(int(v_inv[j][a]) * basis_perp[a][b] for a in range(k)) for b in range(k)]
+            gens.append(form.normalize(row))
+    qf = form.subform(orders, gens)
+    section, projection = {}, {}
+    for qel in qf.elements():
+        rep = form.zero()
+        for a, g in zip(qel, gens):
+            rep = form.add(rep, form.smul(a, g))
+        coset = sorted(form.add(rep, h) for h in subgroup.elements)
+        section[qel] = coset[0]
+        projection.update((el, qel) for el in coset)
+    return orders, gens, section, projection
+
+
+def _form(source):
+    if source.endswith(".json"):
+        return from_gram(json.loads((Path(__file__).parent / source).read_text()))
+    return from_jordan_symbol(source)
+
+
+@pytest.mark.parametrize("source", ["3^+5", "2_II^+6", "2_II^+2.3^-2", "gram_4I4.json"])
+def test_quotient_matches_the_fraction_route(source, monkeypatch):
+    """On every isotropic subgroup, the integer route (back-substitution, V^-1
+    from the Smith form) gives the orders, generators, section and projection
+    of the Fraction route."""
+    d = _form(source)
+    picked = []
+    original = fqm.DiscriminantForm.subform
+
+    def spy(self, orders, gens):
+        picked.append((orders, gens))
+        return original(self, orders, gens)
+
+    monkeypatch.setattr(fqm.DiscriminantForm, "subform", spy)
+    for s in isotropic_subgroups(d):
+        qf = quotient(d, s)
+        new = picked[-1]
+        orders, gens, section, projection = _fraction_quotient(d, s)
+        assert new == (orders, gens) and qf.form.orders == tuple(orders)
+        assert qf.section == section and qf.projection == projection
+
+
+def test_quotient_calls_no_rational_inverse(monkeypatch):
+    calls = []
+    original = intmat.rational_inverse
+    for module in (intmat, induct):
+        monkeypatch.setattr(module, "rational_inverse", lambda m: calls.append(1) or original(m), raising=False)
+    d = from_jordan_symbol("2_II^+2.3^-2")
+    subs = isotropic_subgroups(d)
+    for s in subs:
+        quotient(d, s)
+    assert len(subs) == 9 and calls == []
+
+
+def test_h_outside_the_perp_lattice_fails_the_quotient_check():
+    """An H-perp cut down to 0 does not contain H: back-substitution leaves a
+    remainder, and quotient names the failed check."""
+    d = from_jordan_symbol("3^-2")
+    s = next(x for x in isotropic_subgroups(d) if x.order == 3)
+    with pytest.raises(InternalInconsistency, match="H lattice is not inside the H-perp lattice"):
+        quotient(d, dataclasses.replace(s, perp=(d.zero(),)))

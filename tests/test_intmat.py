@@ -7,7 +7,7 @@ from weilinv.cyclo import Cyclo, as_rational, e_of
 from weilinv.fqm import from_jordan_symbol
 from weilinv.intmat import (
     Echelon,
-    invert_unimodular,
+    lattice_coordinates,
     rational_inverse,
     row_lattice_basis,
     smith_normal_form,
@@ -24,10 +24,14 @@ small_matrices = st.lists(
 )
 
 
+IDENTITY_3 = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
+
+
 @given(small_matrices)
 def test_snf_transforms(a):
-    u, s, v = smith_normal_form(a)
+    u, s, v, v_inv = smith_normal_form(a)
     assert mat_mul(mat_mul(u, a), v) == s
+    assert mat_mul(v, v_inv) == IDENTITY_3
     n = 3
     for i in range(n):
         for j in range(n):
@@ -41,10 +45,14 @@ def test_snf_transforms(a):
 
 @given(small_matrices)
 def test_unimodular_inverse(a):
-    u, _, v = smith_normal_form(a)
+    """U and V are unimodular: their inverses over Q have integer entries,
+    and V's is the V^-1 that smith_normal_form returns."""
+    u, _, v, v_inv = smith_normal_form(a)
     for m in (u, v):
-        inv = invert_unimodular(m)
-        assert mat_mul(m, inv) == [[1 if i == j else 0 for j in range(3)] for i in range(3)]
+        inv = rational_inverse(m)
+        assert all(x.denominator == 1 for row in inv for x in row)
+        assert mat_mul(m, inv) == IDENTITY_3
+    assert rational_inverse(v) == v_inv
 
 
 def test_row_lattice_basis_spans():
@@ -59,7 +67,7 @@ def test_row_lattice_basis_spans():
 
 @given(st.lists(st.lists(st.integers(-9, 9), min_size=4, max_size=4), min_size=4, max_size=4))
 def test_rational_inverse_is_an_inverse(m):
-    _, s, _ = smith_normal_form(m)
+    s = smith_normal_form(m)[1]
     if any(s[i][i] == 0 for i in range(4)):
         with pytest.raises(ValueError):
             rational_inverse(m)
@@ -67,9 +75,35 @@ def test_rational_inverse_is_an_inverse(m):
     assert mat_mul(m, rational_inverse(m)) == [[1 if i == j else 0 for j in range(4)] for i in range(4)]
 
 
-def test_invert_unimodular_rejects_non_unimodular():
-    with pytest.raises(ValueError):
-        invert_unimodular([[2, 0], [0, 1]])
+#: row sets that span a full-rank lattice in Z^3: a few rows plus a diagonal
+spanning_rows = st.tuples(
+    st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3), max_size=4),
+    st.lists(st.integers(1, 6), min_size=3, max_size=3),
+).map(lambda t: t[0] + [[d if i == j else 0 for j in range(3)] for i, d in enumerate(t[1])])
+
+
+@given(spanning_rows, st.lists(st.integers(-9, 9), min_size=3, max_size=3))
+def test_lattice_coordinates_by_back_substitution(rows, target):
+    """On a row_lattice_basis basis, back-substitution agrees with the
+    rational_inverse product: the integer coordinates of every lattice row,
+    and ValueError for a row outside the lattice."""
+    basis = row_lattice_basis(rows, 3)
+    assert all(b[i] > 0 and not any(b[:i]) for i, b in enumerate(basis))
+    inv = rational_inverse(basis)
+    for row in rows + [target]:
+        coords = [sum(row[a] * inv[a][b] for a in range(3)) for b in range(3)]
+        if all(c.denominator == 1 for c in coords):
+            assert lattice_coordinates(basis, row) == coords
+        else:
+            with pytest.raises(ValueError):
+                lattice_coordinates(basis, row)
+    # e_i for the first diagonal entry > 1 lies outside: its coordinates
+    # before i are 0, and then basis[i][i] * x_i = 1
+    for i, b in enumerate(basis):
+        if b[i] > 1:
+            with pytest.raises(ValueError):
+                lattice_coordinates(basis, IDENTITY_3[i])
+            break
 
 
 FORM = from_jordan_symbol("5^+2")

@@ -23,9 +23,15 @@ c0(mu - d gamma) e(b (d q(gamma) - (gamma, mu))), read with N q and N b from
 q_int and b_row, N the level.  The nonzero entries of c0 are one scalar
 times roots of unity (checked on the integer image), so each cusp has one
 scalar and integer exponents.  rho(-M) at e^mu is e(sig/4) times rho(M) at
-e^-mu.  On the isotropic diagonal mu = gamma the q and b terms vanish, as
-q(gamma) = 0 and (gamma, +-gamma) = +-2 q(gamma) = 0: the trace of a cusp
-piece needs only c0((1-d) gamma) and e(sig/4) c0(-(1+d) gamma).
+e^-mu.
+
+dim C[D]^G = (1/|G|) sum_g tr rho(g) does not go per cusp.  rho_D is the
+tensor product of the rho of its p-parts, so a form with several p-parts
+has the product of their dimensions; at prime-power level N, tr rho is a
+class function, summed over the conjugacy classes of SL2(Z/N) with one
+word per class.  rho is also the tensor product of its orthogonal blocks,
+and the trace of a block is the diagonal mu = gamma of the identity,
+c0((1-d) gamma) e(b (d - 2) q(gamma)), from the block's memoized c0.
 
 Everything is exact.  Inside a word a coefficient is an element of
 Z[x]/(x^u - 1), x = zeta_u, u a multiple of the level, as u non-negative
@@ -50,7 +56,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import add, itemgetter, mul
 
 from . import cyclo
@@ -490,6 +496,37 @@ def _cosets(n: int) -> tuple[SL2Word, ...]:
     return tuple(out)
 
 
+@cache
+def _classes(n: int) -> tuple[tuple[int, SL2Word], ...]:
+    """The conjugacy classes of SL2(Z/n) as (size, word of a representative):
+    orbits under conjugation by S and T, which generate the group, with
+    (a, b, c, d) mod n marked in one visited array of n^4 bytes.  Elements
+    are met as _lift(a, c, n) T^t; the first of an orbit is its
+    representative.  Reached only after _check_level(n)."""
+    seen, out = bytearray(n**4), []
+    for a, c in _primitive_pairs(n):
+        (a1, b1), (c1, d1) = lift = _lift(a, c, n)
+        for t in range(n):
+            x = (a1 % n, (b1 + t * a1) % n, c1 % n, (d1 + t * c1) % n)
+            key = ((x[0] * n + x[1]) * n + x[2]) * n + x[3]
+            if seen[key]:
+                continue
+            seen[key], stack, size = 1, [x], 0
+            while stack:
+                a2, b2, c2, d2 = stack.pop()
+                size += 1
+                # S M S^-1 and T M T^-1
+                for y in ((d2, -c2 % n, -b2 % n, a2), ((a2 + c2) % n, (b2 + d2 - a2 - c2) % n, c2, (d2 - c2) % n)):
+                    key = ((y[0] * n + y[1]) * n + y[2]) * n + y[3]
+                    if not seen[key]:
+                        seen[key] = 1
+                        stack.append(y)
+            out.append((size, word_decompose(mat2_mul(lift, t_power(t)))))
+    if sum(size for size, _ in out) != sl2_group_order(n):
+        raise InternalInconsistency("conjugacy classes do not partition SL2(Z/N)")
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class Cusp:
     """A cusp class of Gamma(N), keyed by +-(a, c) of order N in (Z/N)^2."""
@@ -534,7 +571,7 @@ def _cusps(n: int) -> tuple[Cusp, ...]:
 def _e0_column(part: DiscriminantForm, word: SL2Word) -> tuple[Cyclo, dict[int, int]]:
     """rho_part(M) e^0 for M = word.target as (s, {index: k}): the entry at
     each support index is s * zeta_w^k, s being the first nonzero entry.
-    The one word application per (part, cusp), memoized on the shared part.
+    The one word application per (part, word), memoized on the shared part.
     The entries share the S scalar, so each integer image, reduced modulo
     Phi_u, is looked up among the +- rotations of the first; only that first
     entry is scaled into a Cyclo."""
@@ -690,24 +727,40 @@ def _oracle_class(form: DiscriminantForm, qn: int) -> dict[int, Vec]:
     return {i: _vec_from_dense(form, x) for i, x in zip(cols, dense)}
 
 
+def _block_trace(part: DiscriminantForm, word: SL2Word) -> Cyclo:
+    """tr rho_part(M), M = word.target = (a b; c d): the diagonal of the
+    intertwining identity, s * sum_gamma zeta_W^(k((1-d) gamma) + (W/N) b (d-2) N q(gamma))
+    over the gamma with c0((1-d) gamma) nonzero, c0 = s * zeta_W^k the
+    memoized _e0_column, counted in integer exponents."""
+    s, exps = _e0_column(part, word)
+    (_, b), (_, d) = word.target
+    step = _tables(part)["w"] // part.level() * b * (d - 2)
+    counts: Counter = Counter()
+    for el, qn in zip(part.elements(), part.q_values()):
+        k = exps.get(part.index(part.smul(1 - d, el)))
+        if k is not None:
+            counts[k + step * qn] += 1
+    return s * Cyclo(s.order, counts)
+
+
 def dim_invariants(form: DiscriminantForm) -> int:
-    """dim C[D]^Gamma as the exact trace of inv, summed over the isotropic
-    diagonal, where the q and b terms of the identity vanish: per cusp the
-    exponents c0[(1-d) gamma] and c0[-(1+d) gamma] + sig/4 are counted in
-    integers and make one Cyclo."""
+    """dim C[D]^Gamma = (1/|G|) sum_g tr rho(g), G = SL2(Z/N).  A form with
+    several p-parts gives the product of their dimensions; at prime-power
+    level the trace is summed over the conjugacy classes of G, as the
+    product of the block traces of one representative per class."""
     _check_bounds(form)
     if form.signature() % 2:
         return 0
 
     def build() -> int:
-        n, iso, total = form.level(), form.isotropic_elements(), cyclo.ZERO
-        for cusp in cusp_classes(n):
-            d = cusp.inv_word.target[1][1]  # c0 at (1-d) gamma, then for N >= 3 at -(1+d) gamma (+ sig/4)
-            js = [form.index(form.smul(e - d, g)) for e in ((1, -1) if n >= 3 else (1,)) for g in iso]
-            s, ks = _column(form, cusp.inv_word, js)
-            z = form.signature() * s.order // 4
-            counts = Counter(k + z * (i >= len(iso)) for i, k in enumerate(ks) if k is not None)
-            total = total + s * Fraction(n, sl2_group_order(n)) * Cyclo(s.order, counts)
+        parts = form.p_part_decompose() if form.order > 1 else []
+        if len(parts) > 1:
+            return prod(dim_invariants(part) for _, part, _ in parts)
+        n, total = form.level(), cyclo.ZERO
+        blocks = [part for part, _ in form.orthogonal_components()]
+        for size, word in _classes(n):
+            total = total + prod((_block_trace(part, word) for part in blocks), start=cyclo.ONE) * size
+        total = total * Fraction(1, sl2_group_order(n))
         value = cyclo.as_rational(total)
         if value is None or value.denominator != 1 or value < 0:
             raise InternalInconsistency(f"trace of inv is not a non-negative integer: {total}")

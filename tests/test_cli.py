@@ -347,6 +347,24 @@ def test_repeated_query_respects_lowered_bound(command, symbol, bound, monkeypat
     assert json.loads(out)["error"]["code"] == "bound-exceeded"
 
 
+def test_level_bound_holds_for_the_whole_form_of_several_p_parts(monkeypatch):
+    """dim multiplies over p-parts of levels 3 and 5, yet the bound is on
+    the whole level 15: exit 3 cold, and again once the answer is memoized."""
+    form = from_jordan_symbol("3^+1.5^+1")
+    for f in (form, *(part for _, part, _ in form.p_part_decompose())):
+        monkeypatch.setattr(f, "_caches", {})
+    argv = ["dim", "--symbol", "3^+1.5^+1"]
+    monkeypatch.setenv("WEILINV_MAX_LEVEL", "10")
+    status, out = run_cli(argv)
+    assert status == 3 and json.loads(out)["error"]["code"] == "bound-exceeded"
+    monkeypatch.delenv("WEILINV_MAX_LEVEL")
+    status, out = run_cli(argv)
+    assert status == 0 and json.loads(out)["dim"] == 0
+    monkeypatch.setenv("WEILINV_MAX_LEVEL", "10")
+    status, out = run_cli(argv)
+    assert status == 3 and json.loads(out)["error"]["code"] == "bound-exceeded"
+
+
 def test_bounds_end_with_the_call(monkeypatch):
     from weilinv.config import LIMITS, Limits
 

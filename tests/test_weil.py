@@ -1,9 +1,10 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from weilinv import cyclo, weil
 from weilinv.cyclo import Cyclo, as_rational, e_of, sqrt_int
@@ -35,6 +36,7 @@ from weilinv.weil import (
 )
 
 from conftest import SMALL_EVEN_SYMBOLS, random_vector
+from test_acceptance import PROJECTION_SYMBOLS
 
 
 # -- words and cosets ---------------------------------------------------------
@@ -100,6 +102,51 @@ def test_cusps_partition_group():
             (a, _), (c, _) = cusp.matrix
             assert (a % n, c % n) == cusp.key or ((-a) % n, (-c) % n) == cusp.key
             assert cusp.inv_word.matrix() == mat2_inv(cusp.matrix)
+
+
+def _brute_classes(n):
+    """The conjugacy classes of SL2(Z/n), as (a, b, c, d) mod n, by
+    conjugating with every element of the group."""
+    group = [tuple(x % n for row in w.target for x in row) for w in enumerate_cosets(n)]
+    classes, seen = [], set()
+    for m in group:
+        if m not in seen:
+            mm = ((m[0], m[1]), (m[2], m[3]))
+            orbit = {
+                tuple(x % n for row in mat2_mul(mat2_mul(((a, b), (c, d)), mm), ((d, -b), (-c, a))) for x in row)
+                for a, b, c, d in group
+            }
+            classes.append(orbit)
+            seen |= orbit
+    return classes
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_conjugacy_classes_match_brute_force(n):
+    """One representative per class of conjugation by all of SL2(Z/n), its
+    target mod n inside the class, with the class's size."""
+    brute = {m: orbit for orbit in _brute_classes(n) for m in orbit}
+    classes = weil._classes(n)
+    assert sum(size for size, _ in classes) == sl2_group_order(n)
+    reps = [tuple(x % n for row in word.target for x in row) for _, word in classes]
+    assert len(classes) == len({id(o) for o in brute.values()})
+    assert len({id(brute[r]) for r in reps}) == len(reps)
+    for (size, word), rep in zip(classes, reps):
+        assert word.matrix() == word.target
+        assert len(brute[rep]) == size
+
+
+@pytest.mark.parametrize("p", [p for p in range(3, 60) if all(p % q for q in range(2, p))])
+def test_prime_level_has_p_plus_four_classes(p):
+    """SL2(F_p), p odd, has p + 4 conjugacy classes (Fulton and Harris, 5.2)."""
+    assert len(weil._classes(p)) == p + 4
+
+
+def test_class_sizes_guard(monkeypatch):
+    order = weil.sl2_group_order
+    monkeypatch.setattr(weil, "sl2_group_order", lambda n: order(n) + 1)
+    with pytest.raises(InternalInconsistency, match="conjugacy classes do not partition SL2"):
+        weil._classes.__wrapped__(5)
 
 
 def test_word_has_at_most_bit_length_s_letters():
@@ -562,6 +609,66 @@ def test_level_eight_coprime_cusps_no_diagonal():
 # -- dimensions ----------------------------------------------------------------
 
 
+def cusp_dim(form):
+    """The oracle of dim_invariants: the exact trace of inv summed over the
+    isotropic diagonal of the whole form, per cusp of SL2(Z/N), where the q
+    and b terms of the identity vanish: per cusp the exponents
+    c0[(1-d) gamma] and c0[-(1+d) gamma] + sig/4 are counted in integers
+    and make one Cyclo."""
+    if form.signature() % 2:
+        return 0
+    n, iso, total = form.level(), form.isotropic_elements(), cyclo.ZERO
+    for cusp in cusp_classes(n):
+        d = cusp.inv_word.target[1][1]  # c0 at (1-d) gamma, then for N >= 3 at -(1+d) gamma (+ sig/4)
+        js = [form.index(form.smul(e - d, g)) for e in ((1, -1) if n >= 3 else (1,)) for g in iso]
+        s, ks = weil._column(form, cusp.inv_word, js)
+        z = form.signature() * s.order // 4
+        counts = Counter(k + z * (i >= len(iso)) for i, k in enumerate(ks) if k is not None)
+        total = total + s * Fraction(n, sl2_group_order(n)) * Cyclo(s.order, counts)
+    value = as_rational(total)
+    assert value is not None and value.denominator == 1 and value >= 0, total
+    return int(value)
+
+
+#: the forms of the dim workload, and composite or high 2-power level forms
+DIM_WORKLOAD_SYMBOLS = ["7^-4", "3^+1.5^+1", "5^-3", "2_2^+2.4_II^+2", "2_II^+2.3^-2"]
+COMPOSITE_SYMBOLS = [
+    "4_II^+2.3^+1.5^+1", "8_II^+2.3^-2", "3^-1.9^+1.5^-2", "2_II^+8", "3^+6", "16_II^+2", "25^+1.5^+1",
+    "8_II^-2", "27^-1.3^+1", "2_1^+1.4_1^+1.8_II^+2",
+]
+
+
+@pytest.mark.parametrize(
+    "symbol", sorted(set(SMALL_EVEN_SYMBOLS + PROJECTION_SYMBOLS + DIM_WORKLOAD_SYMBOLS + COMPOSITE_SYMBOLS))
+)
+def test_class_route_matches_cusp_oracle_and_closed_form(symbol):
+    form = from_jordan_symbol(symbol)
+    dim = dim_invariants(form)
+    assert dim == cusp_dim(form)
+    assert dim_closed_form(symbol) in (None, dim)
+
+
+#: prime-power genus symbols, one of which is drawn per prime
+_PARTS = {
+    2: ["2_II^+2", "2_II^-2", "2_0^+2", "2_4^-2", "2_1^+1", "2_7^+1", "4_II^+2", "2_2^+2.4_II^+2", "2_1^+1.4_1^+1"],
+    3: ["3^+1", "3^-1", "3^+2", "3^-2", "9^+1", "9^-1", "3^+1.9^-1"],
+    5: ["5^+1", "5^-1", "5^+2"],
+    7: ["7^+1", "7^-2"],
+}
+
+
+@given(st.lists(st.sampled_from(sorted(_PARTS)), min_size=1, max_size=3, unique=True), st.data())
+@settings(max_examples=25)
+def test_class_route_matches_cusp_oracle_on_registry_symbols(primes, data):
+    """Forms realized from random genus symbols with |D| <= 256, odd
+    signature included: the class route equals the cusp oracle."""
+    symbol = ".".join(data.draw(st.sampled_from(_PARTS[p])) for p in sorted(primes))
+    form = from_jordan_symbol(symbol)
+    assume(form.order <= 256 and form.level() <= LIMITS.max_level)
+    assert dim_invariants(form) == cusp_dim(form), symbol
+    assert dim_closed_form(symbol) in (None, dim_invariants(form)), symbol
+
+
 def test_dim_examples():
     assert dim_invariants(from_jordan_symbol("5^+2")) == 2
     assert dim_invariants(from_jordan_symbol("2_II^-4")) == 1
@@ -759,10 +866,8 @@ def _fresh_caches(monkeypatch, form):
         monkeypatch.setattr(part, "_caches", {})
 
 
-@pytest.mark.parametrize("symbol", ["7^-2", "2_2^+2.4_II^+2", "3^+1.5^+1"])
-def test_cold_dim_applies_one_word_per_part_and_cusp(symbol, monkeypatch):
-    form = from_jordan_symbol(symbol)
-    _fresh_caches(monkeypatch, form)
+def _count_words(monkeypatch):
+    """The parts on which _apply_word_ints is called from now on."""
     calls = []
     original = weil._apply_word_ints
 
@@ -771,10 +876,36 @@ def test_cold_dim_applies_one_word_per_part_and_cusp(symbol, monkeypatch):
         return original(part, tab, tokens, data, u)
 
     monkeypatch.setattr(weil, "_apply_word_ints", counting)
-    dim = dim_invariants(form)
+    return calls
+
+
+@pytest.mark.parametrize("symbol", ["7^-2", "2_2^+2.4_II^+2", "3^+1.5^+1"])
+def test_cold_dim_applies_one_word_per_part_and_cusp(symbol, monkeypatch):
+    form = from_jordan_symbol(symbol)
+    _fresh_caches(monkeypatch, form)
+    calls = _count_words(monkeypatch)
+    dim = cusp_dim(form)
     parts = {id(part) for part, _ in form.orthogonal_components()}
     assert len(calls) == len(parts) * len(cusp_classes(form.level()))
     assert {id(p) for p in calls} == parts
+    calls.clear()
+    assert cusp_dim(form) == dim
+    assert calls == []
+
+
+@pytest.mark.parametrize("symbol", ["7^-2", "2_2^+2.4_II^+2", "3^+1.5^+1"])
+def test_cold_dim_applies_one_word_per_block_and_class(symbol, monkeypatch):
+    """The class route: one word per orthogonal block of each p-part and
+    class of SL2 at that p-part's level; none on a repeat."""
+    form = from_jordan_symbol(symbol)
+    parts = [part for _, part, _ in form.p_part_decompose()]
+    for f in (form, *parts):
+        _fresh_caches(monkeypatch, f)
+    calls = _count_words(monkeypatch)
+    dim = dim_invariants(form)
+    blocks = [{id(block) for block, _ in part.orthogonal_components()} for part in parts]
+    assert len(calls) == sum(len(b) * len(weil._classes(part.level())) for b, part in zip(blocks, parts))
+    assert {id(p) for p in calls} == set().union(*blocks)
     calls.clear()
     assert dim_invariants(form) == dim
     assert calls == []

@@ -102,11 +102,12 @@ def quotient(form: DiscriminantForm, subgroup: IsotropicSubgroup) -> QuotientFor
     """Realize H-perp/H with its own generators via Smith normal form.
 
     H-perp and H are lifted to full-rank integer lattices in Z^k (k the
-    number of generators of D).  H's Hermite basis is written in the
-    triangular H-perp basis by integer back-substitution; the Smith form of
-    those coordinates gives the generator orders, and the rows of V^-1 times
-    the H-perp basis give the generators.  All lattice arithmetic is in
-    integers.
+    number of generators of D), spanned by the elements of H-perp and by
+    the generators of H, each with the diagonal of the generator orders.
+    H's Hermite basis is written in the triangular H-perp basis by integer
+    back-substitution; the Smith form of those coordinates gives the
+    generator orders, and the rows of V^-1 times the H-perp basis give the
+    generators.  All lattice arithmetic is in integers.
     """
     k = form.rank
     perp = subgroup.perp
@@ -114,7 +115,7 @@ def quotient(form: DiscriminantForm, subgroup: IsotropicSubgroup) -> QuotientFor
         return QuotientForm(form, subgroup, form, {(): ()}, {(): ()})
     diagonal = [[form.orders[i] if i == j else 0 for j in range(k)] for i in range(k)]
     basis_perp = row_lattice_basis([list(el) for el in perp] + diagonal, k)
-    basis_h = row_lattice_basis([list(el) for el in subgroup.elements] + diagonal, k)
+    basis_h = row_lattice_basis([list(el) for el in subgroup.generators] + diagonal, k)
     try:
         coords = [lattice_coordinates(basis_perp, row) for row in basis_h]
     except ValueError:

@@ -5,9 +5,14 @@ rho is defined on the standard generators by
     rho(T) e^gamma = e(-q(gamma)) e^gamma
     rho(S) e^gamma = e(sign(D)/8)/sqrt(|D|) * sum_beta e((gamma,beta)) e^beta
 
-and extended to arbitrary matrices by short words in S and T: nearest-integer
-Euclid, which at least halves the lower-left entry per S letter, on lifts of
-SL2(Z/N) with small entries, and two adjacent S letters applied as rho(-1),
+and extended to arbitrary matrices by short words in S and T.  For even
+signature rho factors through SL2(Z/N), N the level, so a matrix is first
+replaced by the element of SL2(Z/N) it represents, L T^t with L a lift of
+its first column mod N with small entries; the word of L T^t is
+nearest-integer Euclid, which at least halves the lower-left entry per S
+letter, so its length is bounded in N, not in the entries of the matrix.
+The cosets and the conjugacy classes get their words the same way.  An
+SL2Word is applied as given.  Two adjacent S letters are applied as rho(-1),
 e(sign(D)/4) times the permutation e^gamma -> e^-gamma.  The closed product
 formula with its local factors is never used.  The projection inv averages
 rho over SL2(Z/N), with the cosets grouped as +-M_s T^n per cusp s so the
@@ -57,7 +62,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm, prod
-from operator import add, itemgetter, mul
+from operator import add, index, itemgetter, mul
 
 from . import cyclo
 from .arith import ext_gcd, factorize, frac1, kronecker, legendre
@@ -187,15 +192,26 @@ def t_power(n: int) -> Matrix2:
     return ((1, n), (0, 1))
 
 
+def _as_sl2z(m) -> Matrix2:
+    """m as a matrix of ints with determinant exactly 1: TypeError for an
+    entry that is not an integer (never truncated), ValueError otherwise."""
+    try:
+        m = ((index(m[0][0]), index(m[0][1])), (index(m[1][0]), index(m[1][1])))
+    except TypeError:
+        raise TypeError(f"matrix entries must be integers: {m!r}") from None
+    (a, b), (c, d) = m
+    if a * d - b * c != 1:
+        raise ValueError(f"matrix must have determinant 1: {m!r}")
+    return m
+
+
 def word_decompose(m) -> SL2Word:
     """Nearest-integer Euclidean decomposition of a determinant-1 integer
     matrix into T-powers and S, with the exact product re-checked.  Each S
     letter of the loop at least halves the lower-left entry c, so there are
     at most c.bit_length() of them, and two more when it ends at -T^n."""
-    m = ((int(m[0][0]), int(m[0][1])), (int(m[1][0]), int(m[1][1])))
+    m = _as_sl2z(m)
     (a, b), (c, d) = m
-    if a * d - b * c != 1:
-        raise ValueError("word decomposition needs determinant 1")
     tokens: list[tuple[str, int]] = []
     while c != 0:
         k = (2 * a + c) // (2 * c)  # the integer nearest a / c
@@ -412,9 +428,13 @@ def rho_S(v: Vec) -> Vec:
 
 
 def rho(m, v: Vec) -> Vec:
-    """rho(M) v for any M in SL2(Z), via word decomposition."""
+    """rho(M) v for any M in SL2(Z).  An SL2Word is applied letter by letter
+    as given.  A matrix must have integer entries and determinant 1; as rho
+    factors through SL2(Z/N) for even signature, N the level, it is applied
+    as the element of SL2(Z/N) it represents, by the short word of
+    _lift(a, c, N) T^t that the cosets use, whatever the size of its entries."""
     _require_even(v.form)
-    word = m if isinstance(m, SL2Word) else word_decompose(m)
+    word = m if isinstance(m, SL2Word) else _reduced_word(m, v.form.level())
     dense = [cyclo.ZERO] * v.form.order
     for el, c in v.coeffs.items():
         dense[v.form.index(el)] = c
@@ -463,6 +483,25 @@ def _lift(a: int, c: int, n: int) -> Matrix2:
     return ((a1, -y), (c1, x))
 
 
+def _lift_word(lift: Matrix2, t: int) -> SL2Word:
+    """The word of lift T^t, lift = _lift(a, c, n): the one way an element
+    of SL2(Z/n) gets its word, in _cosets, _classes and rho."""
+    return word_decompose(mat2_mul(lift, t_power(t)))
+
+
+def _reduced_word(m, n: int) -> SL2Word:
+    """The word of the element of SL2(Z/n) that m represents, m an integer
+    matrix of determinant 1: _lift(a, c, n) T^t, t = (L^-1 M)[0][1] mod n,
+    as L^-1 M is T^t modulo n."""
+    m = _as_sl2z(m)
+    (a, _), (c, _) = m
+    lift = _lift(a % n, c % n, n)
+    word = _lift_word(lift, mat2_mul(mat2_inv(lift), m)[0][1] % n)
+    if any((x - y) % n for row, mrow in zip(word.target, m) for x, y in zip(row, mrow)):
+        raise InternalInconsistency("reduction modulo the level failed to reproduce the matrix")
+    return word
+
+
 def _check_level(n: int) -> None:
     if n > LIMITS.max_level:
         raise BoundExceeded(f"level {n} exceeds bound {LIMITS.max_level}")
@@ -490,7 +529,7 @@ def _cosets(n: int) -> tuple[SL2Word, ...]:
     out = []
     for a, c in _primitive_pairs(n):
         m = _lift(a, c, n)
-        out.extend(word_decompose(mat2_mul(m, t_power(t))) for t in range(n))
+        out.extend(_lift_word(m, t) for t in range(n))
     if len(out) != sl2_group_order(n):
         raise InternalInconsistency("coset enumeration has the wrong size")
     return tuple(out)
@@ -521,7 +560,7 @@ def _classes(n: int) -> tuple[tuple[int, SL2Word], ...]:
                     if not seen[key]:
                         seen[key] = 1
                         stack.append(y)
-            out.append((size, word_decompose(mat2_mul(lift, t_power(t)))))
+            out.append((size, _lift_word(lift, t)))
     if sum(size for size, _ in out) != sl2_group_order(n):
         raise InternalInconsistency("conjugacy classes do not partition SL2(Z/N)")
     return tuple(out)

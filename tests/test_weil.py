@@ -61,6 +61,27 @@ def test_word_decompose_rejects_wrong_determinant():
         word_decompose(((1, 0), (0, 2)))
 
 
+@pytest.mark.parametrize("m", [((1.5, 0), (0, 1)), ((1, 0.9), (0, 1)), (("1", "0"), ("0", "1"))])
+def test_non_integer_matrix_is_rejected(m):
+    """An entry that is not an integer is an error, never truncated."""
+    d = from_jordan_symbol("3^-2")
+    v = Vec.basis(d, (1, 0))
+    with pytest.raises(TypeError):
+        word_decompose(m)
+    with pytest.raises(TypeError):
+        rho(m, v)
+
+
+@pytest.mark.parametrize("symbol", ["3^-2", "2_II^+2", "5^+2"])
+def test_determinant_one_only_modulo_the_level_is_rejected(symbol):
+    d = from_jordan_symbol(symbol)
+    n = d.level()
+    v = Vec.basis(d, d.zero())
+    for m in [((1, 0), (0, 1 + n)), ((1 + n, 0), (0, 1)), ((1, 0), (0, 1 - n)), ((1, 0), (0, 2))]:
+        with pytest.raises(ValueError):
+            rho(m, v)
+
+
 def test_coset_counts():
     assert len(enumerate_cosets(1)) == 1
     assert len(enumerate_cosets(2)) == 6
@@ -164,17 +185,30 @@ def test_word_has_at_most_bit_length_s_letters():
         assert sum(kind == "S" for kind, _ in word.tokens) <= abs(c).bit_length() + 2, m
 
 
-def _mean_s_transforms(words, monkeypatch):
-    """Mean number of full S transforms per word, the -1 shortcut included,
-    counted in the kernel on a small form (the count depends on the tokens only)."""
-    form = from_jordan_symbol("2_II^+2")
-    tab = weil._word_tables(form)
+def _count_s_transforms(monkeypatch):
+    """The calls of _apply_s_ints from now on, one per full S transform."""
     calls = []
     original = weil._apply_s_ints
     monkeypatch.setattr(weil, "_apply_s_ints", lambda *args: calls.append(1) or original(*args))
+    return calls
+
+
+def _s_transforms(words, calls) -> list[int]:
+    """The full S transforms of each word, the -1 shortcut included, counted
+    in the kernel on a small form (the count depends on the tokens only)."""
+    form = from_jordan_symbol("2_II^+2")
+    tab = weil._word_tables(form)
+    out = []
     for word in words:
+        before = len(calls)
         weil._apply_word_ints(form, tab, word.tokens, [[1]] + [None] * (form.order - 1), 1)
-    return len(calls) / len(words)
+        out.append(len(calls) - before)
+    return out
+
+
+def _mean_s_transforms(words, monkeypatch):
+    counts = _s_transforms(words, _count_s_transforms(monkeypatch))
+    return sum(counts) / len(counts)
 
 
 def test_coset_words_are_short(monkeypatch):
@@ -251,6 +285,10 @@ def test_rho_word_independence():
     sm = mat2_mul(S_MAT, m)
     alt = rho(mat2_inv(S_MAT), rho(sm, v))
     assert direct == alt
+    # the same two routes on the full words of the matrices, not reduced mod N
+    full = rho(word_decompose(m), v)
+    assert full == rho(word_decompose(mat2_inv(S_MAT)), rho(word_decompose(sm), v))
+    assert full == direct
 
 
 @pytest.mark.parametrize("symbol", ["3^-2", "5^+2", "2_2^+2.4_II^+2", "2_II^+2.3^-2"])
@@ -427,6 +465,76 @@ def test_gamma_n_acts_trivially(rng):
                 continue
             v = random_vector(d, rng, density=0.4)
             assert rho(m, v) == v, (sym, m)
+            # a matrix is reduced mod N first, so the full word is the real check
+            assert rho(word_decompose(m), v) == v, (sym, m)
+
+
+def _gamma_n(r, n):
+    """A random element of Gamma(N) with large entries: T^(N x) and its
+    transpose, alternately."""
+    g = ((1, 0), (0, 1))
+    for _ in range(2):
+        g = mat2_mul(mat2_mul(g, t_power(n * r.randint(-30, 30))), ((1, 0), (n * r.randint(-30, 30), 1)))
+    return g
+
+
+@pytest.mark.parametrize(
+    "symbol, level",
+    [
+        ("", 1),
+        ("2_II^+2", 2),
+        ("3^+3", 3),
+        ("5^+2", 5),
+        ("2_2^+2.4_II^+2", 4),
+        ("2_II^+2.3^-2", 6),
+        ("8_II^-2", 8),
+        ("16_II^+2", 16),
+    ],
+)
+def test_rho_of_a_matrix_equals_its_full_word(symbol, level):
+    """rho reduces a matrix modulo the level before it picks a word; the
+    full word of the matrix, applied as given, is the oracle.  Seeded random
+    matrices with entries up to 10^6, and matrices that are +-1, +-T^t and
+    S modulo N times a large element of Gamma(N)."""
+    d = from_jordan_symbol(symbol)
+    assert d.level() == level
+    r = random.Random(level)
+    ms = []
+    while len(ms) < 6:
+        a, c = r.randint(-(10**6), 10**6), r.randint(-(10**6), 10**6)
+        if gcd(a, c) == 1:
+            _, x, y = ext_gcd(a, c)  # a*x + c*y = 1
+            ms.append(((a, -y), (c, x)))
+    minus = ((-1, 0), (0, -1))
+    for rep in [((1, 0), (0, 1)), minus, S_MAT, t_power(1), t_power(level - 1), mat2_mul(minus, t_power(2))]:
+        ms.append(mat2_mul(rep, _gamma_n(r, level)))
+    for m in ms:
+        v = random_vector(d, r, density=0.5)
+        assert rho(m, v) == rho(word_decompose(m), v), (symbol, m)
+
+
+def test_reduction_guard(monkeypatch):
+    """A reduced word that is not the matrix modulo N trips the named guard."""
+    d = from_jordan_symbol("3^-2")
+    monkeypatch.setattr(weil, "_lift_word", lambda lift, t: word_decompose(lift))
+    with pytest.raises(InternalInconsistency, match="reduction modulo the level"):
+        rho(t_power(1), Vec.basis(d, d.zero()))
+
+
+@pytest.mark.parametrize("symbol", ["3^+3", "5^+2", "2_II^+2.3^-2", "16_II^+2"])
+def test_a_long_matrix_costs_no_more_than_a_coset_word(symbol, monkeypatch):
+    """A matrix whose full word has 20 S letters costs rho no more full S
+    transforms than the longest coset word of SL2(Z/N)."""
+    d = from_jordan_symbol(symbol)
+    m = ((1, 0), (0, 1))
+    for _ in range(20):
+        m = mat2_mul(m, mat2_mul(t_power(3), S_MAT))
+    calls = _count_s_transforms(monkeypatch)
+    assert _s_transforms([word_decompose(m)], calls) == [20]
+    longest = max(_s_transforms(enumerate_cosets(d.level()), calls))
+    calls.clear()
+    rho(m, Vec.basis(d, d.zero()))
+    assert len(calls) <= longest < 20, (symbol, len(calls), longest)
 
 
 def test_rho_support_condition():

@@ -33,7 +33,7 @@ from .fqm import (
     from_jordan_symbol,
 )
 from .fundamental import fundamental_lifts
-from .induct import IsotropicSubgroup, lift_up
+from .induct import IsotropicSubgroup
 from .intmat import rational_inverse, row_lattice_basis
 from .weil import GroupAlgebraVector, dim_invariants
 
@@ -149,14 +149,21 @@ def jacobi_singular_basis(gram) -> list[JacobiBasisEntry]:
     Empty for odd rank.  Each generator is one fundamental lift of L'/L
     (fundamental.fundamental_lifts): an overlattice M with every p-part of
     M'/M fundamental, carrying the product of the fundamental invariants.
+    The lift is constant on the cosets of H = M/L, so each coset's theta
+    coefficient is its value at the coset's least element.
     """
     n = len(gram)
     if n % 2:
         return []
+    form = from_gram(gram)
     out = []
-    for qf, v in fundamental_lifts(from_gram(gram)):
-        coeffs = {qf.section[qel]: int(cyclo.as_rational(c)) for qel, c in v.coeffs.items()}
-        out.append(JacobiBasisEntry(qf.subgroup, coeffs, n, Fraction(n, 2), lift_up(qf, v)))
+    for sub, v in fundamental_lifts(form):
+        coeffs, covered = {}, set()
+        for el, c in v.items_sorted():
+            if el not in covered:
+                coeffs[el] = int(cyclo.as_rational(c))
+                covered.update(form.add(el, h) for h in sub.elements)
+        out.append(JacobiBasisEntry(sub, coeffs, n, Fraction(n, 2), v))
     return out
 
 

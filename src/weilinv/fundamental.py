@@ -2,14 +2,24 @@
 spaces, and the construction of all invariants by isotropic induction.
 
 For each prime p, square class x and even signature s there is at most one
-fundamental form: the smallest p-adic discriminant form with that data and
-a non-trivial invariant.  Every invariant of a p-power-level form is a
-linear combination of lifts of the fundamental generator along isotropic
-subgroups H with H-perp/H isomorphic to the fundamental form; composite
-levels reduce to the p-parts by a tensor decomposition.  fundamental_lifts
-is the one enumeration of those H, at any level (every p-part of H-perp/H
-fundamental): induced_generating_set lifts them to C[D], and the Jacobi
-application in appl reads them as overlattices.
+fundamental form F: the smallest p-adic discriminant form with that data and
+a non-trivial invariant.  Every invariant of a p-power-level form D is a
+linear combination of lifts of the generator of F along the isotropic
+subgroups H of order sqrt(|D| / |F|) with H-perp/H isomorphic to F;
+composite levels reduce to the p-parts by a tensor decomposition.
+
+The lifts are built on D itself.  For the trivial, odd-four, two-even-four
+and odd-three kinds H-perp/H is recognized by its exponent (element orders
+modulo H) and its level (q on H-perp), as order and signature are fixed,
+and the lifted generator is a closed integer map on D: 1_H (trivial),
+p 1_H - 1_{iso(H-perp)} (odd-four, two-even-four), and the +-chi support
+around an isotropic gamma of H-perp outside H (odd-three).  The two-four
+and two-eight kinds still realize H-perp/H (induct.quotient) and lift its
+cusp-route generator.  The lifts of each p-part pass one batched
+weil.check_invariant_basis and are memoized with it.  fundamental_lifts is
+the one enumeration, at any level: induced_generating_set reads its
+vectors, and the Jacobi application in appl reads its subgroups as
+overlattices.
 """
 
 from __future__ import annotations
@@ -17,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm
+from operator import mul
 
 from . import cyclo
 from .arith import legendre, prime_power
@@ -27,10 +38,9 @@ from .fqm import (
     Element,
     InternalInconsistency,
     from_jordan_symbol,
-    trivial_form,
 )
-from .induct import QuotientForm, isotropic_subgroups, lift_up, quotient
-from .weil import GroupAlgebraVector, Vec, dim_invariants, inv
+from .induct import IsotropicSubgroup, isotropic_subgroups, lift_up, make_isotropic_subgroup, quotient
+from .weil import GroupAlgebraVector, Vec, check_invariant_basis, dim_invariants, inv
 
 
 @dataclass(frozen=True)
@@ -110,14 +120,15 @@ def is_fundamental_quotient(candidate: DiscriminantForm, desc: FundamentalDescri
 
 def integer_normalize(v: GroupAlgebraVector) -> GroupAlgebraVector:
     """Scale to coprime integer coefficients with the lex-least nonzero
-    coefficient positive; requires all coefficients rational."""
+    coefficient positive; an irrational coefficient fails the integer
+    normalization check."""
     if v.is_zero():
         return v
     vals: dict[Element, Fraction] = {}
     for el, c in v.coeffs.items():
         r = cyclo.as_rational(c)
         if r is None:
-            raise ValueError(f"coefficient at {el} is irrational: {c}")
+            raise InternalInconsistency(f"integer normalization check: coefficient {c} at {list(el)} is irrational")
         vals[el] = r
     denom = lcm(*(r.denominator for r in vals.values()))
     ints = {el: int(r * denom) for el, r in vals.items()}
@@ -125,11 +136,16 @@ def integer_normalize(v: GroupAlgebraVector) -> GroupAlgebraVector:
     ints = {el: x // g for el, x in ints.items()}
     if ints[min(ints)] < 0:
         ints = {el: -x for el, x in ints.items()}
-    return GroupAlgebraVector(v.form, {el: Cyclo.rational(x) for el, x in ints.items()})
+    return _vec(v.form, ints)
+
+
+def _vec(form: DiscriminantForm, ints: dict[Element, int]) -> GroupAlgebraVector:
+    return GroupAlgebraVector(form, {el: Cyclo.rational(x) for el, x in ints.items()})
 
 
 def _generic_generator(form: DiscriminantForm, kind: str) -> GroupAlgebraVector:
-    """Span of the invariants via a single projection, no isomorphism used."""
+    """Span of the invariants via a single cusp-route projection, no
+    isomorphism used."""
     if kind in ("trivial", "odd-four", "two-even-four"):
         gamma = form.zero()
     else:
@@ -145,26 +161,112 @@ def _generic_generator(form: DiscriminantForm, kind: str) -> GroupAlgebraVector:
 
 
 # ---------------------------------------------------------------------------
-# Explicit generators with their plus/minus supports
+# Lifted generators in closed form: integer maps on D for one isotropic H
 # ---------------------------------------------------------------------------
 
 
-def _plus_minus_odd_three(form: DiscriminantForm, eps: int, p: int):
-    iso = [g for g in form.isotropic_elements() if g != form.zero()]
-    gamma = min(iso)
-    vareps = eps * legendre(2, p)
-    plus, minus = [], []
-    multiples = {form.smul(j, gamma) for j in range(1, p)}
-    for mu in iso:
-        if mu in multiples:
+def _table_lift(sub: IsotropicSubgroup, iso_perp: list[Element], p: int) -> dict[Element, int]:
+    """odd-four and two-even-four: the table vector p e^0 minus every
+    isotropic element of F (all of them of full level), lifted to
+    p 1_H - 1_{iso(H-perp)}."""
+    out = dict.fromkeys(iso_perp, -1)
+    out.update(dict.fromkeys(sub.elements, p - 1))
+    return out
+
+
+def _chi_lift(form: DiscriminantForm, sub: IsotropicSubgroup, iso_perp: list[Element], desc) -> dict[Element, int]:
+    """odd-three, F = p^(eps 3): gamma the least isotropic element of H-perp
+    outside H; the coset of j gamma gets chi(j), any other isotropic coset mu
+    gets eps (2/p) chi(j) for b(mu, gamma) = j/p (nonzero, as the isotropic
+    elements of F orthogonal to gamma are its multiples)."""
+    p, ref = desc.prime, desc.realize()
+    chi = [0] + [ref.chi(j) for j in range(1, p)]
+    vareps = ref.symbol.components[0].sign * legendre(2, p)
+    h_set = set(sub.elements)
+    gamma = next(x for x in iso_perp if x not in h_set)
+    multiples = {form.add(form.smul(j, gamma), h): j for j in range(1, p) for h in sub.elements}
+    row, n = form.b_row(gamma), form.level()
+    out = {}
+    for mu in iso_perp:
+        if mu in h_set:
             continue
-        j = int(form.b(mu, gamma) * p) % p
-        if j == 0:
+        j = multiples.get(mu)
+        if j is not None:
+            out[mu] = chi[j]
+            continue
+        r = sum(map(mul, row, mu)) % n  # n b(mu, gamma), a multiple of n/p as p gamma is in H
+        if not r:
             raise InternalInconsistency("unexpected isotropic element orthogonal to gamma")
-        (plus if vareps * form.chi(j) > 0 else minus).append(mu)
-    for j in range(1, p):
-        (plus if form.chi(j) > 0 else minus).append(form.smul(j, gamma))
-    return gamma, tuple(sorted(plus)), tuple(sorted(minus))
+        out[mu] = vareps * chi[r * p // n]
+    return out
+
+
+def _closed_lift(form: DiscriminantForm, sub: IsotropicSubgroup, desc, iso: set[Element]) -> dict[Element, int]:
+    """The lifted generator of a closed kind; iso is the set of isotropic
+    elements of D.  trivial: H-perp = H, and e^0 lifts to 1_H."""
+    if desc.kind == "trivial":
+        return dict.fromkeys(sub.elements, 1)
+    iso_perp = [x for x in sub.perp if x in iso]
+    if desc.kind == "odd-three":
+        return _chi_lift(form, sub, iso_perp, desc)
+    return _table_lift(sub, iso_perp, desc.prime)
+
+
+def _quotient_exponent_and_level(form: DiscriminantForm, sub: IsotropicSubgroup, p: int) -> tuple[int, int]:
+    """Exponent and level of H-perp/H for a p-power form, read on D: the
+    largest order of an element of H-perp modulo H, and the level of q on
+    H-perp.  They divide the exponent and level of D, so each scan stops
+    once it reaches D's value."""
+    h_set, top = set(sub.elements), form.exponent()
+    exponent = 1
+    for x in sub.perp:
+        if exponent == top:
+            break
+        while form.smul(exponent, x) not in h_set:
+            exponent *= p
+    n, q_values = form.level(), form.q_values()
+    g = n
+    for x in sub.perp:
+        if g == 1:
+            break
+        g = gcd(g, q_values[form.index(x)])
+    return exponent, n // g
+
+
+CLOSED_KINDS = ("trivial", "odd-four", "odd-three", "two-even-four")
+
+
+def _part_lifts(part: DiscriminantForm, desc: FundamentalDescriptor) -> list[tuple[IsotropicSubgroup, GroupAlgebraVector]]:
+    """(H, lifted generator) on a p-power form for every isotropic H of the
+    kept order with H-perp/H isomorphic to the fundamental form desc; the
+    vectors pass one batched invariance check and are memoized with it."""
+
+    def build():
+        ref = desc.realize()
+        square, rem = divmod(part.order, ref.order)
+        h_order = isqrt(square)
+        if rem or h_order * h_order != square:
+            return []
+        data, iso = (ref.exponent(), ref.level()), set(part.isotropic_elements())
+        lifts = []
+        for sub in isotropic_subgroups(part, h_order):
+            if desc.kind in CLOSED_KINDS:
+                if _quotient_exponent_and_level(part, sub, desc.prime) == data:
+                    lifts.append((sub, _closed_lift(part, sub, desc, iso)))
+                continue
+            qf = quotient(part, sub)  # two-four and two-eight: the quotient route
+            if is_fundamental_quotient(qf.form, desc):
+                v = lift_up(qf, _generic_generator(qf.form, desc.kind))
+                lifts.append((sub, {el: int(cyclo.as_rational(c)) for el, c in v.coeffs.items()}))
+        check_invariant_basis(part, [v for _, v in lifts])
+        return [(sub, _vec(part, v)) for sub, v in lifts]
+
+    return part.memo("fundamental_lifts", build)
+
+
+# ---------------------------------------------------------------------------
+# Explicit generators with their plus/minus supports
+# ---------------------------------------------------------------------------
 
 
 def _plus_minus_two_four(form: DiscriminantForm, t: int):
@@ -210,39 +312,29 @@ def fundamental_invariant(desc: FundamentalDescriptor) -> FundamentalInvariant:
     """The generator of the (one-dimensional) invariant space, in integer
     form, together with its plus/minus support when the table gives one.
 
-    The explicit support construction is cross-checked against the generic
-    projection; they must agree up to global sign.
+    The closed builders run on F with H = 0 (two-four and two-eight have
+    their own supports); the result is cross-checked against the generic
+    cusp-route projection, up to global sign.
     """
     form = desc.realize()
     if dim_invariants(form) != 1:
         raise InternalInconsistency(f"{desc.symbol}: invariant space is not one-dimensional")
     generic = _generic_generator(form, desc.kind)
-    if desc.kind == "trivial":
-        return FundamentalInvariant(desc, generic, None, None)
-    if desc.kind in ("odd-four", "two-even-four"):
-        p = desc.prime
-        level = form.level()
-        m_set = [g for g in form.isotropic_elements() if form.element_order(g) == level]
-        expected = Vec(form, {form.zero(): Cyclo.rational(p - 1)})
-        for mu in m_set:
-            expected = expected + Vec(form, {mu: Cyclo.rational(-1)})
-        if generic != integer_normalize(expected):
-            raise InternalInconsistency(f"{desc.symbol}: generator differs from its table form")
-        return FundamentalInvariant(desc, generic, None, None)
-    if desc.kind == "odd-three":
-        comp = form.symbol.components[0]
-        gamma, plus, minus = _plus_minus_odd_three(form, comp.sign, desc.prime)
-    elif desc.kind == "two-four":
-        gamma, plus, minus = _plus_minus_two_four(form, desc.signature)
+    if desc.kind in CLOSED_KINDS:
+        ints = _closed_lift(form, make_isotropic_subgroup(form, ()), desc, set(form.isotropic_elements()))
     else:
-        t = (desc.signature - 1) % 8
-        gamma, plus, minus = _plus_minus_two_eight(form, t)
-    explicit = Vec(
-        form,
-        {**{mu: cyclo.ONE for mu in plus}, **{mu: Cyclo.rational(-1) for mu in minus}},
-    )
-    if not (generic == explicit or generic == explicit.scale(-1)):
+        if desc.kind == "two-four":
+            _, plus, minus = _plus_minus_two_four(form, desc.signature)
+        else:
+            _, plus, minus = _plus_minus_two_eight(form, (desc.signature - 1) % 8)
+        ints = {**dict.fromkeys(plus, 1), **dict.fromkeys(minus, -1)}
+    explicit = _vec(form, ints)
+    if integer_normalize(explicit) != generic:
         raise InternalInconsistency(f"{desc.symbol}: explicit generator is not proportional to inv")
+    if desc.kind not in ("odd-three", "two-four", "two-eight"):
+        return FundamentalInvariant(desc, explicit, None, None)
+    plus = tuple(sorted(el for el, x in ints.items() if x > 0))
+    minus = tuple(sorted(el for el, x in ints.items() if x < 0))
     return FundamentalInvariant(desc, explicit, plus, minus)
 
 
@@ -274,36 +366,49 @@ def tensor_combine(parts) -> list[GroupAlgebraVector]:
     return out
 
 
-def fundamental_lifts(form: DiscriminantForm) -> list[tuple[QuotientForm, GroupAlgebraVector]]:
-    """(H-perp/H, v) for every isotropic subgroup H whose quotient has, as
-    each p-part, the fundamental form of that p-part of D; v is the product
-    of the fundamental generators of the quotient's p-parts, normalized to
-    integers (e^0 for a trivial quotient).  Empty when some p-part of D has
-    no fundamental form.  Read as overlattices, these are the Jacobi forms
-    of singular weight."""
-    descs = {}
-    for p, part, _ in form.p_part_decompose():
-        descs[p] = fundamental_form(p, part.square_class(), part.signature())
-        if descs[p] is None:
+def _direct_sum(form: DiscriminantForm, subs) -> IsotropicSubgroup:
+    """The subgroup of D that is the sum of one isotropic subgroup per p-part,
+    subs a list of (embedding, part subgroup); its perp is the sum of the
+    parts' perps."""
+
+    def total(sets):
+        out = [form.zero()]
+        for emb, els in sets:
+            out = [form.add(x, emb.apply(y)) for x in out for y in els]
+        return tuple(sorted(out))
+
+    gens = tuple(emb.apply(g) for emb, sub in subs for g in sub.generators)
+    return IsotropicSubgroup(
+        form, gens, total((emb, sub.elements) for emb, sub in subs), total((emb, sub.perp) for emb, sub in subs)
+    )
+
+
+def fundamental_lifts(form: DiscriminantForm) -> list[tuple[IsotropicSubgroup, GroupAlgebraVector]]:
+    """(H, v) for every isotropic subgroup H whose quotient H-perp/H has, as
+    each p-part, the fundamental form of that p-part of D; v is the lift to
+    C[D] of the product of the fundamental generators of those p-parts, with
+    primitive integer coefficients (1_H for a trivial quotient).  Sorted by
+    the elements of H.  Empty when some p-part of D has no fundamental form.
+    At composite level H and v are the direct sums and products of the
+    p-parts' lifts.  Read as overlattices, these are the Jacobi forms of
+    singular weight."""
+    form.elements()  # the order bound, checked before any memo is read
+    parts = []
+    for p, part, emb in form.p_part_decompose():
+        desc = fundamental_form(p, part.square_class(), part.signature())
+        if desc is None:
             return []
-    target = prod(desc.realize().order for desc in descs.values())
+        parts.append((part, emb, _part_lifts(part, desc)))
+    if not parts:  # |D| = 1
+        return [(make_isotropic_subgroup(form, ()), Vec.basis(form, form.zero()))]
+    if len(parts) == 1 and parts[0][0] is form:
+        return list(parts[0][2])
     out = []
-    for sub in isotropic_subgroups(form):
-        if sub.order**2 * target != form.order:
-            continue
-        qf = quotient(form, sub)
-        q_parts = qf.form.p_part_decompose()
-        by_prime = {p: part for p, part, _ in q_parts}
-        if not all(is_fundamental_quotient(by_prime.get(p, trivial_form()), desc) for p, desc in descs.items()):
-            continue
-        if not q_parts:
-            out.append((qf, Vec.basis(qf.form, qf.form.zero())))
-            continue
-        vecs = tensor_combine([(part, emb, [_generic_generator(part, descs[p].kind)]) for p, part, emb in q_parts])
-        if len(vecs) != 1:
-            raise InternalInconsistency("expected a single product invariant")
-        out.append((qf, integer_normalize(vecs[0])))
-    return out
+    for combo in product(*(lifts for _, _, lifts in parts)):
+        sub = _direct_sum(form, [(emb, h) for (_, emb, _), (h, _) in zip(parts, combo)])
+        (v,) = tensor_combine([(part, emb, [v]) for (part, emb, _), (_, v) in zip(parts, combo)])
+        out.append((sub, v))
+    return sorted(out, key=lambda lift: lift[0].elements)
 
 
 def induced_generating_set(form: DiscriminantForm) -> list[GroupAlgebraVector]:
@@ -316,7 +421,7 @@ def induced_generating_set(form: DiscriminantForm) -> list[GroupAlgebraVector]:
         return [Vec.basis(form, form.zero())]
     if prime_power(form.level()) is None:
         raise ValueError("prime-power level required; decompose composite forms first")
-    return [lift_up(qf, v) for qf, v in fundamental_lifts(form)]
+    return [v for _, v in fundamental_lifts(form)]
 
 
 def invariant_generators(form: DiscriminantForm) -> list[GroupAlgebraVector]:

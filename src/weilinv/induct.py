@@ -10,6 +10,8 @@ and are adjoint to each other for the standard inner products.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from math import gcd
 from operator import mul
 
 from .fqm import DiscriminantForm, Element, InternalInconsistency
@@ -34,15 +36,21 @@ class IsotropicSubgroup:
         return f"IsotropicSubgroup(order={self.order}, generators={list(self.generators)})"
 
 
-def _extend(form: DiscriminantForm, sub: IsotropicSubgroup, h: Element, seen=()) -> IsotropicSubgroup | None:
+def _extend(form: DiscriminantForm, sub: IsotropicSubgroup, h: Element, seen=(), same=None) -> IsotropicSubgroup | None:
     """H + <h> from H = sub: its elements are the cosets j h + H, j = 0, 1, ...
     up to the first j h in H, and its H-perp is sub.perp cut by b(h, .) = 0;
-    None when its element set is in seen."""
-    members, els, jh = set(sub.elements), list(sub.elements), h
+    None when its element set is in seen.  The elements that generate the
+    same extension of H, the cosets j h + H with j prime to the index, are
+    added to the set same when one is given."""
+    members, cosets, jh = set(sub.elements), [], h
     while jh not in members:
-        els.extend(form.add(jh, x) for x in sub.elements)
+        cosets.append([form.add(jh, x) for x in sub.elements])
         jh = form.add(jh, h)
-    els = tuple(sorted(els))
+    if same is not None:
+        for j, coset in enumerate(cosets, 1):
+            if gcd(j, len(cosets) + 1) == 1:
+                same.update(coset)
+    els = tuple(sorted(chain(sub.elements, *cosets)))
     if els in seen:
         return None
     row, n = form.b_row(h), form.level()
@@ -63,28 +71,37 @@ def make_isotropic_subgroup(form: DiscriminantForm, gens) -> IsotropicSubgroup:
     return sub
 
 
-def isotropic_subgroups(form: DiscriminantForm) -> list[IsotropicSubgroup]:
-    """All isotropic subgroups of D, each listed once.
+def isotropic_subgroups(form: DiscriminantForm, order: int | None = None) -> list[IsotropicSubgroup]:
+    """All isotropic subgroups of D, each listed once, sorted by (order,
+    elements); with order given, only those of that order.
 
     Breadth-first: extend each subgroup H of the last round by every
     isotropic h in H-perp (forced by q(h+k) = q(h) + q(k) + b(h,k)), in
     element order; an extension whose element set was found before is
-    dropped.
+    dropped, and an h that generates an extension of H already built is
+    skipped, as its extension would be dropped.  Under the order cut only
+    subgroups whose order divides it are kept, and those of that order are
+    not extended: every subgroup of a kept one is itself kept, so each kept
+    subgroup is found in the same round from the same parent, with the same
+    generators, as without the cut.
     """
     iso = set(form.isotropic_elements())
     zero_sub = make_isotropic_subgroup(form, ())
     found: dict[tuple[Element, ...], IsotropicSubgroup] = {zero_sub.elements: zero_sub}
-    frontier = [zero_sub]
+    frontier = [zero_sub] if order != 1 else []
     while frontier:
         nxt = []
         for sub in frontier:
+            same = set(sub.elements)
             for h in sub.perp:
-                new = _extend(form, sub, h, found) if h in iso else None
-                if new is not None:
+                new = _extend(form, sub, h, found, same) if h in iso and h not in same else None
+                if new is not None and (order is None or order % new.order == 0):
                     found[new.elements] = new
-                    nxt.append(new)
+                    if new.order != order:
+                        nxt.append(new)
         frontier = nxt
-    return sorted(found.values(), key=lambda s: (s.order, s.elements))
+    subs = found.values() if order is None else [s for s in found.values() if s.order == order]
+    return sorted(subs, key=lambda s: (s.order, s.elements))
 
 
 @dataclass

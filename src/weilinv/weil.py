@@ -813,11 +813,14 @@ def check_invariant_basis(form: DiscriminantForm, vectors: list[dict[Element, in
     fixes every vector, a map element -> integer coefficient.  rho(T) fixes
     a vector exactly when its support is isotropic.  For rho(S) the vectors
     are packed one block each, a coefficient -v as v at digit u/2,
-    u = lcm(2, N); one S transform without its scalar gives X, and
-    rho(S) b = b reads X = conj(G) b entry by entry, G = sum_gamma e(q(gamma))
-    = sqrt|D| e(sig/8) the Gauss sum (Milgram), so conj(G) has the digits
-    sum_gamma x^(-u q(gamma)).  Both sides are compared as integer digits
-    folded by x^(u/2) = -1 and reduced modulo Phi_u."""
+    u = lcm(2, N), with digits of whole bytes; one S transform without its
+    scalar gives X, and rho(S) b = b reads X = conj(G) b entry by entry,
+    G = sum_gamma e(q(gamma)) = sqrt|D| e(sig/8) the Gauss sum (Milgram), so
+    conj(G) has the digits sum_gamma x^(-u q(gamma)).  Both sides are
+    compared as integer digits folded by x^(u/2) = -1 and reduced modulo
+    Phi_u: each block of X is read as a byte string, and each distinct byte
+    string is folded once, to the multiple of conj(G) it equals (None when
+    it is none)."""
     iso = set(form.isotropic_elements())
     for i, v in enumerate(vectors):
         if not iso.issuperset(v):
@@ -828,7 +831,8 @@ def check_invariant_basis(form: DiscriminantForm, vectors: list[dict[Element, in
     tab, n, u = _word_tables(form), form.level(), lcm(2, form.level())
     half = u // 2
     ints = [{form.index(el): x for el, x in v.items()} for v in vectors]
-    bits = (max((abs(x) for v in ints for x in v.values()), default=1) * form.order).bit_length()
+    width = -(-(max((abs(x) for v in ints for x in v.values()), default=1) * form.order).bit_length() // 8)
+    bits = 8 * width
     data = [0] * form.order
     for c, v in enumerate(ints):
         for i, x in v.items():
@@ -842,11 +846,28 @@ def check_invariant_basis(form: DiscriminantForm, vectors: list[dict[Element, in
     for qn in form.q_values():
         gauss[-qn * (u // n) % u] += 1
     gauss = fold(gauss)
-    els, zero = form.elements(), [0] * len(gauss)
-    for i, x in enumerate(image):
-        for c, (v, y) in enumerate(zip(ints, _unpack(x, u, bits, len(ints)))):
-            if (zero if y is None else fold(y)) != [v.get(i, 0) * g for g in gauss]:
-                raise InternalInconsistency(f"basis invariance check: rho(S) moves vector {c} at {els[i]}")
+    lead, block = next(k for k, g in enumerate(gauss) if g), u * width
+
+    class Multiples(dict):  # the byte string of a block -> the multiple of conj(G) it folds to, or None
+        def __missing__(self, raw: bytes) -> int | None:
+            y = fold([int.from_bytes(raw[k : k + width], "little") for k in range(0, block, width)])
+            m, r = divmod(y[lead], gauss[lead])
+            if r or y != [m * g for g in gauss]:
+                m = None
+            self[raw] = m
+            return m
+
+    multiples, size = Multiples({bytes(block): 0}), block * len(ints)
+    expected = [[0] * len(ints) for _ in image]
+    for c, v in enumerate(ints):
+        for i, x in v.items():
+            expected[i][c] = x
+    for i, (x, want) in enumerate(zip(image, expected)):
+        raw = x.to_bytes(size, "little")
+        got = [multiples[raw[k : k + block]] for k in range(0, size, block)]
+        if got != want:
+            c = next(c for c, (a, b) in enumerate(zip(got, want)) if a != b)
+            raise InternalInconsistency(f"basis invariance check: rho(S) moves vector {c} at {form.elements()[i]}")
 
 
 # ---------------------------------------------------------------------------

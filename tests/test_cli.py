@@ -133,6 +133,35 @@ def test_irrational_generator_fails_the_basis_rank_check(monkeypatch):
     assert "basis rank check" in message and "irrational" in message
 
 
+def test_irrational_generator_fails_the_integer_normalization_check(monkeypatch):
+    def generators(form):
+        return [v.scale(e_of(Fraction(1, 3))) for v in invariant_generators(form)]
+
+    monkeypatch.setattr(cli, "invariant_generators", generators)
+    status, out = run_cli(["induced-basis", "--symbol", "3^-4"])
+    assert status == 6
+    error = json.loads(out)["error"]
+    assert error["code"] == "internal-error" and "integer normalization check" in error["message"]
+
+
+def test_a_flipped_lift_coefficient_exits_as_an_internal_error(monkeypatch):
+    from weilinv import fundamental
+
+    monkeypatch.setattr(from_jordan_symbol("3^-4"), "_caches", {})
+    original = fundamental._table_lift
+
+    def flipped(*args):
+        out = original(*args)
+        out[max(out)] *= -1
+        return out
+
+    monkeypatch.setattr(fundamental, "_table_lift", flipped)
+    status, out = run_cli(["induced-basis", "--symbol", "3^-4"])
+    assert status == 6
+    error = json.loads(out)["error"]
+    assert error["code"] == "internal-error" and "basis invariance check" in error["message"]
+
+
 def test_invariants_of_an_odd_signature_form_are_empty():
     status, out = run_cli(["invariants", "--symbol", "2_1^+1"])
     doc = json.loads(out)

@@ -1,11 +1,18 @@
+import json
 from fractions import Fraction
+from math import isqrt, prod
+from pathlib import Path
 
 import pytest
 
+from weilinv import fundamental, weil
+from weilinv.appl import jacobi_singular_basis
 from weilinv.config import LIMITS
-from weilinv.cyclo import Cyclo
-from weilinv.fqm import BoundExceeded, from_jordan_symbol
+from weilinv.cyclo import Cyclo, e_of
+from weilinv.fqm import BoundExceeded, InternalInconsistency, from_gram, from_jordan_symbol, trivial_form
 from weilinv.fundamental import (
+    CLOSED_KINDS,
+    _generic_generator,
     fundamental_form,
     fundamental_invariant,
     fundamental_lifts,
@@ -17,6 +24,10 @@ from weilinv.fundamental import (
 )
 from weilinv.induct import isotropic_subgroups, lift_up, quotient
 from weilinv.weil import Vec, dim_invariants, inv, rank_of_vectors, rho_S, rho_T
+
+from test_appl import _d8_gram
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_table_square_rows():
@@ -231,7 +242,7 @@ def test_composite_level_lifts_span_the_invariants(symbol, dim):
     the Jacobi basis) are invariant and span C[D]^Gamma, the same span as the
     tensor route of invariant_generators."""
     d = from_jordan_symbol(symbol)
-    lifts = [lift_up(qf, v) for qf, v in fundamental_lifts(d)]
+    lifts = [v for _, v in fundamental_lifts(d)]
     assert rank_of_vectors(lifts) == dim_invariants(d) == dim
     for v in lifts:
         assert rho_S(v) == v and rho_T(v) == v
@@ -266,3 +277,110 @@ def test_memoized_generators_are_not_aliased():
     d = from_jordan_symbol("3^-4")
     invariant_generators(d).append(None)
     assert len(invariant_generators(d)) == 1
+
+
+def test_integer_normalize_rejects_an_irrational_coefficient():
+    d = from_jordan_symbol("3^-2")
+    v = Vec(d, {d.zero(): e_of(Fraction(1, 3))})
+    with pytest.raises(InternalInconsistency, match="integer normalization check: .* is irrational"):
+        integer_normalize(v)
+
+
+# ---------------------------------------------------------------------------
+# The closed-form lifts against the quotient route
+# ---------------------------------------------------------------------------
+
+
+def _form(source):
+    if source.endswith(".json"):
+        return from_gram(json.loads((ROOT / source).read_text()))
+    return from_jordan_symbol(source)
+
+
+def _quotient_route(d, sub, descs):
+    """The lift along sub by the quotient route, normalized: H-perp/H realized
+    by induct.quotient, the cusp-route generator of each of its p-parts,
+    tensored and lifted; None when some p-part is not fundamental."""
+    qf = quotient(d, sub)
+    parts = qf.form.p_part_decompose()
+    by_prime = {p: part for p, part, _ in parts}
+    if not all(is_fundamental_quotient(by_prime.get(p, trivial_form()), desc) for p, desc in descs.items()):
+        return None
+    if not parts:
+        return integer_normalize(lift_up(qf, Vec.basis(qf.form, qf.form.zero())))
+    (v,) = tensor_combine([(part, emb, [_generic_generator(part, descs[p].kind)]) for p, part, emb in parts])
+    return integer_normalize(lift_up(qf, v))
+
+
+ORACLE_SOURCES = [
+    "3^+5", "3^-5", "3^+4", "5^+4", "7^+3", "3^-4", "2_II^+6", "2_II^-6", "2_II^+2.2_II^-4", "4_II^-4",
+    "tests/gram_4I4.json", "2_II^+2.3^-4", "3^-2.5^+2",
+]
+
+
+@pytest.mark.parametrize("source", ORACLE_SOURCES)
+def test_closed_lifts_match_the_quotient_route(source):
+    """On every isotropic H of the kept order, fundamental_lifts keeps H
+    exactly when the quotient route recognizes H-perp/H, and its closed-form
+    lift equals the lifted cusp-route generator of H-perp/H after integer
+    normalization."""
+    d = _form(source)
+    descs = {p: fundamental_form(p, part.square_class(), part.signature()) for p, part, _ in d.p_part_decompose()}
+    assert {desc.kind for desc in descs.values()} <= set(CLOSED_KINDS)
+    h_order = isqrt(d.order // prod(desc.realize().order for desc in descs.values()))
+    expected = []
+    for sub in isotropic_subgroups(d, h_order):
+        v = _quotient_route(d, sub, descs)
+        if v is not None:
+            expected.append((sub.elements, v))
+    lifts = fundamental_lifts(d)
+    assert [(sub.elements, integer_normalize(v)) for sub, v in lifts] == expected
+    assert rank_of_vectors([v for _, v in lifts]) == dim_invariants(d)
+
+
+CLOSED_DESCRIPTORS = [
+    fundamental_form(p, x, s)
+    for p in (2, 3, 5, 7)
+    for x in ("square", "non-square")
+    for s in (0, 2, 4, 6)
+    if fundamental_form(p, x, s) is not None and fundamental_form(p, x, s).kind in CLOSED_KINDS
+]
+
+
+@pytest.mark.parametrize("desc", CLOSED_DESCRIPTORS, ids=lambda desc: desc.symbol or f"trivial-{desc.prime}")
+def test_fundamental_invariant_agrees_with_the_cusp_route(desc):
+    """The closed builders with H = 0 give F's generator: fundamental_invariant
+    checks it against the cusp-route projection, and so does this test."""
+    fi = fundamental_invariant(desc)
+    assert integer_normalize(fi.vector) == _generic_generator(desc.realize(), desc.kind)
+
+
+def test_a_flipped_lift_coefficient_fails_the_invariance_check(monkeypatch):
+    d = from_jordan_symbol("3^-4")
+    monkeypatch.setattr(d, "_caches", {})
+    original = fundamental._table_lift
+
+    def flipped(*args):
+        out = original(*args)
+        out[max(out)] *= -1
+        return out
+
+    monkeypatch.setattr(fundamental, "_table_lift", flipped)
+    with pytest.raises(InternalInconsistency, match="basis invariance check: rho\\(S\\) moves vector 0"):
+        invariant_generators(d)
+
+
+def test_closed_kinds_use_neither_the_quotient_nor_the_cusp_route(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("quotient or cusp route called")
+
+    monkeypatch.setattr(fundamental, "inv", refuse)
+    monkeypatch.setattr(fundamental, "quotient", refuse)
+    monkeypatch.setattr(weil, "inv", refuse)
+    for symbol, count in (("3^+5", 40), ("2_II^+6", 30), ("3^-4", 1)):
+        d = from_jordan_symbol(symbol)
+        monkeypatch.setattr(d, "_caches", {})
+        assert len(invariant_generators(d)) == count
+    gram = json.loads((ROOT / "tests/gram_4I4.json").read_text())
+    assert jacobi_singular_basis(gram) == []
+    assert len(jacobi_singular_basis(_d8_gram())) == 2

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -111,6 +112,58 @@ def test_isotropic_subgroups_match_exhaustive_closures(symbol):
     found = [frozenset(s.elements) for s in isotropic_subgroups(d)]
     assert len(found) == len(set(found))
     assert set(found) == _isotropic_closures(d)
+
+
+@pytest.mark.parametrize(
+    "symbol",
+    ["4_II^+2", "8_II^+2", "9^+2", "2_2^+2.4_II^+2", "2_II^+2.3^-2", "2_1^+1.4_1^+1.8_II^+2"],
+)
+def test_order_cut_keeps_exactly_the_subgroups_of_that_order(symbol):
+    """With an order given, isotropic_subgroups returns the full list
+    filtered by order: the same subgroups, generators and perps, in the
+    same order."""
+    d = from_jordan_symbol(symbol)
+    full = isotropic_subgroups(d)
+    for order in range(1, max(s.order for s in full) + 1):
+        cut = isotropic_subgroups(d, order)
+        kept = [s for s in full if s.order == order]
+        assert cut == kept and [s.perp for s in cut] == [s.perp for s in kept], order
+
+
+def _plain_search(d):
+    """The breadth-first search with no h skipped: every isotropic h in
+    H-perp extends H, and a repeated element set is dropped."""
+    iso = set(d.isotropic_elements())
+    zero = make_isotropic_subgroup(d, ())
+    found, frontier = {zero.elements: zero}, [zero]
+    while frontier:
+        nxt = []
+        for sub in frontier:
+            for h in sub.perp:
+                new = induct._extend(d, sub, h, found) if h in iso else None
+                if new is not None:
+                    found[new.elements] = new
+                    nxt.append(new)
+        frontier = nxt
+    return sorted(found.values(), key=lambda s: (s.order, s.elements))
+
+
+@pytest.mark.parametrize(
+    "symbol", ["4_II^+2", "8_II^+2", "2_2^+2.4_II^+2", "2_1^+1.4_1^+1.8_II^+2", "3^+4", "2_II^+6", "4_II^-4"]
+)
+def test_skipped_extensions_keep_the_generators_of_the_plain_search(symbol):
+    """Skipping an h that generates an extension already built changes no
+    subgroup and no generator list (the Jacobi output prints them)."""
+    d = from_jordan_symbol(symbol)
+    assert isotropic_subgroups(d) == _plain_search(d)  # equal generators, elements and order
+
+
+@pytest.mark.parametrize("n, count", [(1, 2), (2, 6), (3, 30), (4, 270)])
+def test_maximal_isotropic_subgroups_of_2_II_plus_2n(n, count):
+    """2_II^+2n is the hyperbolic quadratic space of dimension 2n over F_2,
+    with prod_(i<n) (2^i + 1) maximal isotropic subspaces."""
+    assert count == prod(2**i + 1 for i in range(n))
+    assert len(isotropic_subgroups(from_jordan_symbol(f"2_II^+{2 * n}"), 2**n)) == count
 
 
 def test_subgroups_rejects_non_isotropic_generator():

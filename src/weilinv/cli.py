@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from operator import mul
 
@@ -24,7 +25,9 @@ from .fqm import (
     BoundExceeded,
     DiscriminantForm,
     InternalInconsistency,
+    JordanSymbol,
     SymbolError,
+    check_order_bound,
     from_gram,
     from_jordan_symbol,
 )
@@ -74,7 +77,13 @@ ERROR_CODES = {
 
 def _load_form(args) -> tuple[DiscriminantForm, str]:
     if args.symbol is not None:
-        return from_jordan_symbol(args.symbol), args.symbol
+        symbol = JordanSymbol.parse(args.symbol)
+        # Every command but s2dim lists the elements of an even-signature
+        # form, which the order bound forbids; realizing a symbol far above
+        # the bound costs time and memory before that check is reached.
+        if args.command != "s2dim" and symbol.signature() % 2 == 0:
+            check_order_bound(symbol.order())
+        return from_jordan_symbol(symbol), args.symbol
     with open(args.gram, encoding="utf-8") as fh:
         try:
             gram = json.load(fh)
@@ -122,13 +131,6 @@ def _cmd_dim(args) -> dict:
     return doc
 
 
-def _rational(c, el) -> Fraction:
-    r = cyclo.as_rational(c)
-    if r is None:
-        raise InternalError(f"basis rank check: generator coefficient {c} at {list(el)} is irrational")
-    return r
-
-
 def _generator_basis(form: DiscriminantForm):
     """(picks, B): the first isotropic gammas whose rows M[gamma] of the
     generator matrix M are independent, eliminated over Q, and the dim
@@ -136,31 +138,39 @@ def _generator_basis(form: DiscriminantForm):
     element -> int and checked to be fixed by rho.  Being dim independent
     invariants, they are a basis B of C[D]^G.  With inv = M (M^* M)^+ M^*,
     inv(e^gamma) is new exactly when the row M[gamma] is, so the picks are
-    those of the greedy loop over every inv(e^gamma)."""
+    those of the greedy loop over every inv(e^gamma).  Each generator is
+    scaled to integers first: that scales the columns of M, keeps which rows
+    are independent, and lets Echelon eliminate fraction-free."""
     dim = dim_invariants(form)
-    gens = invariant_generators(form) if dim else []
+    gens = [_integer_generator(g) for g in invariant_generators(form)] if dim else []
     rows, picked = Echelon(), []
     for gamma in form.isotropic_elements():
         if len(picked) == dim:
             break
-        if rows.add({j: _rational(g.coeffs[gamma], gamma) for j, g in enumerate(gens) if gamma in g.coeffs}):
+        if rows.add({j: g[gamma] for j, g in enumerate(gens) if gamma in g}):
             picked.append(gamma)
     if len(picked) != dim:
         raise InternalError("basis rank check: the projection basis has the wrong rank")
-    basis = []
-    for j in sorted(rows.rows):
-        b = {el: _rational(c, el) for el, c in gens[j].coeffs.items()}
-        den = lcm(*(x.denominator for x in b.values()))
-        basis.append({el: int(x * den) for el, x in b.items()})
+    basis = [gens[j] for j in sorted(rows.rows)]
     check_invariant_basis(form, basis)
     return picked, basis
 
 
+def _integer_generator(g: Vec) -> dict:
+    """g scaled to an integer map element -> int; an irrational coefficient
+    fails the basis rank check."""
+    ints = cyclo.integer_multiple(g.coeffs)
+    if ints is None:
+        el, c = next((el, c) for el, c in g.coeffs.items() if cyclo.as_rational(c) is None)
+        raise InternalError(f"basis rank check: generator coefficient {c} at {list(el)} is irrational")
+    return ints
+
+
 def _projector(basis):
-    """gamma -> inv(e^gamma) = sum_i (G^-1 B[gamma])_i b_i, a map element ->
-    Fraction, for a basis B of C[D]^G of integer vectors and G = B^T B: inv
-    is the orthogonal projection onto C[D]^G, as rho is unitary.  G^-1 is
-    read as A / den with A an integer matrix, so the sums are in integers."""
+    """(project, den): gamma -> den * inv(e^gamma) = sum_i (A B[gamma])_i b_i,
+    a map element -> int, for a basis B of C[D]^G of integer vectors, G =
+    B^T B and G^-1 = A / den with A an integer matrix: inv is the orthogonal
+    projection onto C[D]^G, as rho is unitary."""
     gram = [[sum(x * b[el] for el, x in a.items() if el in b) for b in basis] for a in basis]
     inverse = rational_inverse(gram)
     den = lcm(*(x.denominator for row in inverse for x in row))
@@ -173,22 +183,23 @@ def _projector(basis):
             if y := sum(map(mul, row, col)):
                 for el, x in b.items():
                     out[el] = out.get(el, 0) + y * x
-        return {el: Fraction(x, den) for el, x in out.items() if x}
+        return {el: x for el, x in out.items() if x}
 
-    return project
+    return project, den
 
 
 def _invariant_basis(form: DiscriminantForm):
     """(gamma, inv(e^gamma)) for the picks of _generator_basis, projected
     through the Gram matrix of its basis.  The images are independent when
     their coordinates at the picks are: a dependency among the images is one
-    among those rows."""
+    among those rows, which share the denominator den and are eliminated in
+    ints."""
     picked, basis = _generator_basis(form)
-    project, rows = _projector(basis), Echelon()
+    (project, den), rows = _projector(basis), Echelon()
     images = [project(gamma) for gamma in picked]
     if not all(rows.add({j: v[g] for j, g in enumerate(picked) if g in v}) for v in images):
         raise InternalError("basis rank check: the projection basis has the wrong rank")
-    return [(gamma, Vec(form, {el: Cyclo.rational(x) for el, x in v.items()})) for gamma, v in zip(picked, images)]
+    return [(gamma, Vec(form, {el: Cyclo(1, [x], den) for el, x in v.items()})) for gamma, v in zip(picked, images)]
 
 
 def _cmd_invariants(args) -> dict:
@@ -349,6 +360,7 @@ COMMANDS = {
 }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="weilinv", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -9,8 +9,9 @@ reduce_mod_phi (Phi_M is the only thing kept per order), then divides out the
 gcd of den and the coordinates.  Within a fixed order M this normal form is
 unique, so equality is syntactic after unifying orders to the lcm, and
 serialize prints a value at its conductor, so equal values print alike.  Fraction
-appears only at the boundaries: rational inputs, as_rational, serialize and
-the linear solve in inverse.  Roots of unity e(x) = exp(2*pi*i*x) and positive
+appears only at the boundaries: rational inputs, as_rational and serialize;
+integer_multiple reads rational values as ints, and inverse solves its linear
+system in integers.  Roots of unity e(x) = exp(2*pi*i*x) and positive
 square roots of integers (via quadratic Gauss sums) all live in one such
 field, which keeps every representation matrix entry exact.
 """
@@ -109,6 +110,10 @@ class Cyclo:
 
     @staticmethod
     def rational(x) -> "Cyclo":
+        if type(x) is int:  # (x,) over 1 is already the normal form at order 1
+            out = object.__new__(Cyclo)
+            out.order, out.num, out.den = 1, (x,), 1
+            return out
         x = Fraction(x)
         return Cyclo(1, [x.numerator], x.denominator)
 
@@ -194,26 +199,28 @@ class Cyclo:
     def inverse(self) -> "Cyclo":
         if not self:
             raise ZeroDivisionError("division of cyclotomic number by zero")
-        r = as_rational(self)
-        if r is not None:
-            return Cyclo.rational(1 / r)
+        if not any(self.num[1:]):
+            return Cyclo(1, [self.den], self.num[0])
         support = [x for x in self.num if x]
         if len(support) == 1:  # (x zeta^e / den)^-1 = conjugate * den^2 / x^2
             return self.conjugate() * Fraction(self.den * self.den, support[0] * support[0])
         # General case: solve (mult-by-num) x = den over the power basis,
-        # eliminating the rows [M_i | den * delta_i0] of the augmented system.
-        # Column j is num * zeta^j, column j - 1 shifted up once and reduced.
+        # eliminating the integer rows [M_i | den * delta_i0] of the augmented
+        # system.  Column j is num * zeta^j, column j - 1 shifted up once and
+        # reduced.  The stored row with pivot j is a multiple of [e_j | x_j].
         m, phi = self.order, len(self.num)
-        rows: list[dict[int, Fraction]] = [{phi: Fraction(self.den)}] + [{} for _ in range(1, phi)]
+        rows: list[dict[int, int]] = [{phi: self.den}] + [{} for _ in range(1, phi)]
         col = list(self.num)
         for j in range(phi):
             for i, x in enumerate(col):
-                rows[i][j] = Fraction(x)
+                rows[i][j] = x
             col = reduce_mod_phi(m, [0] + col)
         ech = Echelon()
         for row in rows:
             ech.add(row)
-        return Cyclo(m, {j: ech.rows[j].get(phi, 0) for j in range(phi)})
+        solved = [ech.rows[j] for j in range(phi)]
+        den = lcm(*(r[j] for j, r in enumerate(solved)))
+        return Cyclo(m, [r.get(phi, 0) * (den // r[j]) for j, r in enumerate(solved)], den)
 
     def conjugate(self) -> "Cyclo":
         """Complex conjugate (zeta -> zeta^-1).  Phi_m is palindromic for m > 1,
@@ -282,6 +289,16 @@ def sqrt_int(n: int) -> Cyclo:
 def as_rational(a: Cyclo) -> Fraction | None:
     """The rational value of a, or None when a is irrational."""
     return None if any(a.num[1:]) else Fraction(a.num[0], a.den)
+
+
+def integer_multiple(values: dict) -> dict | None:
+    """The map values times the lcm of their denominators, as a map to ints,
+    when every value is rational, or None.  A value is rational exactly when
+    its coordinates past the first vanish, and it is then num[0] / den."""
+    if any(any(c.num[1:]) for c in values.values()):
+        return None
+    d = lcm(*(c.den for c in values.values()))
+    return {k: c.num[0] * (d // c.den) for k, c in values.items()}
 
 
 def _descend(a: Cyclo, p: int) -> Cyclo | None:

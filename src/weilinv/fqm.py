@@ -148,6 +148,12 @@ def _split_odd_two_adic(t: int, sign: int, n: int) -> list[int] | None:
 _COMPONENT_RE = re.compile(r"^(\d+)(?:_(II|\d+))?\^([+-])(\d+)$")
 
 
+def check_order_bound(order: int) -> None:
+    """Raise BoundExceeded when a group of this order is too large to list."""
+    if order > LIMITS.max_form_order:
+        raise BoundExceeded(f"|D| = {order} exceeds bound {LIMITS.max_form_order}")
+
+
 class JordanSymbol:
     """A dot-separated list of Jordan components, e.g. 2_1^+1.4_5^-1.8_II^+2."""
 
@@ -292,8 +298,7 @@ class DiscriminantForm:
         return (0,) * self.rank
 
     def elements(self) -> list[Element]:
-        if self.order > LIMITS.max_form_order:
-            raise BoundExceeded(f"|D| = {self.order} exceeds bound {LIMITS.max_form_order}")
+        check_order_bound(self.order)
         return self.memo("elements", lambda: list(product(*(range(d) for d in self.orders))))
 
     def index(self, el: Element) -> int:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from operator import mul
 
 from . import cyclo
@@ -124,19 +124,14 @@ def integer_normalize(v: GroupAlgebraVector) -> GroupAlgebraVector:
     normalization check."""
     if v.is_zero():
         return v
-    vals: dict[Element, Fraction] = {}
-    for el, c in v.coeffs.items():
-        r = cyclo.as_rational(c)
-        if r is None:
-            raise InternalInconsistency(f"integer normalization check: coefficient {c} at {list(el)} is irrational")
-        vals[el] = r
-    denom = lcm(*(r.denominator for r in vals.values()))
-    ints = {el: int(r * denom) for el, r in vals.items()}
+    ints = cyclo.integer_multiple(v.coeffs)
+    if ints is None:
+        el, c = next((el, c) for el, c in v.coeffs.items() if cyclo.as_rational(c) is None)
+        raise InternalInconsistency(f"integer normalization check: coefficient {c} at {list(el)} is irrational")
     g = gcd(*ints.values())
-    ints = {el: x // g for el, x in ints.items()}
     if ints[min(ints)] < 0:
-        ints = {el: -x for el, x in ints.items()}
-    return _vec(v.form, ints)
+        g = -g
+    return _vec(v.form, {el: x // g for el, x in ints.items()})
 
 
 def _vec(form: DiscriminantForm, ints: dict[Element, int]) -> GroupAlgebraVector:

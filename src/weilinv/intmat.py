@@ -1,9 +1,11 @@
-"""Exact matrix utilities: the one field elimination routine (Echelon), Smith
-normal form with V^-1, triangular lattice bases and integer coordinates in them."""
+"""Exact matrix utilities: the one elimination routine (Echelon), fraction-free
+on integer rows and over the field otherwise; Smith normal form with V^-1;
+triangular lattice bases and integer coordinates in them."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 
 def _identity(n: int) -> list[list[int]]:
@@ -99,11 +101,15 @@ def smith_normal_form(a: list[list[int]]) -> tuple[list[list[int]], ...]:
 
 
 class Echelon:
-    """Incremental reduced row echelon form over an exact field.
+    """Incremental reduced row echelon form over Q or Q(zeta_N).
 
-    Rows are sparse maps column -> value with Fraction or Cyclo entries.
-    ``rows`` maps each pivot column to its stored row, which is 1 at the
-    pivot and 0 at every other pivot column.
+    Rows are sparse maps column -> value.  ``rows`` maps each pivot column
+    to its stored row, which is 0 at every other pivot column.  A row of
+    ints is eliminated fraction-free (Bareiss, Math. Comp. 22, 1968) and
+    stored primitive, its entries divided by their gcd and its pivot
+    positive: the reduced row over Q times its pivot entry.  A row with
+    Fraction or Cyclo entries is stored with 1 at its pivot.  One Echelon
+    takes rows of one kind.
     """
 
     def __init__(self):
@@ -113,38 +119,65 @@ class Echelon:
         """Store the part of row outside the current span; False if none."""
         row = {col: x for col, x in row.items() if x}
         for p in [p for p in row if p in self.rows]:
-            _sub_multiple(row, row[p], self.rows[p])
+            row = _clear(row, p, self.rows[p])
         if not row:
             return False
         pivot = min(row)
-        scale = 1 / row[pivot]
-        row = {col: x * scale for col, x in row.items()}
-        for other in self.rows.values():
+        lead = row[pivot]
+        integral = type(lead) is int
+        if integral:
+            row = _primitive(row, lead)
+        else:
+            scale = 1 / lead
+            row = {col: x * scale for col, x in row.items()}
+        for q, other in self.rows.items():
             if pivot in other:
-                _sub_multiple(other, other[pivot], row)
+                other = _clear(other, pivot, row)
+                self.rows[q] = _primitive(other, other[q]) if integral else other
         self.rows[pivot] = row
         return True
 
 
-def _sub_multiple(row: dict, f, other: dict) -> None:
-    """row -= f * other, in place, dropping entries that vanish."""
-    for col, x in other.items():
-        val = row.get(col, 0) - f * x
+def _clear(row: dict, p, stored: dict) -> dict:
+    """a * row - b * stored, which is 0 at p: for an integer stored row
+    a = stored[p] / g and b = row[p] / g with g their gcd, else a = 1 and
+    b = row[p], stored being 1 at p.  Entries that vanish are dropped; row
+    may be changed in place."""
+    s, b = stored[p], row[p]
+    if type(s) is int:
+        g = gcd(s, b)
+        a, b = s // g, b // g
+        if a != 1:
+            row = {col: a * x for col, x in row.items()}
+    for col, x in stored.items():
+        val = row.get(col, 0) - b * x
         if val:
             row[col] = val
         else:
             row.pop(col, None)
+    return row
+
+
+def _primitive(row: dict, lead: int) -> dict:
+    """An integer row divided by the gcd of its entries, signed so that the
+    entry lead becomes positive."""
+    g = gcd(*row.values())
+    if lead < 0:
+        g = -g
+    return row if g == 1 else {col: x // g for col, x in row.items()}
 
 
 def rational_inverse(m: list[list[int]]) -> list[list[Fraction]]:
-    """Inverse of a non-singular integer matrix over Q."""
+    """Inverse of a non-singular integer matrix over Q.  The rows [M_i | e_i]
+    are eliminated in integers; row i of the inverse is the right half of
+    the stored row with pivot i over its pivot entry."""
     n = len(m)
     ech = Echelon()
     for i, row in enumerate(m):
-        ech.add({j: Fraction(x) for j, x in enumerate(row)} | {n + i: Fraction(1)})
+        ech.add(dict(enumerate(row)) | {n + i: 1})
     if sorted(ech.rows) != list(range(n)):
         raise ValueError("singular matrix")
-    return [[ech.rows[i].get(n + j, Fraction(0)) for j in range(n)] for i in range(n)]
+    return [[Fraction(r.get(n + j, 0), r[i]) for j in range(n)] for i, r in sorted(ech.rows.items())]
 
 
 def row_lattice_basis(rows: list[list[int]], n: int) -> list[list[int]]:

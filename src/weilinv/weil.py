@@ -877,9 +877,11 @@ def check_invariant_basis(form: DiscriminantForm, vectors: list[dict[Element, in
 
 def rank_of_vectors(vectors: list[Vec]) -> int:
     """The rank over Q when every coordinate is rational, else over the
-    cyclotomic field; the same Echelon either way."""
-    rows = [{el: cyclo.as_rational(c) for el, c in v.coeffs.items()} for v in vectors]
-    if any(None in row.values() for row in rows):
+    cyclotomic field; the same Echelon either way.  Over Q each vector is
+    scaled to integers (cyclo.integer_multiple), which keeps the rank and
+    lets Echelon eliminate fraction-free."""
+    rows = [cyclo.integer_multiple(v.coeffs) for v in vectors]
+    if None in rows:
         rows = [v.coeffs for v in vectors]
     ech = Echelon()
     return sum(ech.add(row) for row in rows)

@@ -1,6 +1,7 @@
 import io
 import json
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -96,9 +97,9 @@ def test_generator_row_picks_match_the_cusp_greedy_basis(source):
     else:
         form = from_jordan_symbol(source)
     assert cli._invariant_basis(form) == _cusp_greedy_basis(form)
-    project = cli._projector(cli._generator_basis(form)[1])
+    project, den = cli._projector(cli._generator_basis(form)[1])
     for gamma in form.isotropic_elements():  # inv is memoized by the greedy loop
-        assert Vec(form, {el: Cyclo.rational(x) for el, x in project(gamma).items()}) == inv(form, gamma), gamma
+        assert Vec(form, {el: Cyclo(1, [x], den) for el, x in project(gamma).items()}) == inv(form, gamma), gamma
 
 
 @pytest.mark.parametrize("symbol, dim", [("3^+5", 10), ("2_II^+6", 15), ("3^-4", 1)])
@@ -440,3 +441,61 @@ def test_internal_errors_have_their_own_code(monkeypatch):
     status, out = run_cli(["induced-basis", "--symbol", "3^-2"])
     assert status == 6
     assert json.loads(out)["error"]["code"] == "internal-error"
+
+
+def test_successive_calls_parse_into_fresh_namespaces():
+    """The parser is built once per process; an option of one call does not
+    carry over to the next."""
+    assert cli.build_parser() is cli.build_parser()
+    status, out = run_cli(["dim", "--check", "--symbol", "3^-2"])
+    assert status == 0 and "check" in json.loads(out)
+    status, out = run_cli(["dim", "--symbol", "3^-2"])
+    assert status == 0 and "check" not in json.loads(out)
+
+
+@pytest.mark.parametrize("command", ["dim", "invariants", "induced-basis", "verify"])
+def test_order_bound_is_checked_before_the_symbol_is_realized(command):
+    """3^+1000 has even signature and order 3^1000; realizing it took 51 s
+    before dim reached the bound."""
+    start = time.perf_counter()
+    status, out = run_cli([command, "--symbol", "3^+1000"])
+    assert time.perf_counter() - start < 2
+    assert status == 3 and json.loads(out)["error"]["code"] == "bound-exceeded"
+
+
+def test_order_bound_leaves_s2dim_and_odd_signature_alone():
+    status, out = run_cli(["s2dim", "--symbol", "3^+20"])
+    assert status == 0 and json.loads(out)["dim_s2"] == 0
+    status, out = run_cli(["dim", "--symbol", "2_1^+15"])
+    assert status == 0 and json.loads(out)["dim"] == 0
+
+
+#: commands on the basis path: every row they eliminate is rational
+INTEGER_ROW_COMMANDS = [
+    [command, *check, "--symbol", symbol]
+    for symbol in ("3^+5", "2_II^+6")
+    for command, check in (("invariants", []), ("induced-basis", ["--check"]))
+] + [["jacobi", "--gram", "tests/gram_4I4.json"]]
+
+
+@pytest.mark.parametrize("argv", INTEGER_ROW_COMMANDS, ids=" ".join)
+def test_the_basis_path_feeds_echelon_only_integer_rows(argv, monkeypatch):
+    """Rational coefficients reach Echelon as ints, so it eliminates
+    fraction-free; its pivot-1 path is left to irrational rows.  The
+    per-form caches are emptied, so the form's whole construction runs."""
+    monkeypatch.chdir(ROOT)
+    if "--symbol" in argv:
+        form = from_jordan_symbol(argv[-1])
+        parts = [part for part, _ in form.orthogonal_components()] + [p for _, p, _ in form.p_part_decompose()]
+        for f in (form, *parts):
+            monkeypatch.setattr(f, "_caches", {})
+    original, rows = Echelon.add, []
+
+    def add(self, row):
+        assert all(type(x) is int for x in row.values()), row
+        rows.append(row)
+        return original(self, row)
+
+    monkeypatch.setattr(Echelon, "add", add)
+    assert run_cli(argv)[0] == 0
+    assert rows

@@ -169,6 +169,30 @@ def test_inverse(a):
         a / Cyclo.rational(0)
 
 
+#: values with at least two non-zero power-basis coordinates, whose inverse
+#: needs the linear solve
+general_cyclos = st.builds(
+    lambda m, num, den: Cyclo(m, num, den),
+    st.sampled_from([5, 7, 8, 9, 12, 15, 16, 20, 21, 24]),
+    st.lists(st.integers(-50, 50), min_size=2, max_size=12),
+    st.integers(1, 30),
+).filter(lambda a: sum(map(bool, a.num)) >= 2)
+
+
+@given(general_cyclos)
+def test_inverse_of_general_elements(a):
+    b = a.inverse()
+    assert_normal_form(b)
+    assert a * b == 1 and b * a == 1
+
+
+@given(st.integers(-(10**30), 10**30))
+def test_rational_of_an_int_is_the_normal_form(x):
+    a = Cyclo.rational(x)
+    assert (a.order, a.num, a.den) == (1, (x,), 1)
+    assert a == Cyclo(1, [x]) and as_rational(a) == x
+
+
 @given(cyclos())
 def test_conjugation_is_an_involution(a):
     assert a.conjugate().conjugate() == a

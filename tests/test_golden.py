@@ -5,7 +5,9 @@ routines were merged into one; the composite-level `invariants` and the
 `dim --check 5^-3` digests were recorded before the cusp columns were
 derived from the e^0 column; the `invariants` digests of 3^+5, 2_II^+6,
 5^+4 and 7^-4 were recorded while invariants still projected every
-isotropic element, before it read its picks from the generators.  A
+isotropic element, before it read its picks from the generators; the
+2_6^+2.4_II^+4 and 2_II^+8 digests were recorded while Echelon still
+eliminated rational rows over Fraction.  A
 refactor that keeps every result exact keeps every digest; a digest that
 changes means some output changed.
 """
@@ -33,6 +35,9 @@ GOLDEN = [
     (["verify", "--symbol", "2_0^+2"], "e3244c6f5c49ecf6a3a261ee7c6c149b048bc78db78ca5c9411cfe1f1fb580bb"),
     # the document embeds the --gram path, so it is given relative to the repository root
     (["jacobi", "--precision", "3", "--gram", "tests/gram_4I4.json"], "de568cf153571a788f9d1a9a01bed6732c9e8c29b5d727fcb6427c1e09ddc7be"),
+    # larger integers in the eliminations: the two-four route with 140 generators, and dim 2_II^+8
+    (["induced-basis", "--check", "--symbol", "2_6^+2.4_II^+4"], "e120489cfa7a3a8d5046f8d5df963cc8e841e3d9239340290d843361be1e9b29"),
+    (["invariants", "--symbol", "2_II^+8"], "ca61e91e510490788ff3a2336ca40a189eadd8d6d035cc26a8b85639f1acf850"),
 ]
 
 

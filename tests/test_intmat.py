@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -65,14 +66,57 @@ def test_row_lattice_basis_spans():
         assert all(c.denominator == 1 for c in coords)
 
 
-@given(st.lists(st.lists(st.integers(-9, 9), min_size=4, max_size=4), min_size=4, max_size=4))
+square_matrices = st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-999, 999), min_size=n, max_size=n), min_size=n, max_size=n)
+)
+
+
+def determinant(m):
+    """By Gaussian elimination over Fraction, independent of Echelon."""
+    a, det = [[Fraction(x) for x in row] for row in m], Fraction(1)
+    for i in range(len(a)):
+        k = next((k for k in range(i, len(a)) if a[k][i]), None)
+        if k is None:
+            return 0
+        if k != i:
+            a[i], a[k], det = a[k], a[i], -det
+        det *= a[i][i]
+        for r in a[i + 1 :]:
+            f = r[i] / a[i][i]
+            r[:] = [x - f * y for x, y in zip(r, a[i])]
+    return det
+
+
+@given(st.one_of(small_matrices, square_matrices))
 def test_rational_inverse_is_an_inverse(m):
-    s = smith_normal_form(m)[1]
-    if any(s[i][i] == 0 for i in range(4)):
+    n = len(m)
+    if determinant(m) == 0:
         with pytest.raises(ValueError):
             rational_inverse(m)
         return
-    assert mat_mul(m, rational_inverse(m)) == [[1 if i == j else 0 for j in range(4)] for i in range(4)]
+    assert mat_mul(m, rational_inverse(m)) == [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+integer_rows = st.dictionaries(st.integers(0, 6), st.integers(-30, 30), max_size=5)
+nonzero_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)
+
+
+@given(st.lists(st.tuples(integer_rows, nonzero_rationals), max_size=7))
+def test_integer_rows_eliminate_as_their_fraction_multiples(rows):
+    """The fraction-free elimination of integer rows and the pivot-1
+    elimination of the same rows as Fractions, each scaled by a rational,
+    agree on every add, on the pivot columns and, up to a factor, on the
+    stored rows; the integer rows stay primitive with a positive pivot and
+    0 at every other pivot column."""
+    exact, field = Echelon(), Echelon()
+    for row, scale in rows:
+        assert exact.add(row) == field.add({col: x * scale for col, x in row.items()})
+    assert exact.rows.keys() == field.rows.keys()
+    for p, row in exact.rows.items():
+        assert all(type(x) is int for x in row.values())
+        assert row[p] > 0 and gcd(*row.values()) == 1
+        assert not any(q in row for q in exact.rows if q != p)
+        assert row == {col: x * row[p] for col, x in field.rows[p].items()}
 
 
 #: row sets that span a full-rank lattice in Z^3: a few rows plus a diagonal

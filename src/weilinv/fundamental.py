@@ -8,24 +8,23 @@ linear combination of lifts of the generator of F along the isotropic
 subgroups H of order sqrt(|D| / |F|) with H-perp/H isomorphic to F;
 composite levels reduce to the p-parts by a tensor decomposition.
 
-The lifts are built on D itself.  For the trivial, odd-four, two-even-four
-and odd-three kinds H-perp/H is recognized by its exponent (element orders
-modulo H) and its level (q on H-perp), as order and signature are fixed,
-and the lifted generator is a closed integer map on D: 1_H (trivial),
-p 1_H - 1_{iso(H-perp)} (odd-four, two-even-four), and the +-chi support
-around an isotropic gamma of H-perp outside H (odd-three).  The two-four
-and two-eight kinds still realize H-perp/H (induct.quotient) and lift its
-cusp-route generator.  The lifts of each p-part pass one batched
-weil.check_invariant_basis and are memoized with it.  fundamental_lifts is
-the one enumeration, at any level: induced_generating_set reads its
-vectors, and the Jacobi application in appl reads its subgroups as
-overlattices.
+The lifts are built on D itself, for every kind.  H-perp/H is recognized by
+its exponent (element orders modulo H) and its level (q on H-perp), as order
+and signature are fixed, and the lifted generator is a closed integer map
+on D, one value per coset of H, read off b and H: 1_H (trivial),
+p 1_H - 1_{iso(H-perp)} (odd-four, two-even-four), and +-1 supports around
+an isotropic gamma of H-perp outside H (odd-three, two-four, two-eight).
+Realizing H-perp/H (induct.quotient) and lifting its cusp-route generator
+is left to the tests as an oracle.  The lifts of each p-part pass one
+batched weil.check_invariant_basis and are memoized with it.
+fundamental_lifts is the one enumeration, at any level:
+induced_generating_set reads its vectors, and the Jacobi application in
+appl reads its subgroups as overlattices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt
 from operator import mul
@@ -33,13 +32,8 @@ from operator import mul
 from . import cyclo
 from .arith import legendre, prime_power
 from .cyclo import Cyclo
-from .fqm import (
-    DiscriminantForm,
-    Element,
-    InternalInconsistency,
-    from_jordan_symbol,
-)
-from .induct import IsotropicSubgroup, isotropic_subgroups, lift_up, make_isotropic_subgroup, quotient
+from .fqm import DiscriminantForm, Element, InternalInconsistency, from_jordan_symbol
+from .induct import IsotropicSubgroup, isotropic_subgroups, make_isotropic_subgroup
 from .weil import GroupAlgebraVector, Vec, check_invariant_basis, dim_invariants, inv
 
 
@@ -141,14 +135,12 @@ def _vec(form: DiscriminantForm, ints: dict[Element, int]) -> GroupAlgebraVector
 def _generic_generator(form: DiscriminantForm, kind: str) -> GroupAlgebraVector:
     """Span of the invariants via a single cusp-route projection, no
     isomorphism used."""
-    if kind in ("trivial", "odd-four", "two-even-four"):
-        gamma = form.zero()
-    else:
-        level = form.level()
-        candidates = [g for g in form.isotropic_elements() if form.element_order(g) == level]
-        if not candidates:
+    gamma = form.zero()
+    if kind not in ("trivial", "odd-four", "two-even-four"):
+        full = [g for g in form.isotropic_elements() if form.element_order(g) == form.level()]
+        if not full:
             raise InternalInconsistency("no isotropic element of full level")
-        gamma = min(candidates)
+        gamma = min(full)
     v = inv(form, gamma)
     if v.is_zero():
         raise InternalInconsistency("fundamental projection vanished; dimension is not 1")
@@ -160,12 +152,25 @@ def _generic_generator(form: DiscriminantForm, kind: str) -> GroupAlgebraVector:
 # ---------------------------------------------------------------------------
 
 
-def _table_lift(sub: IsotropicSubgroup, iso_perp: list[Element], p: int) -> dict[Element, int]:
+def _first(kind: str, what: str, items):
+    """The first of items; none means an element the lift rules expect is missing."""
+    for x in items:
+        return x
+    raise InternalInconsistency(f"{kind} lift check: no {what}")
+
+
+def _pairing(form: DiscriminantForm, x: Element, m: int):
+    """y -> m b(x, y) mod m, for the y with m b(x, y) integral."""
+    row, n = form.b_row(x), form.level()
+    return lambda y: sum(map(mul, row, y)) % n // (n // m)
+
+
+def _table_lift(form: DiscriminantForm, sub: IsotropicSubgroup, iso_perp: list[Element], desc) -> dict[Element, int]:
     """odd-four and two-even-four: the table vector p e^0 minus every
     isotropic element of F (all of them of full level), lifted to
     p 1_H - 1_{iso(H-perp)}."""
     out = dict.fromkeys(iso_perp, -1)
-    out.update(dict.fromkeys(sub.elements, p - 1))
+    out.update(dict.fromkeys(sub.elements, desc.prime - 1))
     return out
 
 
@@ -178,33 +183,83 @@ def _chi_lift(form: DiscriminantForm, sub: IsotropicSubgroup, iso_perp: list[Ele
     chi = [0] + [ref.chi(j) for j in range(1, p)]
     vareps = ref.symbol.components[0].sign * legendre(2, p)
     h_set = set(sub.elements)
-    gamma = next(x for x in iso_perp if x not in h_set)
+    gamma = _first("odd-three", "isotropic element outside H", (x for x in iso_perp if x not in h_set))
     multiples = {form.add(form.smul(j, gamma), h): j for j in range(1, p) for h in sub.elements}
-    row, n = form.b_row(gamma), form.level()
+    by_gamma = _pairing(form, gamma, p)
     out = {}
     for mu in iso_perp:
-        if mu in h_set:
-            continue
-        j = multiples.get(mu)
-        if j is not None:
-            out[mu] = chi[j]
-            continue
-        r = sum(map(mul, row, mu)) % n  # n b(mu, gamma), a multiple of n/p as p gamma is in H
-        if not r:
-            raise InternalInconsistency("unexpected isotropic element orthogonal to gamma")
-        out[mu] = vareps * chi[r * p // n]
+        if mu in multiples:
+            out[mu] = chi[multiples[mu]]
+        elif mu not in h_set:
+            j = by_gamma(mu)
+            if not j:
+                raise InternalInconsistency("odd-three lift check: an isotropic element orthogonal to gamma")
+            out[mu] = vareps * chi[j]
+    return out
+
+
+def _base_points(kind: str, form: DiscriminantForm, sub: IsotropicSubgroup, iso_perp: list[Element], m: int):
+    """H as a set; the support, the isotropic mu of H-perp with (m/2) mu
+    outside H; and mu -> m b(gamma, mu) and m b(x0, mu), for gamma the least
+    element of the support (of order m modulo H) and x0 the least isotropic
+    element of H-perp with b(x0, gamma) = 1/m."""
+    h_set = set(sub.elements)
+    support = [mu for mu in iso_perp if form.smul(m // 2, mu) not in h_set]
+    gamma = _first(kind, f"isotropic element of order {m} modulo H", support)
+    by_gamma = _pairing(form, gamma, m)
+    x0 = _first(kind, f"x0 with b(x0, gamma) = 1/{m}", (x for x in iso_perp if by_gamma(x) == 1))
+    return h_set, support, gamma, by_gamma, _pairing(form, x0, m)
+
+
+def _two_four_lift(form: DiscriminantForm, sub: IsotropicSubgroup, iso_perp: list[Element], desc) -> dict[Element, int]:
+    """two-four, F = 2_t^+2.4_II^+2, m = 4 in _base_points: mu gets +1 for
+    b(mu, gamma) = j/4 with eps chi(j) > 0, j in {1, 3} and eps = +1 iff
+    t = 6, and -1 otherwise, but the cosets of gamma and alpha get +1:
+    alpha has 2 alpha = 2 gamma mod H, b(alpha, gamma) = 1/2 and
+    b(x0, alpha) = 1/4."""
+    h_set, support, gamma, by_gamma, by_x0 = _base_points("two-four", form, sub, iso_perp, 4)
+    chi, eps, two_gamma = desc.realize().chi, 1 if desc.signature == 6 else -1, form.smul(2, gamma)
+    j_plus = _first("two-four", "j with eps chi(j) > 0", (j for j in (1, 3) if eps * chi(j) > 0))
+    pair = (mu for mu in support if by_gamma(mu) == 2 and form.sub(form.smul(2, mu), two_gamma) in h_set)
+    alpha = _first("two-four", "alpha", (mu for mu in pair if by_x0(mu) == 1))
+    plus = {form.add(x, h) for x in (gamma, alpha) for h in sub.elements}
+    return {mu: 1 if mu in plus or by_gamma(mu) == j_plus else -1 for mu in support}
+
+
+def _two_eight_lift(form: DiscriminantForm, sub: IsotropicSubgroup, iso_perp: list[Element], desc) -> dict[Element, int]:
+    """two-eight, F = 2_1^+1.4_t^(+-1).8_II^+2, m = 8 in _base_points: for
+    k = 8 b(mu, gamma), mu gets eps chi(k) for odd k, eps = +1 iff t is 5 or
+    7, and chi(8 b(x0, mu)) for k = 2 or 6; the cosets of j gamma and
+    j alpha, j odd, get chi(j), where alpha = gamma + a1 - a2 for a1 the
+    least k = 2 element of value +1 and a2 the least k = 6 element of value
+    +1 that is no odd multiple of a1 modulo H."""
+    h_set, support, gamma, by_gamma, by_x0 = _base_points("two-eight", form, sub, iso_perp, 8)
+    ref = desc.realize()
+    chi, eps = {j: ref.chi(j) for j in (1, 3, 5, 7)}, 1 if (desc.signature - 1) % 8 in (5, 7) else -1
+    out = {}
+    for mu in support:
+        k = by_gamma(mu)
+        if k % 2:
+            out[mu] = eps * chi[k]
+        elif k in (2, 6):
+            out[mu] = chi.get(by_x0(mu))
+            if out[mu] is None:
+                raise InternalInconsistency(f"two-eight lift check: b(x0, {list(mu)}) is not an odd multiple of 1/8")
+    a1 = _first("two-eight", "a1", (mu for mu, x in out.items() if by_gamma(mu) == 2 and x == 1))
+    a1_multiples = {form.add(form.smul(j, a1), h) for j in chi for h in sub.elements}
+    a2 = _first("two-eight", "a2", (mu for mu, x in out.items() if by_gamma(mu) == 6 and x == 1 and mu not in a1_multiples))
+    alpha = form.sub(form.add(gamma, a1), a2)
+    out.update((form.add(form.smul(j, x), h), chi[j]) for j in chi for x in (gamma, alpha) for h in sub.elements)
     return out
 
 
 def _closed_lift(form: DiscriminantForm, sub: IsotropicSubgroup, desc, iso: set[Element]) -> dict[Element, int]:
-    """The lifted generator of a closed kind; iso is the set of isotropic
-    elements of D.  trivial: H-perp = H, and e^0 lifts to 1_H."""
+    """The lifted generator along H; iso is the set of isotropic elements of
+    D.  trivial: H-perp = H, and e^0 lifts to 1_H."""
     if desc.kind == "trivial":
         return dict.fromkeys(sub.elements, 1)
-    iso_perp = [x for x in sub.perp if x in iso]
-    if desc.kind == "odd-three":
-        return _chi_lift(form, sub, iso_perp, desc)
-    return _table_lift(sub, iso_perp, desc.prime)
+    lift = {"odd-three": _chi_lift, "two-four": _two_four_lift, "two-eight": _two_eight_lift}.get(desc.kind, _table_lift)
+    return lift(form, sub, [x for x in sub.perp if x in iso], desc)
 
 
 def _quotient_exponent_and_level(form: DiscriminantForm, sub: IsotropicSubgroup, p: int) -> tuple[int, int]:
@@ -228,9 +283,6 @@ def _quotient_exponent_and_level(form: DiscriminantForm, sub: IsotropicSubgroup,
     return exponent, n // g
 
 
-CLOSED_KINDS = ("trivial", "odd-four", "odd-three", "two-even-four")
-
-
 def _part_lifts(part: DiscriminantForm, desc: FundamentalDescriptor) -> list[tuple[IsotropicSubgroup, GroupAlgebraVector]]:
     """(H, lifted generator) on a p-power form for every isotropic H of the
     kept order with H-perp/H isomorphic to the fundamental form desc; the
@@ -243,16 +295,11 @@ def _part_lifts(part: DiscriminantForm, desc: FundamentalDescriptor) -> list[tup
         if rem or h_order * h_order != square:
             return []
         data, iso = (ref.exponent(), ref.level()), set(part.isotropic_elements())
-        lifts = []
-        for sub in isotropic_subgroups(part, h_order):
-            if desc.kind in CLOSED_KINDS:
-                if _quotient_exponent_and_level(part, sub, desc.prime) == data:
-                    lifts.append((sub, _closed_lift(part, sub, desc, iso)))
-                continue
-            qf = quotient(part, sub)  # two-four and two-eight: the quotient route
-            if is_fundamental_quotient(qf.form, desc):
-                v = lift_up(qf, _generic_generator(qf.form, desc.kind))
-                lifts.append((sub, {el: int(cyclo.as_rational(c)) for el, c in v.coeffs.items()}))
+        lifts = [
+            (sub, _closed_lift(part, sub, desc, iso))
+            for sub in isotropic_subgroups(part, h_order)
+            if _quotient_exponent_and_level(part, sub, desc.prime) == data
+        ]
         check_invariant_basis(part, [v for _, v in lifts])
         return [(sub, _vec(part, v)) for sub, v in lifts]
 
@@ -264,67 +311,19 @@ def _part_lifts(part: DiscriminantForm, desc: FundamentalDescriptor) -> list[tup
 # ---------------------------------------------------------------------------
 
 
-def _plus_minus_two_four(form: DiscriminantForm, t: int):
-    iso = form.isotropic_elements()
-    i2 = {g for g in iso if form.smul(2, g) == form.zero()}
-    gamma = min(g for g in iso if g not in i2)
-    star = set(form.coset_dcstar(2))
-    pair = sorted(mu for mu in iso if form.sub(mu, gamma) in star)
-    if len(pair) != 2:
-        raise InternalInconsistency("M(gamma)_2 does not have two elements")
-    alpha = next(mu for mu in pair if form.q_c(2, form.sub(mu, gamma)) == 0)
-    vareps = 1 if t % 8 == 6 else -1
-    j_plus = next(j for j in (1, 3) if vareps * form.chi(j) > 0)
-    plus = [mu for mu in iso if mu not in i2 and form.b(mu, gamma) == Fraction(j_plus, 4)]
-    plus += [alpha, gamma]
-    minus = sorted(set(iso) - i2 - set(plus))
-    return gamma, tuple(sorted(plus)), tuple(minus)
-
-
-def _plus_minus_two_eight(form: DiscriminantForm, t: int):
-    gamma = (0, 0, 1, 0)
-    alpha1 = (1, 2, 1, 2)
-    alpha2 = (1, 0, 1, 6)
-    alpha = (0, 2, 1, 4)
-    iso = form.isotropic_elements()
-    i4 = {g for g in iso if form.smul(4, g) == form.zero()}
-    for el, j in ((gamma, 0), (alpha1, 2), (alpha2, 6), (alpha, 4)):
-        if form.q(el) != 0 or el in i4 or form.b(el, gamma) != Fraction(j, 8) % 1:
-            raise InternalInconsistency(f"element {el} is not in M(gamma)_{j}")
-    vareps = 1 if t % 8 in (5, 7) else -1
-    plus, minus = set(), set()
-    for j in (1, 3, 5, 7):
-        bucket = plus if vareps * form.chi(j) > 0 else minus
-        bucket.update(mu for mu in iso if mu not in i4 and form.b(mu, gamma) == Fraction(j, 8))
-        special = plus if form.chi(j) > 0 else minus
-        special.update(form.smul(j, el) for el in (alpha1, alpha2, alpha, gamma))
-    if plus & minus:
-        raise InternalInconsistency("plus and minus supports overlap")
-    return gamma, tuple(sorted(plus)), tuple(sorted(minus))
-
-
 def fundamental_invariant(desc: FundamentalDescriptor) -> FundamentalInvariant:
     """The generator of the (one-dimensional) invariant space, in integer
     form, together with its plus/minus support when the table gives one.
 
-    The closed builders run on F with H = 0 (two-four and two-eight have
-    their own supports); the result is cross-checked against the generic
-    cusp-route projection, up to global sign.
+    The closed builders run on F with H = 0; the result is cross-checked
+    against the generic cusp-route projection, up to global sign.
     """
     form = desc.realize()
     if dim_invariants(form) != 1:
         raise InternalInconsistency(f"{desc.symbol}: invariant space is not one-dimensional")
-    generic = _generic_generator(form, desc.kind)
-    if desc.kind in CLOSED_KINDS:
-        ints = _closed_lift(form, make_isotropic_subgroup(form, ()), desc, set(form.isotropic_elements()))
-    else:
-        if desc.kind == "two-four":
-            _, plus, minus = _plus_minus_two_four(form, desc.signature)
-        else:
-            _, plus, minus = _plus_minus_two_eight(form, (desc.signature - 1) % 8)
-        ints = {**dict.fromkeys(plus, 1), **dict.fromkeys(minus, -1)}
+    ints = _closed_lift(form, make_isotropic_subgroup(form, ()), desc, set(form.isotropic_elements()))
     explicit = _vec(form, ints)
-    if integer_normalize(explicit) != generic:
+    if integer_normalize(explicit) != _generic_generator(form, desc.kind):
         raise InternalInconsistency(f"{desc.symbol}: explicit generator is not proportional to inv")
     if desc.kind not in ("odd-three", "two-four", "two-eight"):
         return FundamentalInvariant(desc, explicit, None, None)

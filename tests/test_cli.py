@@ -163,6 +163,20 @@ def test_a_flipped_lift_coefficient_exits_as_an_internal_error(monkeypatch):
     assert error["code"] == "internal-error" and "basis invariance check" in error["message"]
 
 
+def test_a_lift_rule_missing_its_element_exits_as_an_internal_error(monkeypatch):
+    """With every H taken for a two-four quotient, the lift rules meet an H
+    without the elements they expect, and say so."""
+    from weilinv import fundamental
+
+    monkeypatch.setattr(from_jordan_symbol("2_6^+2.4_II^+4"), "_caches", {})
+    ref = fundamental.fundamental_form(2, "square", 6).realize()
+    monkeypatch.setattr(fundamental, "_quotient_exponent_and_level", lambda *args: (ref.exponent(), ref.level()))
+    status, out = run_cli(["induced-basis", "--symbol", "2_6^+2.4_II^+4"])
+    assert status == 6
+    error = json.loads(out)["error"]
+    assert error["code"] == "internal-error" and "two-four lift check" in error["message"]
+
+
 def test_invariants_of_an_odd_signature_form_are_empty():
     status, out = run_cli(["invariants", "--symbol", "2_1^+1"])
     doc = json.loads(out)

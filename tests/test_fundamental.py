@@ -5,13 +5,12 @@ from pathlib import Path
 
 import pytest
 
-from weilinv import fundamental, weil
+from weilinv import fundamental, induct, weil
 from weilinv.appl import jacobi_singular_basis
 from weilinv.config import LIMITS
 from weilinv.cyclo import Cyclo, e_of
 from weilinv.fqm import BoundExceeded, InternalInconsistency, from_gram, from_jordan_symbol, trivial_form
 from weilinv.fundamental import (
-    CLOSED_KINDS,
     _generic_generator,
     fundamental_form,
     fundamental_invariant,
@@ -315,6 +314,7 @@ def _quotient_route(d, sub, descs):
 ORACLE_SOURCES = [
     "3^+5", "3^-5", "3^+4", "5^+4", "7^+3", "3^-4", "2_II^+6", "2_II^-6", "2_II^+2.2_II^-4", "4_II^-4",
     "tests/gram_4I4.json", "2_II^+2.3^-4", "3^-2.5^+2",
+    "2_6^+2.4_II^+4", "2_2^+2.4_II^-4", "2_6^+4.4_II^+2", "2_1^+3.4_1^+1.8_II^+2", "2_7^+1.4_3^-1.8_II^+2.2_II^+2",
 ]
 
 
@@ -326,7 +326,6 @@ def test_closed_lifts_match_the_quotient_route(source):
     normalization."""
     d = _form(source)
     descs = {p: fundamental_form(p, part.square_class(), part.signature()) for p, part, _ in d.p_part_decompose()}
-    assert {desc.kind for desc in descs.values()} <= set(CLOSED_KINDS)
     h_order = isqrt(d.order // prod(desc.realize().order for desc in descs.values()))
     expected = []
     for sub in isotropic_subgroups(d, h_order):
@@ -338,16 +337,16 @@ def test_closed_lifts_match_the_quotient_route(source):
     assert rank_of_vectors([v for _, v in lifts]) == dim_invariants(d)
 
 
-CLOSED_DESCRIPTORS = [
+DESCRIPTORS = [
     fundamental_form(p, x, s)
     for p in (2, 3, 5, 7)
     for x in ("square", "non-square")
     for s in (0, 2, 4, 6)
-    if fundamental_form(p, x, s) is not None and fundamental_form(p, x, s).kind in CLOSED_KINDS
+    if fundamental_form(p, x, s) is not None
 ]
 
 
-@pytest.mark.parametrize("desc", CLOSED_DESCRIPTORS, ids=lambda desc: desc.symbol or f"trivial-{desc.prime}")
+@pytest.mark.parametrize("desc", DESCRIPTORS, ids=lambda desc: desc.symbol or f"trivial-{desc.prime}")
 def test_fundamental_invariant_agrees_with_the_cusp_route(desc):
     """The closed builders with H = 0 give F's generator: fundamental_invariant
     checks it against the cusp-route projection, and so does this test."""
@@ -355,19 +354,56 @@ def test_fundamental_invariant_agrees_with_the_cusp_route(desc):
     assert integer_normalize(fi.vector) == _generic_generator(desc.realize(), desc.kind)
 
 
-def test_a_flipped_lift_coefficient_fails_the_invariance_check(monkeypatch):
-    d = from_jordan_symbol("3^-4")
+def _mutated(monkeypatch, symbol, builder, mutate):
+    """invariant_generators of symbol's form with emptied caches, the lift
+    builder's output changed by mutate(form, out, gamma), gamma the least
+    key of the output."""
+    d = from_jordan_symbol(symbol)
     monkeypatch.setattr(d, "_caches", {})
-    original = fundamental._table_lift
+    original = getattr(fundamental, builder)
 
-    def flipped(*args):
-        out = original(*args)
-        out[max(out)] *= -1
+    def mutated(form, *args):
+        out = original(form, *args)
+        mutate(form, out, min(out))
         return out
 
-    monkeypatch.setattr(fundamental, "_table_lift", flipped)
+    monkeypatch.setattr(fundamental, builder, mutated)
+    return invariant_generators(d)
+
+
+def test_a_flipped_lift_coefficient_fails_the_invariance_check(monkeypatch):
+    def flip(form, out, gamma):
+        out[max(out)] *= -1
+
     with pytest.raises(InternalInconsistency, match="basis invariance check: rho\\(S\\) moves vector 0"):
-        invariant_generators(d)
+        _mutated(monkeypatch, "3^-4", "_table_lift", flip)
+
+
+def _swap_the_two_four_pair(form, out, gamma):
+    """Of the two mu with 2 mu = 2 gamma and b(mu, gamma) = 1/2, alpha gets +1
+    and the other -1; swap them."""
+    pair = [mu for mu in out if form.smul(2, mu) == form.smul(2, gamma) and form.b(mu, gamma) == Fraction(1, 2)]
+    assert sorted(out[mu] for mu in pair) == [-1, 1]
+    for mu in pair:
+        out[mu] *= -1
+
+
+def _flip_a_two_eight_k2_element(form, out, gamma):
+    out[min(mu for mu in out if form.b(mu, gamma) == Fraction(2, 8))] *= -1
+
+
+@pytest.mark.parametrize(
+    "symbol,builder,mutate",
+    [
+        ("2_6^+2.4_II^+2", "_two_four_lift", _swap_the_two_four_pair),
+        ("2_1^+1.4_1^+1.8_II^+2", "_two_eight_lift", _flip_a_two_eight_k2_element),
+    ],
+    ids=["two-four-alpha", "two-eight-k2"],
+)
+def test_a_mutated_two_adic_lift_fails_the_invariance_check(monkeypatch, symbol, builder, mutate):
+    """On F itself (H = 0, so a coset is one element)."""
+    with pytest.raises(InternalInconsistency, match="basis invariance check"):
+        _mutated(monkeypatch, symbol, builder, mutate)
 
 
 def test_closed_kinds_use_neither_the_quotient_nor_the_cusp_route(monkeypatch):
@@ -375,9 +411,10 @@ def test_closed_kinds_use_neither_the_quotient_nor_the_cusp_route(monkeypatch):
         raise AssertionError("quotient or cusp route called")
 
     monkeypatch.setattr(fundamental, "inv", refuse)
-    monkeypatch.setattr(fundamental, "quotient", refuse)
     monkeypatch.setattr(weil, "inv", refuse)
-    for symbol, count in (("3^+5", 40), ("2_II^+6", 30), ("3^-4", 1)):
+    monkeypatch.setattr(induct, "quotient", refuse)
+    monkeypatch.setattr(induct, "lift_up", refuse)
+    for symbol, count in (("3^+5", 40), ("2_II^+6", 30), ("3^-4", 1), ("2_6^+2.4_II^+4", 140), ("2_1^+3.4_1^+1.8_II^+2", 12)):
         d = from_jordan_symbol(symbol)
         monkeypatch.setattr(d, "_caches", {})
         assert len(invariant_generators(d)) == count

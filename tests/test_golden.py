@@ -7,7 +7,9 @@ derived from the e^0 column; the `invariants` digests of 3^+5, 2_II^+6,
 5^+4 and 7^-4 were recorded while invariants still projected every
 isotropic element, before it read its picks from the generators; the
 2_6^+2.4_II^+4 and 2_II^+8 digests were recorded while Echelon still
-eliminated rational rows over Fraction.  A
+eliminated rational rows over Fraction; the 2_1^+3.4_1^+1.8_II^+2
+digests were recorded while the two-four and two-eight lifts still went
+through the quotient route.  A
 refactor that keeps every result exact keeps every digest; a digest that
 changes means some output changed.
 """
@@ -38,6 +40,9 @@ GOLDEN = [
     # larger integers in the eliminations: the two-four route with 140 generators, and dim 2_II^+8
     (["induced-basis", "--check", "--symbol", "2_6^+2.4_II^+4"], "e120489cfa7a3a8d5046f8d5df963cc8e841e3d9239340290d843361be1e9b29"),
     (["invariants", "--symbol", "2_II^+8"], "ca61e91e510490788ff3a2336ca40a189eadd8d6d035cc26a8b85639f1acf850"),
+    # the two-eight route
+    (["induced-basis", "--check", "--symbol", "2_1^+3.4_1^+1.8_II^+2"], "879eb180b58b14eac4fbda96cad52e355e82076f5a71bbafb6481dae082d25b3"),
+    (["invariants", "--symbol", "2_1^+3.4_1^+1.8_II^+2"], "010ea1435c1b14fc42dd0665f58c07331f643847fb2282bcaf8248f0d23e1c19"),
 ]
 
 

@@ -14,13 +14,10 @@ import os
 import sys
 from fractions import Fraction
 from functools import cache
-from math import lcm
-from operator import mul
 
 from . import cyclo
 from .appl import dim_s2, dim_s2_trace, jacobi_singular_basis, theta_q_expansion
 from .config import LIMITS, apply_env_overrides
-from .cyclo import Cyclo
 from .fqm import (
     BoundExceeded,
     DiscriminantForm,
@@ -31,16 +28,13 @@ from .fqm import (
     from_gram,
     from_jordan_symbol,
 )
-from .fundamental import integer_normalize, invariant_generators
-from .intmat import Echelon, rational_inverse
+from .fundamental import integer_normalize, invariant_basis, invariant_generators, invariant_projection
 from .weil import (
     OddSignatureError,
     Vec,
-    check_invariant_basis,
+    cusp_classes,
     dim_closed_form,
     dim_invariants,
-    inv,
-    cusp_classes,
     projection_closed_form,
     rank_of_vectors,
     rho,
@@ -131,81 +125,10 @@ def _cmd_dim(args) -> dict:
     return doc
 
 
-def _generator_basis(form: DiscriminantForm):
-    """(picks, B): the first isotropic gammas whose rows M[gamma] of the
-    generator matrix M are independent, eliminated over Q, and the dim
-    generators at the pivot columns of those rows, scaled to integer maps
-    element -> int and checked to be fixed by rho.  Being dim independent
-    invariants, they are a basis B of C[D]^G.  With inv = M (M^* M)^+ M^*,
-    inv(e^gamma) is new exactly when the row M[gamma] is, so the picks are
-    those of the greedy loop over every inv(e^gamma).  Each generator is
-    scaled to integers first: that scales the columns of M, keeps which rows
-    are independent, and lets Echelon eliminate fraction-free."""
-    dim = dim_invariants(form)
-    gens = [_integer_generator(g) for g in invariant_generators(form)] if dim else []
-    rows, picked = Echelon(), []
-    for gamma in form.isotropic_elements():
-        if len(picked) == dim:
-            break
-        if rows.add({j: g[gamma] for j, g in enumerate(gens) if gamma in g}):
-            picked.append(gamma)
-    if len(picked) != dim:
-        raise InternalError("basis rank check: the projection basis has the wrong rank")
-    basis = [gens[j] for j in sorted(rows.rows)]
-    check_invariant_basis(form, basis)
-    return picked, basis
-
-
-def _integer_generator(g: Vec) -> dict:
-    """g scaled to an integer map element -> int; an irrational coefficient
-    fails the basis rank check."""
-    ints = cyclo.integer_multiple(g.coeffs)
-    if ints is None:
-        el, c = next((el, c) for el, c in g.coeffs.items() if cyclo.as_rational(c) is None)
-        raise InternalError(f"basis rank check: generator coefficient {c} at {list(el)} is irrational")
-    return ints
-
-
-def _projector(basis):
-    """(project, den): gamma -> den * inv(e^gamma) = sum_i (A B[gamma])_i b_i,
-    a map element -> int, for a basis B of C[D]^G of integer vectors, G =
-    B^T B and G^-1 = A / den with A an integer matrix: inv is the orthogonal
-    projection onto C[D]^G, as rho is unitary."""
-    gram = [[sum(x * b[el] for el, x in a.items() if el in b) for b in basis] for a in basis]
-    inverse = rational_inverse(gram)
-    den = lcm(*(x.denominator for row in inverse for x in row))
-    adj = [[int(x * den) for x in row] for row in inverse]
-
-    def project(gamma) -> dict:
-        col = [b.get(gamma, 0) for b in basis]
-        out: dict = {}
-        for row, b in zip(adj, basis):
-            if y := sum(map(mul, row, col)):
-                for el, x in b.items():
-                    out[el] = out.get(el, 0) + y * x
-        return {el: x for el, x in out.items() if x}
-
-    return project, den
-
-
-def _invariant_basis(form: DiscriminantForm):
-    """(gamma, inv(e^gamma)) for the picks of _generator_basis, projected
-    through the Gram matrix of its basis.  The images are independent when
-    their coordinates at the picks are: a dependency among the images is one
-    among those rows, which share the denominator den and are eliminated in
-    ints."""
-    picked, basis = _generator_basis(form)
-    (project, den), rows = _projector(basis), Echelon()
-    images = [project(gamma) for gamma in picked]
-    if not all(rows.add({j: v[g] for j, g in enumerate(picked) if g in v}) for v in images):
-        raise InternalError("basis rank check: the projection basis has the wrong rank")
-    return [(gamma, Vec(form, {el: Cyclo(1, [x], den) for el, x in v.items()})) for gamma, v in zip(picked, images)]
-
-
 def _cmd_invariants(args) -> dict:
     form, name = _load_form(args)
     doc = _form_header(form, name)
-    picked = _invariant_basis(form)
+    picked = invariant_basis(form)
     doc["dim"] = len(picked)
     doc["basis"] = [
         {"projected_from": list(gamma), "vector": _vector_doc(integer_normalize(v))}
@@ -314,11 +237,10 @@ def _verify_battery(form: DiscriminantForm) -> list[dict]:
 
         iso = form.isotropic_elements()
         sample = iso[: min(len(iso), 6)]
-        ok = all(inv(form, inv(form, g)) == inv(form, g) for g in sample)
-        record("inv-idempotent", ok)
-        ok = all(rho_S(inv(form, g)) == inv(form, g) and rho_T(inv(form, g)) == inv(form, g) for g in sample)
-        record("inv-image-fixed", ok)
-        # the cusp pieces of inv(e^g0) a second way: rho(+-M_s^-1) on the whole
+        projected = [invariant_projection(form, g) for g in sample]
+        record("inv-idempotent", all(invariant_projection(form, v) == v for v in projected))
+        record("inv-image-fixed", all(rho_S(v) == v and rho_T(v) == v for v in projected))
+        # inv(e^g0) a second way, cusp by cusp: rho(+-M_s^-1) on the whole
         # form, whose sum over T^n is N times its isotropic coordinates
         n, g0, images = form.level(), sample[0], Vec(form)
         for cusp in cusp_classes(n):
@@ -326,15 +248,10 @@ def _verify_battery(form: DiscriminantForm) -> list[dict]:
             for word in [cusp.inv_word, ((-a, -b), (-c, -d))][: 2 if n >= 3 else 1]:
                 images = images + rho(word, Vec.basis(form, g0))
         pieces = Vec(form, {mu: images.coefficient(mu) for mu in form.isotropic_elements()})
-        record("cusp-partition", pieces.scale(Fraction(n, sl2_group_order(n))) == inv(form, g0))
+        record("cusp-partition", pieces.scale(Fraction(n, sl2_group_order(n))) == projected[0])
         if form.symbol is not None:
-            ok = True
-            for g in sample:
-                pcf = projection_closed_form(form, g)
-                if pcf is not None and pcf != inv(form, g):
-                    ok = False
-                    break
-            record("closed-projection", ok)
+            closed = (projection_closed_form(form, g) for g in sample)
+            record("closed-projection", all(pcf is None or pcf == v for pcf, v in zip(closed, projected)))
         if form.symbol is not None and dim_closed_form(str(form.symbol)) is not None:
             record("closed-dimension", dim_closed_form(str(form.symbol)) == dim_invariants(form))
         gens = invariant_generators(form)

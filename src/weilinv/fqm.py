@@ -688,10 +688,6 @@ class Lattice:
         return out
 
 
-def trivial_form() -> DiscriminantForm:
-    return _realize_symbol(JordanSymbol([]))
-
-
 # ---------------------------------------------------------------------------
 # Counting elements by norm in homogeneous forms
 # ---------------------------------------------------------------------------

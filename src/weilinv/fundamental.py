@@ -20,13 +20,20 @@ batched weil.check_invariant_basis and are memoized with it.
 fundamental_lifts is the one enumeration, at any level:
 induced_generating_set reads its vectors, and the Jacobi application in
 appl reads its subgroups as overlattices.
+
+The projection onto the invariants is read off the lifts: rho is unitary,
+so inv = B (B^T B)^-1 B^T for any basis B of C[D]^G, and B is picked from
+the generators by the rows of their matrix at the isotropic elements.
+invariant_projection and invariant_basis share one memoized projector per
+form; weil.inv, the average over the cusps, is the reference they are
+tested against, and no production path calls it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from . import cyclo
@@ -34,7 +41,8 @@ from .arith import legendre, prime_power
 from .cyclo import Cyclo
 from .fqm import DiscriminantForm, Element, InternalInconsistency, from_jordan_symbol
 from .induct import IsotropicSubgroup, isotropic_subgroups, make_isotropic_subgroup
-from .weil import GroupAlgebraVector, Vec, check_invariant_basis, dim_invariants, inv
+from .intmat import Echelon, rational_inverse
+from .weil import GroupAlgebraVector, Vec, check_invariant_basis, dim_invariants
 
 
 @dataclass(frozen=True)
@@ -112,16 +120,23 @@ def is_fundamental_quotient(candidate: DiscriminantForm, desc: FundamentalDescri
 # ---------------------------------------------------------------------------
 
 
+def _integer_map(v: GroupAlgebraVector, failure: str) -> dict[Element, int]:
+    """v scaled to an integer map element -> int (cyclo.integer_multiple); an
+    irrational coefficient c at el raises "{failure} {c} at {el} is irrational"."""
+    ints = cyclo.integer_multiple(v.coeffs)
+    if ints is None:
+        el, c = next((el, c) for el, c in v.coeffs.items() if cyclo.as_rational(c) is None)
+        raise InternalInconsistency(f"{failure} {c} at {list(el)} is irrational")
+    return ints
+
+
 def integer_normalize(v: GroupAlgebraVector) -> GroupAlgebraVector:
     """Scale to coprime integer coefficients with the lex-least nonzero
     coefficient positive; an irrational coefficient fails the integer
     normalization check."""
     if v.is_zero():
         return v
-    ints = cyclo.integer_multiple(v.coeffs)
-    if ints is None:
-        el, c = next((el, c) for el, c in v.coeffs.items() if cyclo.as_rational(c) is None)
-        raise InternalInconsistency(f"integer normalization check: coefficient {c} at {list(el)} is irrational")
+    ints = _integer_map(v, "integer normalization check: coefficient")
     g = gcd(*ints.values())
     if ints[min(ints)] < 0:
         g = -g
@@ -130,21 +145,6 @@ def integer_normalize(v: GroupAlgebraVector) -> GroupAlgebraVector:
 
 def _vec(form: DiscriminantForm, ints: dict[Element, int]) -> GroupAlgebraVector:
     return GroupAlgebraVector(form, {el: Cyclo.rational(x) for el, x in ints.items()})
-
-
-def _generic_generator(form: DiscriminantForm, kind: str) -> GroupAlgebraVector:
-    """Span of the invariants via a single cusp-route projection, no
-    isomorphism used."""
-    gamma = form.zero()
-    if kind not in ("trivial", "odd-four", "two-even-four"):
-        full = [g for g in form.isotropic_elements() if form.element_order(g) == form.level()]
-        if not full:
-            raise InternalInconsistency("no isotropic element of full level")
-        gamma = min(full)
-    v = inv(form, gamma)
-    if v.is_zero():
-        raise InternalInconsistency("fundamental projection vanished; dimension is not 1")
-    return integer_normalize(v)
 
 
 # ---------------------------------------------------------------------------
@@ -315,16 +315,18 @@ def fundamental_invariant(desc: FundamentalDescriptor) -> FundamentalInvariant:
     """The generator of the (one-dimensional) invariant space, in integer
     form, together with its plus/minus support when the table gives one.
 
-    The closed builders run on F with H = 0; the result is cross-checked
-    against the generic cusp-route projection, up to global sign.
+    The closed builders run on F with H = 0.  As the invariant space is one
+    dimensional, the result spans it once it is nonzero and passes the basis
+    invariance check.
     """
     form = desc.realize()
     if dim_invariants(form) != 1:
         raise InternalInconsistency(f"{desc.symbol}: invariant space is not one-dimensional")
     ints = _closed_lift(form, make_isotropic_subgroup(form, ()), desc, set(form.isotropic_elements()))
+    if not any(ints.values()):
+        raise InternalInconsistency(f"{desc.symbol}: the explicit generator vanished")
+    check_invariant_basis(form, [ints])
     explicit = _vec(form, ints)
-    if integer_normalize(explicit) != _generic_generator(form, desc.kind):
-        raise InternalInconsistency(f"{desc.symbol}: explicit generator is not proportional to inv")
     if desc.kind not in ("odd-three", "two-four", "two-eight"):
         return FundamentalInvariant(desc, explicit, None, None)
     plus = tuple(sorted(el for el, x in ints.items() if x > 0))
@@ -432,3 +434,77 @@ def invariant_generators(form: DiscriminantForm) -> list[GroupAlgebraVector]:
         return tensor_combine([(part, emb, induced_generating_set(part)) for _, part, emb in form.p_part_decompose()])
 
     return list(form.memo("generators", build))
+
+
+# ---------------------------------------------------------------------------
+# The projection onto the invariants
+# ---------------------------------------------------------------------------
+
+
+def _projector(form: DiscriminantForm):
+    """(picks, B, A, den), memoized per form.  The picks are the first
+    isotropic gammas whose rows M[gamma] of the generator matrix M are
+    independent, eliminated over Q; B is the dim generators at the pivot
+    columns of those rows, scaled to integer maps element -> int and checked
+    to be fixed by rho, so a basis of C[D]^G.  With inv = M (M^* M)^+ M^*,
+    inv(e^gamma) is new exactly when the row M[gamma] is, so the picks are
+    those of the greedy loop over every inv(e^gamma).  Each generator is
+    scaled to integers first: that scales the columns of M, keeps which rows
+    are independent, and lets Echelon eliminate fraction-free.  A / den is
+    (B^T B)^-1, A an integer matrix."""
+    dim = dim_invariants(form)  # the bounds, checked before the memo is read
+
+    def build():
+        gens = invariant_generators(form) if dim else []
+        gens = [_integer_map(g, "basis rank check: generator coefficient") for g in gens]
+        rows, picked = Echelon(), []
+        for gamma in form.isotropic_elements():
+            if len(picked) == dim:
+                break
+            if rows.add({j: g[gamma] for j, g in enumerate(gens) if gamma in g}):
+                picked.append(gamma)
+        if len(picked) != dim:
+            raise InternalInconsistency("basis rank check: the projection basis has the wrong rank")
+        basis = [gens[j] for j in sorted(rows.rows)]
+        check_invariant_basis(form, basis)
+        gram = [[sum(x * b[el] for el, x in a.items() if el in b) for b in basis] for a in basis]
+        inverse = rational_inverse(gram)
+        den = lcm(*(x.denominator for row in inverse for x in row))
+        return picked, basis, [[int(x * den) for x in row] for row in inverse], den
+
+    return form.memo("projector", build)
+
+
+def _project(basis, adj, col) -> dict:
+    """sum_i (A col)_i b_i, a map element -> number, for col = B^T v; ints
+    stay ints, and Cyclo values work alike."""
+    out: dict = {}
+    for row, b in zip(adj, basis):
+        if y := sum(map(mul, row, col)):
+            for el, x in b.items():
+                out[el] = out.get(el, 0) + y * x
+    return {el: x for el, x in out.items() if x}
+
+
+def invariant_projection(form: DiscriminantForm, v) -> GroupAlgebraVector:
+    """inv(v), v a vector or an element (for e^v): B (B^T B)^-1 B^T v, the
+    orthogonal projection onto C[D]^G, as rho is unitary.  Zero for odd
+    signature.  weil.inv is the cusp-route reference."""
+    if isinstance(v, tuple):
+        v = Vec.basis(form, v)
+    _, basis, adj, den = _projector(form)
+    col = [sum((c * b[el] for el, c in v.coeffs.items() if el in b), cyclo.ZERO) for b in basis]
+    return Vec(form, {el: x / den for el, x in _project(basis, adj, col).items()})
+
+
+def invariant_basis(form: DiscriminantForm) -> list[tuple[Element, GroupAlgebraVector]]:
+    """(gamma, inv(e^gamma)) for the picks of the projector, in element
+    order: a basis of C[D]^G.  Each image is projected in ints, over the
+    common denominator den.  The images are independent when their
+    coordinates at the picks are: a dependency among the images is one among
+    those rows, which are eliminated in ints."""
+    picked, basis, adj, den = _projector(form)
+    images, rows = [_project(basis, adj, [b.get(gamma, 0) for b in basis]) for gamma in picked], Echelon()
+    if not all(rows.add({j: v[g] for j, g in enumerate(picked) if g in v}) for v in images):
+        raise InternalInconsistency("basis rank check: the projection basis has the wrong rank")
+    return [(gamma, Vec(form, {el: Cyclo(1, [x], den) for el, x in v.items()})) for gamma, v in zip(picked, images)]

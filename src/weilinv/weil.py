@@ -16,7 +16,8 @@ SL2Word is applied as given.  Two adjacent S letters are applied as rho(-1),
 e(sign(D)/4) times the permutation e^gamma -> e^-gamma.  The closed product
 formula with its local factors is never used.  The projection inv averages
 rho over SL2(Z/N), with the cosets grouped as +-M_s T^n per cusp s so the
-per-cusp pieces sum to the total by construction.  Per cusp one word is
+per-cusp pieces sum to the total by construction; this cusp route is the
+reference for fundamental.invariant_projection.  Per cusp one word is
 applied, to e^0 of each orthogonal block; every column of rho(M) = rho(M_s^-1)
 follows from that c0 = rho(M) e^0 by the Heisenberg intertwining, for
 M = (a b; c d),
@@ -709,10 +710,9 @@ def _inv_basis(form: DiscriminantForm, gamma: Element) -> Vec:
 
 
 def inv(form: DiscriminantForm, v) -> Vec:
-    """Projection onto the invariants: the average of rho over SL2(Z/N).
-
-    Returns the zero vector when the signature is odd.
-    """
+    """Projection onto the invariants: the average of rho over SL2(Z/N),
+    summed cusp by cusp.  The reference implementation: the library projects
+    through fundamental.invariant_projection.  Zero for odd signature."""
     if isinstance(v, tuple):
         v = Vec.basis(form, v)
     if form.signature() % 2:

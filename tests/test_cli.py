@@ -9,9 +9,9 @@ import pytest
 
 from weilinv import cli
 from weilinv.cli import main
-from weilinv.cyclo import Cyclo, e_of
+from weilinv.cyclo import e_of
 from weilinv.fqm import from_gram, from_jordan_symbol
-from weilinv.fundamental import invariant_generators
+from weilinv.fundamental import invariant_basis, invariant_generators, invariant_projection
 from weilinv.intmat import Echelon
 from weilinv.weil import Vec, inv
 
@@ -96,24 +96,33 @@ def test_generator_row_picks_match_the_cusp_greedy_basis(source):
             form = from_gram(json.load(fh))
     else:
         form = from_jordan_symbol(source)
-    assert cli._invariant_basis(form) == _cusp_greedy_basis(form)
-    project, den = cli._projector(cli._generator_basis(form)[1])
+    assert invariant_basis(form) == _cusp_greedy_basis(form)
     for gamma in form.isotropic_elements():  # inv is memoized by the greedy loop
-        assert Vec(form, {el: Cyclo(1, [x], den) for el, x in project(gamma).items()}) == inv(form, gamma), gamma
+        assert invariant_projection(form, gamma) == inv(form, gamma), gamma
 
 
 @pytest.mark.parametrize("symbol, dim", [("3^+5", 10), ("2_II^+6", 15), ("3^-4", 1)])
 def test_invariants_projects_only_dim_elements(symbol, dim, monkeypatch):
-    """invariants builds its basis from the generators' Gram matrix and calls
-    the cusp-route inv for no element."""
+    """invariants builds its basis from the generators' Gram matrix, and
+    neither it nor verify calls the cusp route for any element."""
+    from weilinv import weil
+
     calls = []
-    monkeypatch.setattr(cli, "inv", lambda form, gamma: calls.append(gamma) or inv(form, gamma))
+    original = weil._inv_basis
+    monkeypatch.setattr(weil, "_inv_basis", lambda form, gamma: calls.append(gamma) or original(form, gamma))
     status, out = run_cli(["invariants", "--symbol", symbol])
     assert status == 0 and json.loads(out)["dim"] == dim and calls == []
+    status, out = run_cli(["verify", "--symbol", symbol])
+    assert status == 0 and json.loads(out)["pass"] is True and calls == []
 
 
 def _invariants_error(monkeypatch, symbol, generators):
-    monkeypatch.setattr(cli, "invariant_generators", generators)
+    """invariants on symbol's form, on fresh memos, with the projector built
+    from generators(form); the message of the internal error it exits with."""
+    from weilinv import fundamental
+
+    monkeypatch.setattr(from_jordan_symbol(symbol), "_caches", {})
+    monkeypatch.setattr(fundamental, "invariant_generators", generators)
     status, out = run_cli(["invariants", "--symbol", symbol])
     assert status == 6
     error = json.loads(out)["error"]
@@ -194,11 +203,8 @@ def test_generator_with_non_isotropic_support_fails_the_invariance_check(monkeyp
 
 
 def test_generator_rows_of_too_low_rank_fail_the_basis_check(monkeypatch):
-    monkeypatch.setattr(cli, "invariant_generators", lambda form: [])
-    status, out = run_cli(["invariants", "--symbol", "3^-4"])
-    assert status == 6
-    error = json.loads(out)["error"]
-    assert error["code"] == "internal-error" and "basis rank check" in error["message"]
+    message = _invariants_error(monkeypatch, "3^-4", lambda form: [])
+    assert "basis rank check" in message
 
 
 def test_parse_error_exit_code():
@@ -306,21 +312,16 @@ def test_verify_battery_passes(symbol):
 
 
 def test_cusp_partition_can_fail(monkeypatch):
-    """With the cusp pieces of 3^-2 doubled, inv doubles; the cusp
-    pieces that verify computes from rho on the whole form do not, so
-    cusp-partition fails.  Only this form is corrupted, on fresh memos, so
-    that no shared form keeps a doubled answer."""
-    from weilinv import weil
+    """With the inverse Gram matrix of the projector of 3^-2 doubled, the
+    projection doubles; the cusp pieces that verify computes from rho on
+    the whole form do not, so cusp-partition fails.  Only this form is
+    built, on fresh memos, so that no shared form keeps a doubled answer."""
+    from weilinv import fundamental
 
     form = from_jordan_symbol("3^-2")
     monkeypatch.setattr(form, "_caches", {})
-    original = weil._cusp_terms
-
-    def doubled(f, cusp, gamma):
-        piece = original(f, cusp, gamma)
-        return piece.scale(2) if f is form else piece
-
-    monkeypatch.setattr(weil, "_cusp_terms", doubled)
+    original = fundamental.rational_inverse
+    monkeypatch.setattr(fundamental, "rational_inverse", lambda m: [[2 * x for x in row] for row in original(m)])
     status, out = run_cli(["verify", "--symbol", "3^-2"])
     checks = {c["property"]: c["pass"] for c in json.loads(out)["checks"]}
     assert status == 1

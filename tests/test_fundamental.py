@@ -9,15 +9,15 @@ from weilinv import fundamental, induct, weil
 from weilinv.appl import jacobi_singular_basis
 from weilinv.config import LIMITS
 from weilinv.cyclo import Cyclo, e_of
-from weilinv.fqm import BoundExceeded, InternalInconsistency, from_gram, from_jordan_symbol, trivial_form
+from weilinv.fqm import BoundExceeded, InternalInconsistency, from_gram, from_jordan_symbol
 from weilinv.fundamental import (
-    _generic_generator,
     fundamental_form,
     fundamental_invariant,
     fundamental_lifts,
     induced_generating_set,
     integer_normalize,
     invariant_generators,
+    invariant_projection,
     is_fundamental_quotient,
     tensor_combine,
 )
@@ -296,6 +296,18 @@ def _form(source):
     return from_jordan_symbol(source)
 
 
+def _generic_generator(form, kind):
+    """The generator of a one-dimensional invariant space by one cusp-route
+    projection, no isomorphism used: inv(e^0), or inv(e^gamma) for the least
+    isotropic gamma of full level where inv(e^0) vanishes."""
+    gamma = form.zero()
+    if kind not in ("trivial", "odd-four", "two-even-four"):
+        gamma = min(g for g in form.isotropic_elements() if form.element_order(g) == form.level())
+    v = inv(form, gamma)
+    assert not v.is_zero(), form
+    return integer_normalize(v)
+
+
 def _quotient_route(d, sub, descs):
     """The lift along sub by the quotient route, normalized: H-perp/H realized
     by induct.quotient, the cusp-route generator of each of its p-parts,
@@ -303,7 +315,7 @@ def _quotient_route(d, sub, descs):
     qf = quotient(d, sub)
     parts = qf.form.p_part_decompose()
     by_prime = {p: part for p, part, _ in parts}
-    if not all(is_fundamental_quotient(by_prime.get(p, trivial_form()), desc) for p, desc in descs.items()):
+    if not all(is_fundamental_quotient(by_prime.get(p, from_jordan_symbol("")), desc) for p, desc in descs.items()):
         return None
     if not parts:
         return integer_normalize(lift_up(qf, Vec.basis(qf.form, qf.form.zero())))
@@ -349,9 +361,36 @@ DESCRIPTORS = [
 @pytest.mark.parametrize("desc", DESCRIPTORS, ids=lambda desc: desc.symbol or f"trivial-{desc.prime}")
 def test_fundamental_invariant_agrees_with_the_cusp_route(desc):
     """The closed builders with H = 0 give F's generator: fundamental_invariant
-    checks it against the cusp-route projection, and so does this test."""
+    proves it invariant and nonzero, and this test compares it with the
+    cusp-route projection."""
     fi = fundamental_invariant(desc)
     assert integer_normalize(fi.vector) == _generic_generator(desc.realize(), desc.kind)
+
+
+def test_a_flipped_closed_lift_on_f_fails_the_invariance_check(monkeypatch):
+    """fundamental_invariant proves its generator invariant itself: a closed
+    lift on F with one coefficient flipped is refused."""
+    original = fundamental._table_lift
+
+    def flipped(*args):
+        out = original(*args)
+        out[max(out)] *= -1
+        return out
+
+    monkeypatch.setattr(fundamental, "_table_lift", flipped)
+    with pytest.raises(InternalInconsistency, match="basis invariance check: rho\\(S\\) moves vector 0"):
+        fundamental_invariant(fundamental_form(3, "square", 4))
+
+
+@pytest.mark.parametrize("symbol", ["3^-2", "5^+2", "2_II^+2.3^-2", "3^+1"])
+def test_invariant_projection_of_a_cyclotomic_vector_is_the_cusp_route(symbol):
+    """The projector works over the cyclotomic field too: on a vector with
+    irrational coefficients, non-isotropic support included, it equals the
+    cusp-route inv (zero at odd signature)."""
+    d = from_jordan_symbol(symbol)
+    els = d.elements()
+    v = Vec(d, {el: e_of(Fraction(k, 12)) * (k + 1) for k, el in enumerate(els[:: max(1, len(els) // 7)])})
+    assert invariant_projection(d, v) == inv(d, v)
 
 
 def _mutated(monkeypatch, symbol, builder, mutate):
@@ -410,8 +449,7 @@ def test_closed_kinds_use_neither_the_quotient_nor_the_cusp_route(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("quotient or cusp route called")
 
-    monkeypatch.setattr(fundamental, "inv", refuse)
-    monkeypatch.setattr(weil, "inv", refuse)
+    monkeypatch.setattr(weil, "_inv_basis", refuse)
     monkeypatch.setattr(induct, "quotient", refuse)
     monkeypatch.setattr(induct, "lift_up", refuse)
     for symbol, count in (("3^+5", 40), ("2_II^+6", 30), ("3^-4", 1), ("2_6^+2.4_II^+4", 140), ("2_1^+3.4_1^+1.8_II^+2", 12)):

@@ -10,7 +10,9 @@ fundamental p-parts, with the product of the fundamental generators) as
 integer theta coefficients.  Their q-expansions count lattice vectors by
 Fincke-Pohst enumeration in integers only: one exact square completion per
 coset fixes integer weights, so every loop range is exact and no count
-rests on a rounded bound.
+rests on a rounded bound.  Both theta routines use v -> -v, which keeps the
+norm and maps gamma + M onto -gamma + M: a coset with 2 gamma in M is
+searched by halves, and one search serves each pair {gamma, -gamma}.
 """
 
 from __future__ import annotations
@@ -180,7 +182,12 @@ def _enumerate_norms(qmat: list[list[int]], shift: list[Fraction], bound: int) -
     sum_(j>i) u_ij (c_j + shift_j).  Level i gets a scale m_i making t_i =
     m_i y_i = m_i c_i + C_i integral (C_i is integral in the c_j, j > i) and a
     weight w_i = G d_i / m_i^2, integral for one denominator G.  So G F = sum
-    w_i t_i^2, and |t_i| <= isqrt(R // w_i) is exact for the budget R left."""
+    w_i t_i^2, and |t_i| <= isqrt(R // w_i) is exact for the budget R left.
+
+    With 2 shift integral, c -> -c - 2 shift maps the search set onto itself
+    and every t_i to -t_i, keeping F.  So only t >= 0 is searched: a t > 0
+    stands for its mirror too and counts twice, and a branch with t = 0 is
+    itself symmetric and is halved one level down (a leaf t = 0 counts once)."""
     n = len(qmat)
     if not n:
         return 1, Counter({0: 1})
@@ -202,23 +209,26 @@ def _enumerate_norms(qmat: list[list[int]], shift: list[Fraction], bound: int) -
     w = [int(big_g * x) for x in scaled]
     top, counts, chosen = big_g * bound, Counter(), [0] * n
 
-    def recurse(i: int, budget: int, centre: int) -> None:
+    def recurse(i: int, budget: int, centre: int, mult: int) -> None:
+        # mult == 0: the branch is closed under t -> -t, so only t >= 0 is visited
         mi, wi = m[i], w[i]
         s = isqrt(budget // wi)
         lo, hi = -((s + centre) // mi), (s - centre) // mi
+        if not mult:
+            lo = max(lo, -(centre // mi))
         if not i:
             base = top - budget
             for t in range(mi * lo + centre, mi * hi + centre + 1, mi):
-                counts[base + wi * t * t] += 1
+                counts[base + wi * t * t] += mult or 1 + (t != 0)
             return
         # C_(i-1) = below + a[i-1][i] c_i for every c_i of this level
         below = c0[i - 1] + sum(a[i - 1][j] * chosen[j] for j in range(i + 1, n))
         for c_i in range(lo, hi + 1):
             t = mi * c_i + centre
             chosen[i] = c_i
-            recurse(i - 1, budget - wi * t * t, below + a[i - 1][i] * c_i)
+            recurse(i - 1, budget - wi * t * t, below + a[i - 1][i] * c_i, mult or 2 * (t != 0))
 
-    recurse(n - 1, top, c0[n - 1])
+    recurse(n - 1, top, c0[n - 1], 0 if all((2 * x).denominator == 1 for x in shift) else 1)
     return big_g, counts
 
 
@@ -229,7 +239,8 @@ def theta_q_expansion(gram, subgroup_elements, coefficients: dict[Element, int],
     Coefficient keys are classes of L'/L lying in M'/L.  The vectors of norm
     at most precision in each coset are counted in a basis of M by exact
     integer enumeration (_enumerate_norms), so no count depends on a
-    rounded range.
+    rounded range.  -gamma + M is the negation of gamma + M and has the same
+    counts, so v_gamma and v_-gamma are summed and the pair is searched once.
     """
     if precision < 0 or precision > 50:
         raise BoundExceeded("precision out of the supported range 0..50")
@@ -246,11 +257,15 @@ def theta_q_expansion(gram, subgroup_elements, coefficients: dict[Element, int],
         [sum(basis[i][a] * gram[a][b] * basis[j][b] for a in range(n) for b in range(n)) for j in range(n)]
         for i in range(n)
     ]
-    out = [0] * (precision + 1)
+    paired = Counter()  # -gamma + M has the counts of gamma + M
     for el, v in coefficients.items():
+        el = form.normalize(el)
+        paired[min(el, form.neg(el))] += v
+    out = [0] * (precision + 1)
+    for el, v in paired.items():
         if v == 0:
             continue
-        x = form.lattice.lift(form.normalize(el))
+        x = form.lattice.lift(el)
         shift = [sum(denom * x[a] * binv[a][b] for a in range(n)) for b in range(n)]
         big_g, counts = _enumerate_norms(qmat, shift, 2 * precision * denom * denom)
         step = 2 * big_g * denom * denom  # G F = step * (norm of the vector in M')

@@ -1,17 +1,23 @@
+import json
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import isqrt, lcm
+from math import ceil, floor, isqrt, lcm
+from pathlib import Path
 
 import pytest
 
+from weilinv import appl
 from weilinv.appl import (
+    _enumerate_norms,
     dim_s2,
     dim_s2_trace,
     jacobi_singular_basis,
     theta_q_expansion,
 )
 from weilinv.fqm import BoundExceeded, from_gram
+from weilinv.induct import isotropic_subgroups
 from weilinv.intmat import rational_inverse
 from weilinv.weil import dim_invariants, rank_of_vectors, rho_S, rho_T
 
@@ -27,6 +33,8 @@ E8 = [
 ]
 
 D4 = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
+
+A2A2A2 = json.loads((Path(__file__).resolve().parent / "gram_A2A2A2.json").read_text())
 
 
 def test_dim_s2_small_levels_vanish():
@@ -187,14 +195,37 @@ def _random_even_gram(rng, n):
             return g
 
 
+def _box_theta(gram, form, el, precision):
+    """Counts of the vectors of el + L by norm up to precision, from a box:
+    every x in L' with x^T Q x <= 2 precision has |x_i| <= isqrt(2 precision
+    (Q^-1)_ii) + 1 (the + 1 for a rational x_i)."""
+    n = len(gram)
+    qinv = rational_inverse(gram)
+    den = lcm(*(x.denominator for x in form.lattice.lift(el)))
+    lift = [int(x * den) for x in form.lattice.lift(el)]  # den * (the lift), integral
+    radius = [den * (isqrt(int(2 * precision * qinv[i][i])) + 1) for i in range(n)]
+    box = [range(-((r + y) // den), (r - y) // den + 1) for r, y in zip(radius, lift)]
+    brute = [0] * (precision + 1)
+    for c in product(*box):
+        x = [den * ci + y for ci, y in zip(c, lift)]
+        norm2 = sum(x[i] * gram[i][j] * x[j] for i in range(n) for j in range(n))  # 2 den^2 q(x)
+        if norm2 % (2 * den * den) == 0 and norm2 <= 2 * precision * den * den:
+            brute[norm2 // (2 * den * den)] += 1
+    return brute
+
+
+def _box_coset_theta(gram, form, sub, el, precision):
+    """Counts of el + M, M = L + H, as the sum over h in H of those of el + h + L."""
+    counts = [_box_theta(gram, form, form.add(el, h), precision) for h in sub.elements]
+    return [sum(col) for col in zip(*counts)]
+
+
 def test_theta_matches_box_enumeration():
-    # every x in L' with x^T Q x <= 2 precision has x_i^2 <= 2 precision (Q^-1)_ii,
-    # so |x_i| <= isqrt(2 precision (Q^-1)_ii) + 1 (the + 1 for a rational x_i)
     rng = random.Random(20260418)
     cases = 0
     while cases < 40:
         gram = _random_even_gram(rng, rng.randint(1, 4))
-        form, n = from_gram(gram), len(gram)
+        form = from_gram(gram)
         # on a class with q != 0 every coefficient is 0, so the classes are isotropic
         classes = [el for el in form.isotropic_elements() if el != form.zero()]
         if not classes:
@@ -202,15 +233,106 @@ def test_theta_matches_box_enumeration():
         cases += 1
         el = rng.choice(classes)
         precision = rng.randint(1, 4)
-        qinv = rational_inverse(gram)
-        den = lcm(*(x.denominator for x in form.lattice.lift(el)))
-        lift = [int(x * den) for x in form.lattice.lift(el)]  # den * (the lift), integral
-        radius = [den * (isqrt(int(2 * precision * qinv[i][i])) + 1) for i in range(n)]
-        box = [range(-((r + y) // den), (r - y) // den + 1) for r, y in zip(radius, lift)]
-        brute = [0] * (precision + 1)
-        for c in product(*box):
-            x = [den * ci + y for ci, y in zip(c, lift)]
-            norm2 = sum(x[i] * gram[i][j] * x[j] for i in range(n) for j in range(n))  # 2 den^2 q(x)
-            if norm2 % (2 * den * den) == 0 and norm2 <= 2 * precision * den * den:
-                brute[norm2 // (2 * den * den)] += 1
+        brute = _box_theta(gram, form, el, precision)
         assert theta_q_expansion(gram, [], {el: 1}, precision) == brute, (gram, el, precision)
+
+
+def _class_kind(form, sub, el):
+    if el in sub.elements:
+        return "zero"
+    return "two-torsion" if form.smul(2, el) in sub.elements else "general"
+
+
+@pytest.mark.parametrize("kind", ["zero", "two-torsion", "general"])
+@pytest.mark.parametrize("overlattice", [False, True], ids=["H=0", "H!=0"])
+def test_theta_of_each_kind_of_coset_matches_box_enumeration(kind, overlattice):
+    # 2 gamma in M (the zero coset and two-torsion) takes the half-space search, 2 gamma
+    # not in M the plain one; with H != 0 the shift is taken in a basis of the overlattice M
+    rng = random.Random(f"{kind}-{overlattice}")
+    cases = 0
+    while cases < 12:
+        gram = _random_even_gram(rng, rng.randint(1, 4))
+        form = from_gram(gram)
+        subs = [h for h in isotropic_subgroups(form) if (h.order > 1) == overlattice]
+        if not subs:
+            continue
+        sub = rng.choice(subs)
+        classes = [el for el in sub.perp if form.q(el) == 0 and _class_kind(form, sub, el) == kind]
+        if not classes:
+            continue
+        cases += 1
+        el = rng.choice(classes)
+        precision = rng.randint(0, 4)
+        theta = theta_q_expansion(gram, list(sub.generators), {el: 1}, precision)
+        assert theta == _box_coset_theta(gram, form, sub, el, precision), (gram, sub, el, precision)
+
+
+@pytest.mark.parametrize("d", [2, 4, 8, 18])
+def test_rank_one_theta_matches_box_enumeration(d):
+    # rank 1: the top level of the search is also its leaf level
+    gram = [[d]]
+    form = from_gram(gram)
+    for el in form.elements():
+        for precision in range(6):
+            assert theta_q_expansion(gram, [], {el: 1}, precision) == _box_theta(gram, form, el, precision), (el, precision)
+
+
+def _box_norms(qmat, shift, bound):
+    """Counter of F(c + shift) <= bound over integer c, from a box: |y_i| <=
+    sqrt(bound (Q^-1)_ii) for y = c + shift with F(y) <= bound."""
+    n = len(qmat)
+    qinv = rational_inverse(qmat)
+    radius = [isqrt(int(bound * qinv[i][i])) + 1 for i in range(n)]
+    box = [range(floor(-r - s), ceil(r - s) + 1) for r, s in zip(radius, shift)]
+    counts = Counter()
+    for c in product(*box):
+        y = [ci + s for ci, s in zip(c, shift)]
+        norm = sum(y[i] * qmat[i][j] * y[j] for i in range(n) for j in range(n))
+        if norm <= bound:
+            counts[norm] += 1
+    return counts
+
+
+def test_enumerate_norms_matches_box_enumeration():
+    # shifts in (1/2)Z take the half-space search, the others the plain one
+    cases = [([[8]], [Fraction(1)], 30), ([[8]], [Fraction(1, 2)], 30), ([[2]], [Fraction(0)], 0),
+             ([[2, 1], [1, 2]], [Fraction(0), Fraction(0)], 0), ([[2, 1], [1, 2]], [Fraction(1, 2), Fraction(0)], 0)]
+    rng = random.Random(20261019)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        den = rng.choice([1, 2, 2, 3, 4])
+        cases.append((_random_even_gram(rng, n), [Fraction(rng.randint(-4, 4), den) for _ in range(n)], rng.randint(0, 12)))
+    for qmat, shift, bound in cases:
+        big_g, counts = _enumerate_norms(qmat, shift, bound)
+        expected = Counter({big_g * norm: k for norm, k in _box_norms(qmat, shift, bound).items()})
+        assert all(isinstance(norm, int) for norm in counts)
+        assert counts == expected, (qmat, shift, bound)
+
+
+@pytest.mark.parametrize("gram", [A2A2A2, [[4, -2, 2], [-2, 6, -1], [2, -1, 6]]], ids=["A2+A2+A2", "order-100"])
+def test_theta_of_a_gamma_minus_gamma_pair_is_the_sum_of_its_classes(gram, monkeypatch):
+    searches = []
+    monkeypatch.setattr(appl, "_enumerate_norms", lambda *args: searches.append(args) or _enumerate_norms(*args))
+    form = from_gram(gram)
+    classes = [el for el in form.isotropic_elements() if form.neg(el) != el]
+    assert len(classes) >= 8
+    for el in classes[:: len(classes) // 4]:
+        neg = form.neg(el)
+        single = theta_q_expansion(gram, [], {el: 1}, 3)
+        assert single == theta_q_expansion(gram, [], {neg: 1}, 3) == _box_theta(gram, form, el, 3)
+        # v(gamma) != v(-gamma), and v(gamma) = -v(-gamma)
+        for a, b in [(2, -1), (1, 3), (5, -5), (-1, 1)]:
+            del searches[:]
+            theta = theta_q_expansion(gram, [], {el: a, neg: b}, 3)
+            assert len(searches) == (a + b != 0)  # one search per pair, none when the pair cancels
+            parts = [theta_q_expansion(gram, [], {el: a}, 3), theta_q_expansion(gram, [], {neg: b}, 3)]
+            assert theta == [x + y for x, y in zip(*parts)] == [(a + b) * x for x in single]
+
+
+def test_e8_theta_searches_half_the_tree(monkeypatch):
+    # isqrt runs once per node of the search; counting both halves of the
+    # symmetric zero coset of E8 at precision 5 visits 42,130 nodes
+    calls = []
+    monkeypatch.setattr(appl, "isqrt", lambda x: calls.append(x) or isqrt(x))
+    assert theta_q_expansion(E8, [], {from_gram(E8).zero(): 1}, 5) == [1, 240, 2160, 6720, 17520, 30240]
+    assert len(calls) <= 21_500

@@ -9,7 +9,9 @@ isotropic element, before it read its picks from the generators; the
 2_6^+2.4_II^+4 and 2_II^+8 digests were recorded while Echelon still
 eliminated rational rows over Fraction; the 2_1^+3.4_1^+1.8_II^+2
 digests were recorded while the two-four and two-eight lifts still went
-through the quotient route.  A
+through the quotient route; the E8 and A2+A2+A2 `jacobi` digests were
+recorded while theta enumeration still counted every vector of both
+cosets of each {gamma, -gamma} pair.  A
 refactor that keeps every result exact keeps every digest; a digest that
 changes means some output changed.
 """
@@ -37,6 +39,9 @@ GOLDEN = [
     (["verify", "--symbol", "2_0^+2"], "e3244c6f5c49ecf6a3a261ee7c6c149b048bc78db78ca5c9411cfe1f1fb580bb"),
     # the document embeds the --gram path, so it is given relative to the repository root
     (["jacobi", "--precision", "3", "--gram", "tests/gram_4I4.json"], "de568cf153571a788f9d1a9a01bed6732c9e8c29b5d727fcb6427c1e09ddc7be"),
+    # theta series: the zero coset of E8, and one entry on 8 cosets of A2+A2+A2 (pairs gamma, -gamma)
+    (["jacobi", "--precision", "5", "--gram", "tests/gram_E8.json"], "9637bea2186b48ebefe62f8295b2b8abc4429ef8f54099b0bc4cff4e82f6d51e"),
+    (["jacobi", "--precision", "8", "--gram", "tests/gram_A2A2A2.json"], "b8ea5df597aaebd90acd1d13c22c72c9e481511daa47f9ecc9e45cddb59d394a"),
     # larger integers in the eliminations: the two-four route with 140 generators, and dim 2_II^+8
     (["induced-basis", "--check", "--symbol", "2_6^+2.4_II^+4"], "e120489cfa7a3a8d5046f8d5df963cc8e841e3d9239340290d843361be1e9b29"),
     (["invariants", "--symbol", "2_II^+8"], "ca61e91e510490788ff3a2336ca40a189eadd8d6d035cc26a8b85639f1acf850"),

@@ -17,9 +17,10 @@ c (D_c, D^{c*}, its base point x_c and the preimages under c), which
 kernel_of_mul, coset_dcstar, canonical_xc and q_c read.  Derived forms
 (orthogonal components, p-parts, H-perp/H quotients) come from one registry,
 _shared_form, so equal generator data gives one object and one set of
-memos; forms of equal genus symbols are shared the same way.  Other pure
-functions of hashable arguments use functools.cache.  A bound is checked
-on every call of the function that enforces it, before any memo is read.
+memos; forms of equal genus symbols or of equal Gram matrices are shared
+the same way.  Other pure functions of hashable arguments use
+functools.cache.  A bound is checked on every call of the function that
+enforces it, before any memo is read.
 """
 
 from __future__ import annotations
@@ -637,7 +638,12 @@ def _realize_symbol(symbol: JordanSymbol) -> DiscriminantForm:
 
 
 def from_gram(gram) -> DiscriminantForm:
-    """The dual quotient L'/L of an even lattice with the given Gram matrix."""
+    """The dual quotient L'/L of an even lattice with the given Gram matrix.
+
+    Equal Gram matrices return the same (immutable) instance, keyed by an
+    immutable copy of the validated matrix, so that per-form caches are
+    shared.
+    """
     if not isinstance(gram, (list, tuple)) or not all(isinstance(row, (list, tuple)) for row in gram):
         raise ValueError("Gram matrix must be an array of arrays")
     if any(isinstance(x, bool) or not isinstance(x, int) for row in gram for x in row):
@@ -652,6 +658,12 @@ def from_gram(gram) -> DiscriminantForm:
         for j in range(n):
             if g[i][j] != g[j][i]:
                 raise ValueError("Gram matrix must be symmetric")
+    return _realize_gram(tuple(map(tuple, g)))
+
+
+@cache
+def _realize_gram(gram: tuple[tuple[int, ...], ...]) -> DiscriminantForm:
+    g, n = [list(row) for row in gram], len(gram)
     _, s, _, v_inv = smith_normal_form(g)
     diag = [s[i][i] for i in range(n)]
     if any(d == 0 for d in diag):

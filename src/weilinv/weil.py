@@ -39,21 +39,25 @@ word per class.  rho is also the tensor product of its orthogonal blocks,
 and the trace of a block is the diagonal mu = gamma of the identity,
 c0((1-d) gamma) e(b (d - 2) q(gamma)), from the block's memoized c0.
 
-Everything is exact.  Inside a word a coefficient is an element of
-Z[x]/(x^u - 1), x = zeta_u, u a multiple of the level, as u non-negative
-digits packed into one int (Kronecker substitution): an entry holds C
-blocks, one per input column, digit e of block c at bit (c*u + e)*B.
-zeta_u^j rotates every block by j*B bits (two masks per j); rho(S) without
-its scalar e(sign(D)/8)/sqrt(|D|) is a mixed-radix character transform, one
-generator axis at a time, of rotations and int sums; an S S pair multiplies
-by |D|.  An S letter sums at most |D| digits into one, so no digit carries
-when B is the bit length of c0 * terms * |D|^s, c0 the largest input digit,
-`terms` the images summed and s the S letters.  The scalars are counted and
-multiplied in once.  A Cyclo is integer power-basis coordinates over one
-denominator: a coordinate c of zeta_m^e enters at digit e*u/m, over the
-common denominator, and -c as c at digit e*u/m + u/2 (u even, x^(u/2) = -1
-modulo Phi_u); the image leaves through the Cyclo constructor at the order
-lcm(w, u), w the working order, which reduces and divides out the gcd.
+Everything is exact, and every entry of rho lies in Q(zeta_N), N the level: the S
+scalar e(sign(D)/8)/sqrt(|D|) is G/|D|, G = sum_gamma e(q(gamma)) in
+Z[zeta_N] the Gauss sum (Milgram), so k S letters contribute G^k/|D|^k;
+exponents of +- roots of unity count over lcm(2, N).  Inside a word a
+coefficient is an element of Z[x]/(x^u - 1), x = zeta_u, u a multiple of
+the level, as u non-negative digits packed into one int (Kronecker
+substitution): an entry holds C blocks, one per input column, digit e of
+block c at bit (c*u + e)*B.  zeta_u^j rotates every block by j*B bits (two
+masks per j); rho(S) without its scalar is a mixed-radix character
+transform, one generator axis at a time, of rotations and int sums; an S S
+pair multiplies by |D|.  An S letter sums at most |D| digits into one, so no
+digit carries when B is the bit length of c0 * terms * |D|^s, c0 the largest
+input digit, `terms` the images summed and s the S letters.  A Cyclo is
+integer power-basis coordinates over one denominator: a coordinate c of
+zeta_m^e enters at digit e*u/m, over the common denominator, and -c as c at
+digit e*u/m + u/2 (u even, x^(u/2) = -1 modulo Phi_u).  The images of the
+words with k S letters are summed, unpacked once, multiplied by the
+coordinates of G^k and leave through the Cyclo constructor at the order u
+over |D|^k, which reduces modulo Phi_u and divides out the gcd.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from operator import add, index, itemgetter, mul
 
 from . import cyclo
@@ -241,7 +245,9 @@ def word_decompose(m) -> SL2Word:
 
 
 def _working_order(form: DiscriminantForm) -> int:
-    """One cyclotomic order containing every value the transforms produce (bounded)."""
+    """The cyclotomic bound w = lcm(8, N, orders of sqrt|D| and of each
+    block's sqrt), at most max_cyclo_order.  No value is computed in
+    Q(zeta_w); w only keeps refusing the inputs it refused as a field."""
     w = lcm(8, form.level())
     for part, _ in form.orthogonal_components():
         w = lcm(w, sqrt_int(part.order).order)
@@ -260,21 +266,11 @@ def _check_bounds(form: DiscriminantForm) -> None:
         form.elements()
 
 
-def _tables(form: DiscriminantForm):
-    """Memoized per-form data: the working order w and q scaled to exponents
-    of zeta_w."""
-
-    def build():
-        w = _working_order(form)
-        step = w // form.level()
-        return {"w": w, "q_exp": [x * step for x in form.q_values()]}
-
-    return form.memo("tables", build)
-
-
 def _word_tables(form: DiscriminantForm):
-    """_tables plus the S data (frequency reindexing; per axis, for each t,
-    the pick of zeta_d^(m t), m < d) and the negation permutation."""
+    """Memoized S data: the frequency reindexing; per axis, for each t, the
+    pick of zeta_d^(m t), m < d; and the negation permutation.  The bound of
+    _working_order is checked on every call."""
+    _working_order(form)
 
     def build():
         n = form.level()
@@ -282,14 +278,14 @@ def _word_tables(form: DiscriminantForm):
         freq = [[r * d // n % d for r, d in zip(form.b_row(el), form.orders)] for el in form.elements()]
         neg = [form.index(form.neg(el)) for el in form.elements()]
         picks = [[itemgetter(*(m * t % d for m in range(d))) for t in range(d)] for d in form.orders]
-        return {**_tables(form), "freq_index": [form.index(ell) for ell in freq], "neg_index": neg, "picks": picks}
+        return {"freq_index": [form.index(ell) for ell in freq], "neg_index": neg, "picks": picks}
 
     return form.memo("word_tables", build)
 
 
 # Inside a word an entry is a packed int (module docstring), 0 for zero; the
-# S scalars e(sig/8)/sqrt|D| are left out of the letters and multiplied in
-# once, in Q(zeta_w), when the word is done.
+# S scalars G/|D| are left out of the letters and multiplied in once, as
+# G^k/|D|^k, when the word is done.
 
 
 def _rot(x: list[int], k: int) -> list[int]:
@@ -298,29 +294,31 @@ def _rot(x: list[int], k: int) -> list[int]:
     return x[-k:] + x[:-k] if k else x
 
 
-def _scaled(form: DiscriminantForm, tab, x: list[int], k: int, den: int) -> list[int]:
-    """den times the k-th power of the S scalar times x, in Z[x]/(x^W - 1),
-    W = lcm(w, len(x)); den is a multiple of the scalar power's denominator."""
-    w = tab["w"]
-    big = lcm(w, len(x))
-    num, den_k = _scalar_power(form, tab, k)
-    y = [0] * big
-    y[:: big // len(x)] = x
-    terms = [[c * den // den_k * v for v in _rot(y, e * big // w)] for e, c in num.items()]
-    return terms[0] if len(terms) == 1 else list(map(sum, zip(*terms)))
-
-
-def _scalar_power(form: DiscriminantForm, tab, k: int) -> tuple[dict[int, int], int]:
-    """(num, den): the k-th power of the S scalar e(sig/8)/sqrt|D| equals
-    sum c zeta_w^e over num, divided by den = |D|^ceil(k/2) (memoized); the
-    numerator is an algebraic integer, so its coordinates c are integers."""
+def _gauss_power(form: DiscriminantForm, k: int, u: int) -> dict[int, int]:
+    """G^k = sum c zeta_u^e over {e: c} (memoized), G = sum_gamma e(q(gamma))
+    = sqrt|D| e(sig/8) (Milgram), u a multiple of the level: the k-th power
+    of the S scalar is G^k/|D|^k.  When r = sqrt(|D|^k) is an integer, G^k
+    is one term r e(k sig/8), or -r e(x - 1/2) where e(x) is no power of
+    zeta_u; else it is G times G^(k-1), reduced modulo Phi_u."""
 
     def build():
-        root = sqrt_int(form.order) if k % 2 else cyclo.ONE
-        x = (e_of(Fraction(k * form.signature(), 8)) * root).to_order(tab["w"])
-        return {e: c for e, c in enumerate(x.num) if c}, form.order ** ((k + 1) // 2)
+        r = isqrt(form.order**k)
+        if r * r != form.order**k:
+            return {e: c for e, c in enumerate((form.gauss_sum() * Cyclo(u, _gauss_power(form, k - 1, u))).num) if c}
+        x = frac1(Fraction(k * form.signature(), 8)) * u
+        if x.denominator == 2:
+            x, r = x - Fraction(u, 2), -r
+        if x.denominator != 1:
+            raise InternalInconsistency(f"Gauss sum check: e({k} sig/8) of {form!r} is not in Q(zeta_{u})")
+        return {int(x): r}
 
-    return form.memo(("scalar_pow", k), build)
+    return form.memo(("gauss", k, u), build)
+
+
+def _times(x: list[int], terms: dict[int, int], f: int) -> list[int]:
+    """f x sum c zeta_u^e over terms, in Z[x]/(x^u - 1), u = len(x)."""
+    out = [[f * c * v for v in _rot(x, e)] for e, c in terms.items()]
+    return out[0] if len(out) == 1 else list(map(sum, zip(*out)))
 
 
 def _rotations(u: int, bits: int, blocks: int) -> tuple[tuple[int, int, int, int], ...]:
@@ -365,12 +363,12 @@ def _apply_word_packed(form: DiscriminantForm, tab, tokens, data: list[int], rot
     out.  Two adjacent S letters are rho(-1), e(sig/4) times the negation
     e^gamma -> e^-gamma: without their scalars, |D| times the negation."""
     u = len(rot)
-    q_exp = [q * u // tab["w"] for q in tab["q_exp"]]
+    step = u // form.level()
     count, i = 0, len(tokens)
     while i:
         i -= 1
         if tokens[i][0] == "T":
-            steps = [rot[-tokens[i][1] * q % u] for q in q_exp]
+            steps = [rot[-tokens[i][1] * q * step % u] for q in form.q_values()]
             data = [((x & lo) << a) | ((x & hi) >> b) for x, (lo, hi, a, b) in zip(data, steps)]
         elif i and tokens[i - 1][0] == "S":
             i, count = i - 1, count + 2
@@ -381,38 +379,41 @@ def _apply_word_packed(form: DiscriminantForm, tab, tokens, data: list[int], rot
     return data, count
 
 
-def _apply_word_ints(form: DiscriminantForm, tab, tokens, data: list, u: int) -> tuple[list, int]:
-    """_apply_word_packed with one block, on entries given as lists of u
-    non-negative digits (None for zero)."""
-    top = max([1] + [max(x) for x in data if x is not None])
-    bits = (top * form.order ** sum(kind == "S" for kind, _ in tokens)).bit_length()
-    shifts, mask = range(0, u * bits, bits), (1 << bits) - 1
-    packed = [0 if x is None else sum(v << e for v, e in zip(x, shifts)) for x in data]
-    image, k = _apply_word_packed(form, tab, tokens, packed, _rotations(u, bits, 1))
-    return [[x >> e & mask for e in shifts] if x else None for x in image], k
-
-
-def _apply_word_dense(form: DiscriminantForm, tokens, vec: list[Cyclo]) -> list[Cyclo]:
-    """rho(word) on a dense vector.  The coefficients are scaled to integers
-    by one common denominator, which is divided out with the scalars; the
-    image lies in Q(zeta_W), W = lcm(w, u)."""
-    tab = _word_tables(form)
-    u = lcm(2, form.level(), *(c.order for c in vec if c))
-    den = lcm(*(c.den for c in vec if c))
-    data: list = [None] * len(vec)
-    for i, c in enumerate(vec):
-        if c:
-            step, f, data[i] = u // c.order, den // c.den, [0] * u
-            for e, v in enumerate(c.num):  # -v zeta_u^j = v zeta_u^(j + u/2)
-                data[i][(e * step + (v < 0) * u // 2) % u] += abs(v) * f
-    data, k = _apply_word_ints(form, tab, tokens, data, u)
-    den_k, big = _scalar_power(form, tab, k)[1], lcm(tab["w"], u)
-    return [cyclo.ZERO if x is None else Cyclo(big, _scaled(form, tab, x, k, den_k), den * den_k) for x in data]
-
-
-def _vec_from_dense(form: DiscriminantForm, dense: list[Cyclo]) -> Vec:
-    els = form.elements()
-    return Vec(form, {els[i]: c for i, c in enumerate(dense) if c})
+def _apply_words(form: DiscriminantForm, words, columns: list[dict[int, Cyclo]], weight=1) -> list[Vec]:
+    """weight times the sum of rho(word) over the token tuples in words, on
+    each column, a map from element index to Cyclo: one Vec per column, each
+    packed as one block over u = lcm(N, the orders of its values), even if
+    a coordinate is negative (module docstring).  The images of the words
+    with k S letters are summed, unpacked once and scaled by G^k/|D|^k."""
+    tab, els, n = _word_tables(form), form.elements(), form.order
+    values = [c for col in columns for c in col.values()]
+    u = lcm(form.level(), *(c.order for c in values))
+    u, den = lcm(2, u) if any(x < 0 for c in values for x in c.num) else u, lcm(*(c.den for c in values))
+    terms = [  # (index, digit position, digit)
+        (i, b * u + (e * (u // c.order) + (x < 0) * u // 2) % u, abs(x) * (den // c.den))
+        for b, col in enumerate(columns) for i, c in col.items() for e, x in enumerate(c.num) if x
+    ]
+    top = max((x for _, _, x in terms), default=1)
+    by_count = defaultdict(list)
+    for tokens in words:
+        by_count[sum(kind == "S" for kind, _ in tokens)].append(tokens)
+    last = max(by_count, default=0)
+    weight, totals = Fraction(weight, den * n**last), [[None] * n for _ in columns]
+    for k, group in by_count.items():
+        bits = (top * len(group) * n**k).bit_length()
+        data = [0] * n
+        for i, pos, x in terms:
+            data[i] += x << pos * bits
+        rot, acc = _rotations(u, bits, len(columns)), [0] * n
+        for tokens in group:
+            acc = list(map(add, acc, _apply_word_packed(form, tab, tokens, data, rot)[0]))
+        gauss, f = _gauss_power(form, k, u), weight.numerator * n ** (last - k)
+        for i, x in enumerate(acc):
+            for total, y in zip(totals, _unpack(x, u, bits, len(columns)) if x else ()):
+                if y is not None:
+                    y = _times(y, gauss, f)
+                    total[i] = y if total[i] is None else list(map(add, total[i], y))
+    return [Vec(form, {els[i]: Cyclo(u, t, weight.denominator) for i, t in enumerate(total) if t}) for total in totals]
 
 
 # ---------------------------------------------------------------------------
@@ -436,10 +437,7 @@ def rho(m, v: Vec) -> Vec:
     _lift(a, c, N) T^t that the cosets use, whatever the size of its entries."""
     _require_even(v.form)
     word = m if isinstance(m, SL2Word) else _reduced_word(m, v.form.level())
-    dense = [cyclo.ZERO] * v.form.order
-    for el, c in v.coeffs.items():
-        dense[v.form.index(el)] = c
-    return _vec_from_dense(v.form, _apply_word_dense(v.form, word.tokens, dense))
+    return _apply_words(v.form, [word.tokens], [{v.form.index(el): c for el, c in v.coeffs.items()}])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -610,17 +608,18 @@ def _cusps(n: int) -> tuple[Cusp, ...]:
 
 def _e0_column(part: DiscriminantForm, word: SL2Word) -> tuple[Cyclo, dict[int, int]]:
     """rho_part(M) e^0 for M = word.target as (s, {index: k}): the entry at
-    each support index is s * zeta_w^k, s being the first nonzero entry.
-    The one word application per (part, word), memoized on the shared part.
-    The entries share the S scalar, so each integer image, reduced modulo
-    Phi_u, is looked up among the +- rotations of the first; only that first
-    entry is scaled into a Cyclo."""
+    each support index is s * zeta_w^k, w = lcm(2, u) = s.order, u the
+    level, s being the first nonzero entry.  The one word application per
+    (part, word), memoized on the shared part.  The entries share the S
+    scalar, so each integer image, reduced modulo Phi_u, is looked up among
+    the +- rotations of the first; only that first entry is scaled into a
+    Cyclo, by G^k/|D|^k."""
 
     def build():
         tab, u = _word_tables(part), part.level()
-        w = tab["w"]
-        start = [[1] + [0] * (u - 1)] + [None] * (part.order - 1)
-        image, k = _apply_word_ints(part, tab, word.tokens, start, u)
+        w, bits = lcm(2, u), (part.order ** sum(kind == "S" for kind, _ in word.tokens)).bit_length()
+        packed, k = _apply_word_packed(part, tab, word.tokens, [1] + [0] * (part.order - 1), _rotations(u, bits, 1))
+        image = [_unpack(x, u, bits, 1)[0] if x else None for x in packed]
         reduced = ((i, tuple(cyclo.reduce_mod_phi(u, x))) for i, x in enumerate(image) if x is not None)
         support = [(i, x) for i, x in reduced if any(x)]
         i0 = support[0][0]
@@ -632,8 +631,7 @@ def _e0_column(part: DiscriminantForm, word: SL2Word) -> tuple[Cyclo, dict[int, 
         exps = {i: rotations.get(x) for i, x in support}
         if None in exps.values():
             raise InternalInconsistency(f"cusp column check: rho(M) e^0 on {part!r} is not s times roots of unity")
-        den_k = _scalar_power(part, tab, k)[1]
-        return Cyclo(w, _scaled(part, tab, image[i0], k, den_k), den_k), exps
+        return Cyclo(u, _times(image[i0], _gauss_power(part, k, u), 1), part.order**k).to_order(w), exps
 
     return part.memo(("e0_col", word.tokens), build)
 
@@ -641,16 +639,17 @@ def _e0_column(part: DiscriminantForm, word: SL2Word) -> tuple[Cyclo, dict[int, 
 def _column(form: DiscriminantForm, word: SL2Word, js: list[int]) -> tuple[Cyclo, list[int | None]]:
     """(s, ks): rho(M) e^0, M = word.target, is s * zeta_W^k at the element
     of index j, k the entry of ks for each j of js, 0 where k is None,
-    W = _working_order(form) = s.order; the product of the parts' memoized
-    _e0_column, read through the per-form table of the index in each part
-    of each element."""
-    w, comps = _tables(form)["w"], form.orthogonal_components()
+    W = lcm(2, N) = s.order, N the level; the product of the parts' memoized
+    _e0_column, each part's exponents over lcm(2, its level) scaled to W,
+    read through the per-form table of the index in each part of each
+    element."""
+    w, comps = lcm(2, form.level()), form.orthogonal_components()
     els = form.elements()
     tables = form.memo("part_index", lambda: [[p.index([el[i] for i in pos]) for el in els] for p, pos in comps])
     s, ks = cyclo.ONE, [0] * len(js)
     for (part, _), idx in zip(comps, tables):
         part_s, exps = _e0_column(part, word)
-        s, step = s * part_s, w // _tables(part)["w"]
+        s, step = s * part_s, w // part_s.order
         ks = [None if k is None or (e := exps.get(idx[j])) is None else k + e * step for k, j in zip(ks, js)]
     return s.to_order(w), ks
 
@@ -690,6 +689,7 @@ def inv_at_cusp(form: DiscriminantForm, gamma: Element, s: tuple[int, int]) -> V
     n = form.level()
     if form.signature() % 2:
         return Vec(form)
+    _check_bounds(form)
     a, c = s
     if n > 1 and gcd(gcd(a, c), n) != 1:
         raise ValueError(f"({a}, {c}) does not have order {n} in (Z/{n})^2")
@@ -742,38 +742,21 @@ def inv_average_oracle(form: DiscriminantForm, gamma: Element) -> Vec:
 
 def _oracle_class(form: DiscriminantForm, qn: int) -> dict[int, Vec]:
     """inv_average_oracle of every e^beta with N q(beta) = qn, by element index."""
-    tab, u = _word_tables(form), form.level()
     cols = [i for i, x in enumerate(form.q_values()) if x == qn]
-    cosets = enumerate_cosets(u)
-    by_count = defaultdict(list)  # number of S letters -> the coset words
-    for word in cosets:
-        by_count[sum(kind == "S" for kind, _ in word.tokens)].append(word.tokens)
-    den = max(_scalar_power(form, tab, k)[1] for k in by_count)
-    totals = [[None] * form.order for _ in cols]
-    for k, words in by_count.items():
-        bits = (len(words) * form.order**k).bit_length()
-        rot, start, acc = _rotations(u, bits, len(cols)), [0] * form.order, [0] * form.order
-        for c, i in enumerate(cols):
-            start[i] = 1 << c * u * bits
-        for tokens in words:
-            acc = list(map(add, acc, _apply_word_packed(form, tab, tokens, start, rot)[0]))
-        for i, x in enumerate(acc):
-            for total, y in zip(totals, _unpack(x, u, bits, len(cols))):
-                if y is not None:
-                    y = _scaled(form, tab, y, k, den)
-                    total[i] = y if total[i] is None else list(map(add, total[i], y))
-    dense = ([cyclo.ZERO if t is None else Cyclo(tab["w"], t, den * len(cosets)) for t in total] for total in totals)
-    return {i: _vec_from_dense(form, x) for i, x in zip(cols, dense)}
+    cosets = [word.tokens for word in enumerate_cosets(form.level())]
+    images = _apply_words(form, cosets, [{i: cyclo.ONE} for i in cols], Fraction(1, len(cosets)))
+    return dict(zip(cols, images))
 
 
 def _block_trace(part: DiscriminantForm, word: SL2Word) -> Cyclo:
     """tr rho_part(M), M = word.target = (a b; c d): the diagonal of the
     intertwining identity, s * sum_gamma zeta_W^(k((1-d) gamma) + (W/N) b (d-2) N q(gamma))
     over the gamma with c0((1-d) gamma) nonzero, c0 = s * zeta_W^k the
-    memoized _e0_column, counted in integer exponents."""
+    memoized _e0_column, W = lcm(2, N) = s.order, counted in integer
+    exponents."""
     s, exps = _e0_column(part, word)
     (_, b), (_, d) = word.target
-    step = _tables(part)["w"] // part.level() * b * (d - 2)
+    step = s.order // part.level() * b * (d - 2)
     counts: Counter = Counter()
     for el, qn in zip(part.elements(), part.q_values()):
         k = exps.get(part.index(part.smul(1 - d, el)))
@@ -815,12 +798,11 @@ def check_invariant_basis(form: DiscriminantForm, vectors: list[dict[Element, in
     are packed one block each, a coefficient -v as v at digit u/2,
     u = lcm(2, N), with digits of whole bytes; one S transform without its
     scalar gives X, and rho(S) b = b reads X = conj(G) b entry by entry,
-    G = sum_gamma e(q(gamma)) = sqrt|D| e(sig/8) the Gauss sum (Milgram), so
-    conj(G) has the digits sum_gamma x^(-u q(gamma)).  Both sides are
-    compared as integer digits folded by x^(u/2) = -1 and reduced modulo
-    Phi_u: each block of X is read as a byte string, and each distinct byte
-    string is folded once, to the multiple of conj(G) it equals (None when
-    it is none)."""
+    G = sum_gamma e(q(gamma)) = sqrt|D| e(sig/8) the Gauss sum (Milgram),
+    from _gauss_power.  Both sides are compared as integer digits folded by
+    x^(u/2) = -1 and reduced modulo Phi_u: each block of X is read as a byte
+    string, and each distinct byte string is folded once, to the multiple of
+    conj(G) it equals (None when it is none)."""
     iso = set(form.isotropic_elements())
     for i, v in enumerate(vectors):
         if not iso.issuperset(v):
@@ -828,7 +810,7 @@ def check_invariant_basis(form: DiscriminantForm, vectors: list[dict[Element, in
     if not vectors:
         return
     _require_even(form)
-    tab, n, u = _word_tables(form), form.level(), lcm(2, form.level())
+    tab, u = _word_tables(form), lcm(2, form.level())
     half = u // 2
     ints = [{form.index(el): x for el, x in v.items()} for v in vectors]
     width = -(-(max((abs(x) for v in ints for x in v.values()), default=1) * form.order).bit_length() // 8)
@@ -842,10 +824,7 @@ def check_invariant_basis(form: DiscriminantForm, vectors: list[dict[Element, in
     def fold(x: list[int]) -> list[int]:
         return cyclo.reduce_mod_phi(u, [a - b for a, b in zip(x[:half], x[half:])])
 
-    gauss = [0] * u
-    for qn in form.q_values():
-        gauss[-qn * (u // n) % u] += 1
-    gauss = fold(gauss)
+    gauss = list(Cyclo(u, _gauss_power(form, 1, u)).conjugate().num)
     lead, block = next(k for k, g in enumerate(gauss) if g), u * width
 
     class Multiples(dict):  # the byte string of a block -> the multiple of conj(G) it folds to, or None
@@ -1038,7 +1017,7 @@ def _projection_level_eight(form: DiscriminantForm, gamma: Element, c4) -> Vec:
     iso = form.isotropic_elements()
     star2, star4 = set(form.coset_dcstar(2)), set(form.coset_dcstar(4))
     z_phase = e_of(Fraction(sign, 4))
-    sqrt2 = sqrt_int(2)
+    sqrt2 = e_of(Fraction(1, 8)) + e_of(Fraction(-1, 8))
     out: dict[Element, Cyclo] = {}
 
     def pair(mu, w):

@@ -37,6 +37,23 @@ D4 = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
 A2A2A2 = json.loads((Path(__file__).resolve().parent / "gram_A2A2A2.json").read_text())
 
 
+def test_jacobi_builds_one_form_per_gram_matrix(monkeypatch):
+    """jacobi_singular_basis and every theta series after it read the one
+    form from_gram shares for their Gram matrix: one Smith form in all.  The
+    matrix is E8 in the reversed basis, which no other test builds."""
+    from weilinv import fqm
+
+    gram = [row[::-1] for row in E8[::-1]]
+    calls = []
+    original = fqm.smith_normal_form
+    monkeypatch.setattr(fqm, "smith_normal_form", lambda g: calls.append(1) or original(g))
+    entries = jacobi_singular_basis(gram)
+    assert len(entries) == 1
+    for e in entries:
+        assert theta_q_expansion(gram, list(e.subgroup.elements), e.coefficients, 2) == [1, 240, 2160]
+    assert len(calls) == 1
+
+
 def test_dim_s2_small_levels_vanish():
     for sym in ["2_II^+2", "2_II^-4", "3^+2", "3^-2", "3^+4"]:
         assert dim_s2(sym) == 0

@@ -428,22 +428,16 @@ def test_non_integer_bound_is_a_parse_error(monkeypatch):
 
 
 def test_internal_errors_have_their_own_code(monkeypatch):
-    from weilinv import cli, cyclo, weil
+    from weilinv import cli, weil
+
+    from test_weil import _doubling_last_entry
 
     form = from_jordan_symbol("5^+2")
     monkeypatch.setattr(form, "_caches", {})
     for part, _ in form.orthogonal_components():
         monkeypatch.setattr(part, "_caches", {})
-    original = weil._apply_word_ints
-
-    def corrupted(part, tab, tokens, data, u):  # breaks the e^0 column check
-        image, k = original(part, tab, tokens, data, u)
-        support = [i for i, x in enumerate(image) if x is not None and any(cyclo.reduce_mod_phi(u, x))]
-        if len(support) > 1:
-            image[support[-1]] = [2 * v for v in image[support[-1]]]
-        return image, k
-
-    monkeypatch.setattr(weil, "_apply_word_ints", corrupted)
+    # breaks the e^0 column check
+    monkeypatch.setattr(weil, "_apply_word_packed", _doubling_last_entry(weil._apply_word_packed))
     status, out = run_cli(["dim", "--symbol", "5^+2"])
     assert status == 6
     error = json.loads(out)["error"]
@@ -497,13 +491,20 @@ INTEGER_ROW_COMMANDS = [
 def test_the_basis_path_feeds_echelon_only_integer_rows(argv, monkeypatch):
     """Rational coefficients reach Echelon as ints, so it eliminates
     fraction-free; its pivot-1 path is left to irrational rows.  The
-    per-form caches are emptied, so the form's whole construction runs."""
+    per-form caches are emptied, and from_gram's cache of shared forms, so
+    the form's whole construction runs."""
+    from functools import cache
+
+    from weilinv import fqm
+
     monkeypatch.chdir(ROOT)
     if "--symbol" in argv:
         form = from_jordan_symbol(argv[-1])
         parts = [part for part, _ in form.orthogonal_components()] + [p for _, p, _ in form.p_part_decompose()]
         for f in (form, *parts):
             monkeypatch.setattr(f, "_caches", {})
+    else:
+        monkeypatch.setattr(fqm, "_realize_gram", cache(fqm._realize_gram.__wrapped__))
     original, rows = Echelon.add, []
 
     def add(self, row):

@@ -163,6 +163,20 @@ def test_from_gram_rejects_bad_input():
         from_gram([[2, 1], [0, 2]])  # not symmetric
 
 
+def test_from_gram_shares_one_form_per_matrix():
+    """Equal Gram matrices, as lists or tuples, give one form with one set of
+    memos; the cache keeps a copy, so changing the caller's matrix later
+    changes nothing."""
+    gram = [[2, 1, 0], [1, 2, 0], [0, 0, 6]]
+    d = from_gram(gram)
+    assert from_gram([row[:] for row in gram]) is d
+    assert from_gram(tuple(map(tuple, gram))) is d
+    gram[2][2] = 4
+    assert from_gram([[2, 1, 0], [1, 2, 0], [0, 0, 6]]) is d
+    assert from_gram(gram) is not d and from_gram(gram).order == 12 and d.order == 18
+    assert d.lattice.gram == [[2, 1, 0], [1, 2, 0], [0, 0, 6]]
+
+
 def test_polarization_identity():
     for sym in SMALL_EVEN_SYMBOLS + ["2_1^+1", "3^-1"]:
         d = from_jordan_symbol(sym)

@@ -22,7 +22,7 @@ def test_traced_benchmark_run_is_correct():
 
 def test_traced_basis_benchmark_run_is_correct():
     """The basis workload reaches the names the tracer rebinds on the
-    invariants path (weil.inv, weil.rank_of_vectors,
-    fundamental.invariant_generators); one short traced run must check out."""
+    invariants path (weil.rank_of_vectors, fundamental.invariant_generators);
+    one short traced run must check out."""
     last = _traced_run("basis")
     assert last["correct"] is True and last["failed"] == 0

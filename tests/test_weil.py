@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -197,11 +197,10 @@ def _s_transforms(words, calls) -> list[int]:
     """The full S transforms of each word, the -1 shortcut included, counted
     in the kernel on a small form (the count depends on the tokens only)."""
     form = from_jordan_symbol("2_II^+2")
-    tab = weil._word_tables(form)
     out = []
     for word in words:
         before = len(calls)
-        weil._apply_word_ints(form, tab, word.tokens, [[1]] + [None] * (form.order - 1), 1)
+        weil._apply_words(form, [word.tokens], [{0: cyclo.ONE}])
         out.append(len(calls) - before)
     return out
 
@@ -326,6 +325,58 @@ def test_rho_s_takes_coefficients_outside_the_working_field(symbol):
     assert rho_S(v) == expected
     phase = e_of(Fraction(d.signature(), 4))
     assert rho_S(rho_S(v)) == Vec(d, {d.neg(g): phase * c for g, c in v.coeffs.items()})
+
+
+#: odd levels, with |D| a square or not, and blocks of odd signature, which
+#: the word kernel meets as orthogonal blocks
+MILGRAM_SYMBOLS = ["3^+1", "3^-3", "5^-1", "7^-2", "9^+1", "3^+1.5^+1", "27^-1.3^+1", "2_1^+1", "4_1^+1", "8_1^+1"]
+
+
+@pytest.mark.parametrize("symbol", SMALL_EVEN_SYMBOLS + MILGRAM_SYMBOLS)
+def test_gauss_power_is_milgram(symbol):
+    """The powers of G = sum_gamma e(q(gamma)) that scale every word image,
+    over u = N and u = 2N, equal (sqrt|D| e(sig/8))^k (Milgram), so the
+    k-th power of the S scalar is G^k/|D|^k."""
+    d = from_jordan_symbol(symbol)
+    milgram = sqrt_int(d.order) * e_of(Fraction(d.signature(), 8))
+    for u in (d.level(), 2 * d.level()):
+        assert Cyclo(u, weil._gauss_power(d, 1, u)) == milgram, u
+        for k in (0, 2, 3, 4, 5):
+            assert Cyclo(u, weil._gauss_power(d, k, u)) == prod([milgram] * k, start=cyclo.ONE), (u, k)
+
+
+def _seeded_matrices(r, count):
+    """count matrices of SL2(Z) with entries up to 10^4."""
+    out = []
+    while len(out) < count:
+        a, c = r.randint(-(10**4), 10**4), r.randint(1, 10**4)
+        if gcd(a, c) == 1:
+            _, x, y = ext_gcd(a, c)
+            out.append(mat2_mul(((a, -y), (c, x)), t_power(r.randint(-99, 99))))
+    return out
+
+
+@pytest.mark.parametrize("symbol", SMALL_EVEN_SYMBOLS + ["3^+1.5^+1", "7^-2", "9^+1"])
+def test_rho_values_lie_in_q_zeta_n(symbol, rng):
+    """On rational vectors every coefficient of rho(M, v) is computed in
+    Q(zeta_lcm(2, N)): no square root is adjoined."""
+    d = from_jordan_symbol(symbol)
+    field = lcm(2, d.level())
+    for m in _seeded_matrices(random.Random(symbol), 4):
+        image = rho(m, random_vector(d, rng))
+        assert all(field % c.order == 0 for c in image.coeffs.values()), (m, image)
+
+
+@pytest.mark.parametrize("symbol", ["3^-2", "3^+3", "2_II^+2.3^-1", "2_2^+2.4_II^+2"])
+def test_rho_is_linear(symbol, rng):
+    """rho(M, v) is the sum of c rho(M, e^gamma) over the coefficients c of
+    v, which are rational and cyclotomic."""
+    d = from_jordan_symbol(symbol)
+    els = d.elements()
+    for m in _seeded_matrices(random.Random(symbol), 3):
+        v = random_vector(d, rng) + Vec(d, {els[-1]: e_of(Fraction(1, 5)) - 2, els[1]: sqrt_int(3) / 7})
+        total = sum((rho(m, Vec.basis(d, g)).scale(c) for g, c in v.coeffs.items()), Vec(d))
+        assert rho(m, v) == total, m
 
 
 def _explicit_word(tokens):
@@ -975,15 +1026,15 @@ def _fresh_caches(monkeypatch, form):
 
 
 def _count_words(monkeypatch):
-    """The parts on which _apply_word_ints is called from now on."""
+    """The parts on which _apply_word_packed is called from now on."""
     calls = []
-    original = weil._apply_word_ints
+    original = weil._apply_word_packed
 
-    def counting(part, tab, tokens, data, u):
+    def counting(part, tab, tokens, data, rot):
         calls.append(part)
-        return original(part, tab, tokens, data, u)
+        return original(part, tab, tokens, data, rot)
 
-    monkeypatch.setattr(weil, "_apply_word_ints", counting)
+    monkeypatch.setattr(weil, "_apply_word_packed", counting)
     return calls
 
 
@@ -1024,38 +1075,46 @@ def test_cusp_column_guard(monkeypatch):
     fails the named check instead of giving a wrong answer."""
     form = from_jordan_symbol("5^+2")
     _fresh_caches(monkeypatch, form)
-    original = weil._apply_word_ints
-
-    def corrupted(part, tab, tokens, data, u):
-        image, k = original(part, tab, tokens, data, u)
-        support = [i for i, x in enumerate(image) if x is not None and any(cyclo.reduce_mod_phi(u, x))]
-        if len(support) > 1:
-            image[support[-1]] = [2 * v for v in image[support[-1]]]
-        return image, k
-
-    monkeypatch.setattr(weil, "_apply_word_ints", corrupted)
+    monkeypatch.setattr(weil, "_apply_word_packed", _doubling_last_entry(weil._apply_word_packed))
     with pytest.raises(InternalInconsistency, match="cusp column check"):
         dim_invariants(form)
 
 
-def _check_packed_blocks(form, tokens):
-    """The packed kernel with one block per element of the largest q-class
-    gives, column by column, exactly the lists of one _apply_word_ints run per
-    column, so no digit carries into the next block; returns the S count."""
-    tab, u, q_values = weil._word_tables(form), form.level(), form.q_values()
+def _doubling_last_entry(original):
+    """original (_apply_word_packed) with the last entry of each one-block
+    image whose digits are nonzero modulo Phi_u doubled, u = len(rot), if
+    there are two such entries: the e^0 column is then not one scalar
+    times roots of unity."""
+
+    def corrupted(part, tab, tokens, data, rot):
+        image, k = original(part, tab, tokens, data, rot)
+        u, bits = len(rot), rot[0][3] // len(rot)
+        support = [i for i, x in enumerate(image) if x and any(cyclo.reduce_mod_phi(u, weil._unpack(x, u, bits, 1)[0]))]
+        if len(support) > 1:
+            image[support[-1]] *= 2
+        return image, k
+
+    return corrupted
+
+
+def _packed_columns(form):
+    """A column e^beta per element beta of the largest q-class, and one with
+    negative and cyclotomic coefficients outside Q(zeta_N)."""
+    q_values = form.q_values()
     qn = max(set(q_values), key=q_values.count)
-    cols = [i for i, x in enumerate(q_values) if x == qn]
+    cols = [{i: cyclo.ONE} for i, x in enumerate(q_values) if x == qn]
     assert len(cols) > 1
-    bits = (form.order ** sum(kind == "S" for kind, _ in tokens)).bit_length()
-    start = [0] * form.order
-    for c, i in enumerate(cols):
-        start[i] = 1 << c * u * bits
-    image, k = weil._apply_word_packed(form, tab, tokens, start, weil._rotations(u, bits, len(cols)))
-    blocks = [weil._unpack(x, u, bits, len(cols)) for x in image]
-    for c, i in enumerate(cols):
-        single = [[1] + [0] * (u - 1) if j == i else None for j in range(form.order)]
-        assert weil._apply_word_ints(form, tab, tokens, single, u) == ([b[c] for b in blocks], k), (tokens, i)
-    return k
+    return cols + [{0: 2 - 3 * e_of(Fraction(1, 4)), form.order - 1: e_of(Fraction(2, 5)) * Fraction(-1, 3)}]
+
+
+def _check_packed_blocks(form, tokens):
+    """One _apply_words call on all of _packed_columns equals, column by
+    column, one call per column, so no digit carries into the next block;
+    returns the images."""
+    cols = _packed_columns(form)
+    images = weil._apply_words(form, [tokens], cols)
+    assert images == [weil._apply_words(form, [tokens], [col])[0] for col in cols], tokens
+    return images
 
 
 @pytest.mark.parametrize("symbol", ["3^+3", "4_II^+2", "5^+2", "2_II^+2.3^-2"])
@@ -1069,11 +1128,18 @@ def test_packed_blocks_equal_single_columns(symbol):
 @pytest.mark.parametrize("symbol", ["3^+3", "2_2^+2.4_II^+2"])
 def test_packed_blocks_on_long_words(symbol):
     """_check_packed_blocks on a word of at least 120 letters with S S pairs,
-    where the digit bound |D|^s runs to hundreds of bits."""
+    where the digit bound |D|^s runs to hundreds of bits; on the first and
+    the last column the word equals its letters applied one at a time."""
     r = random.Random(symbol)
     tokens = [tok for _ in range(60) for tok in (("T", r.randint(1, 9)), ("S", 1)) + (("S", 1),) * (r.random() < 0.3)]
     assert len(tokens) >= 120 and any(a == b == ("S", 1) for a, b in zip(tokens, tokens[1:]))
-    assert _check_packed_blocks(from_jordan_symbol(symbol), tokens) == sum(kind == "S" for kind, _ in tokens)
+    form = from_jordan_symbol(symbol)
+    els, cols = form.elements(), _packed_columns(form)
+    vectors = [Vec(form, {els[i]: c for i, c in col.items()}) for col in (cols[0], cols[-1])]
+    for kind, n in reversed(tokens):
+        vectors = [rho(SL2Word(S_MAT if kind == "S" else t_power(n), ((kind, n),)), v) for v in vectors]
+    images = _check_packed_blocks(form, tokens)
+    assert [images[0], images[-1]] == vectors
 
 
 def test_oracle_applies_each_coset_word_once_per_q_class(monkeypatch):

@@ -357,26 +357,25 @@ def _apply_s_ints(form: DiscriminantForm, tab, data: list[int], rot) -> list[int
     return [data[i] for i in tab["freq_index"]]
 
 
-def _apply_word_packed(form: DiscriminantForm, tab, tokens, data: list[int], rot) -> tuple[list[int], int]:
-    """The word right to left on packed entries, rot = _rotations(u, B, C);
-    returns the image and the number of S letters, whose scalars are left
-    out.  Two adjacent S letters are rho(-1), e(sig/4) times the negation
-    e^gamma -> e^-gamma: without their scalars, |D| times the negation."""
+def _apply_word_packed(form: DiscriminantForm, tab, tokens, data: list[int], rot) -> list[int]:
+    """The word right to left on packed entries, rot = _rotations(u, B, C),
+    without the scalars of its S letters.  Two adjacent S letters are
+    rho(-1), e(sig/4) times the negation e^gamma -> e^-gamma: without their
+    scalars, |D| times the negation."""
     u = len(rot)
     step = u // form.level()
-    count, i = 0, len(tokens)
+    i = len(tokens)
     while i:
         i -= 1
         if tokens[i][0] == "T":
             steps = [rot[-tokens[i][1] * q * step % u] for q in form.q_values()]
             data = [((x & lo) << a) | ((x & hi) >> b) for x, (lo, hi, a, b) in zip(data, steps)]
         elif i and tokens[i - 1][0] == "S":
-            i, count = i - 1, count + 2
+            i -= 1
             data = [data[j] * form.order for j in tab["neg_index"]]
         else:
             data = _apply_s_ints(form, tab, data, rot)
-            count += 1
-    return data, count
+    return data
 
 
 def _apply_words(form: DiscriminantForm, words, columns: list[dict[int, Cyclo]], weight=1) -> list[Vec]:
@@ -406,7 +405,7 @@ def _apply_words(form: DiscriminantForm, words, columns: list[dict[int, Cyclo]],
             data[i] += x << pos * bits
         rot, acc = _rotations(u, bits, len(columns)), [0] * n
         for tokens in group:
-            acc = list(map(add, acc, _apply_word_packed(form, tab, tokens, data, rot)[0]))
+            acc = list(map(add, acc, _apply_word_packed(form, tab, tokens, data, rot)))
         gauss, f = _gauss_power(form, k, u), weight.numerator * n ** (last - k)
         for i, x in enumerate(acc):
             for total, y in zip(totals, _unpack(x, u, bits, len(columns)) if x else ()):
@@ -616,9 +615,9 @@ def _e0_column(part: DiscriminantForm, word: SL2Word) -> tuple[Cyclo, dict[int, 
     Cyclo, by G^k/|D|^k."""
 
     def build():
-        tab, u = _word_tables(part), part.level()
-        w, bits = lcm(2, u), (part.order ** sum(kind == "S" for kind, _ in word.tokens)).bit_length()
-        packed, k = _apply_word_packed(part, tab, word.tokens, [1] + [0] * (part.order - 1), _rotations(u, bits, 1))
+        tab, u, k = _word_tables(part), part.level(), sum(kind == "S" for kind, _ in word.tokens)
+        w, bits = lcm(2, u), (part.order**k).bit_length()
+        packed = _apply_word_packed(part, tab, word.tokens, [1] + [0] * (part.order - 1), _rotations(u, bits, 1))
         image = [_unpack(x, u, bits, 1)[0] if x else None for x in packed]
         reduced = ((i, tuple(cyclo.reduce_mod_phi(u, x))) for i, x in enumerate(image) if x is not None)
         support = [(i, x) for i, x in reduced if any(x)]

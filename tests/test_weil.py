@@ -1087,12 +1087,12 @@ def _doubling_last_entry(original):
     times roots of unity."""
 
     def corrupted(part, tab, tokens, data, rot):
-        image, k = original(part, tab, tokens, data, rot)
+        image = original(part, tab, tokens, data, rot)
         u, bits = len(rot), rot[0][3] // len(rot)
         support = [i for i, x in enumerate(image) if x and any(cyclo.reduce_mod_phi(u, weil._unpack(x, u, bits, 1)[0]))]
         if len(support) > 1:
             image[support[-1]] *= 2
-        return image, k
+        return image
 
     return corrupted
 
@@ -1128,18 +1128,23 @@ def test_packed_blocks_equal_single_columns(symbol):
 @pytest.mark.parametrize("symbol", ["3^+3", "2_2^+2.4_II^+2"])
 def test_packed_blocks_on_long_words(symbol):
     """_check_packed_blocks on a word of at least 120 letters with S S pairs,
-    where the digit bound |D|^s runs to hundreds of bits; on the first and
-    the last column the word equals its letters applied one at a time."""
+    where the digit bound |D|^s runs to hundreds of bits.  The word equals
+    its letters applied one at a time on the first and the last column, and
+    on e^0 as _e0_column reads it, s times roots of unity scaled by the S
+    count of the tokens."""
     r = random.Random(symbol)
     tokens = [tok for _ in range(60) for tok in (("T", r.randint(1, 9)), ("S", 1)) + (("S", 1),) * (r.random() < 0.3)]
     assert len(tokens) >= 120 and any(a == b == ("S", 1) for a, b in zip(tokens, tokens[1:]))
     form = from_jordan_symbol(symbol)
     els, cols = form.elements(), _packed_columns(form)
-    vectors = [Vec(form, {els[i]: c for i, c in col.items()}) for col in (cols[0], cols[-1])]
+    vectors = [Vec(form, {els[i]: c for i, c in col.items()}) for col in (cols[0], cols[-1], {0: cyclo.ONE})]
     for kind, n in reversed(tokens):
         vectors = [rho(SL2Word(S_MAT if kind == "S" else t_power(n), ((kind, n),)), v) for v in vectors]
     images = _check_packed_blocks(form, tokens)
-    assert [images[0], images[-1]] == vectors
+    assert [images[0], images[-1]] == vectors[:2]
+    word = SL2Word(SL2Word(None, tuple(tokens)).matrix(), tuple(tokens))
+    s, exps = weil._e0_column(form, word)
+    assert {els[i]: s * e_of(Fraction(k, s.order)) for i, k in exps.items()} == vectors[2].coeffs
 
 
 def test_oracle_applies_each_coset_word_once_per_q_class(monkeypatch):

@@ -95,7 +95,7 @@ def dim_s2_trace(symbol) -> S2TraceData:
     order-3 element (e(1/3) rho(ST))^(-1), the parabolic one from rho(T).
     """
     form, p, n, eps = _parse_prime_even(symbol)
-    scalar = e_of(Fraction(form.signature(), 8)) / sqrt_int(form.order)
+    scalar = form.gauss_sum() * Fraction(1, form.order)  # e(sig/8)/sqrt|D| = G/|D| (Milgram)
     # x = level * q(beta); rho(S) gives e(2q) + e(-2q), rho(ST) e(q) + e(-3q), one term if 2 beta = 0
     level = form.level()
     reps = [(el, x) for el, x in zip(form.elements(), form.q_values()) if el <= form.neg(el)]

@@ -32,15 +32,13 @@ from .fundamental import integer_normalize, invariant_basis, invariant_generator
 from .weil import (
     OddSignatureError,
     Vec,
-    cusp_classes,
     dim_closed_form,
     dim_invariants,
+    inv,
     projection_closed_form,
     rank_of_vectors,
-    rho,
     rho_S,
     rho_T,
-    sl2_group_order,
 )
 
 EXIT_OK = 0
@@ -240,15 +238,8 @@ def _verify_battery(form: DiscriminantForm) -> list[dict]:
         projected = [invariant_projection(form, g) for g in sample]
         record("inv-idempotent", all(invariant_projection(form, v) == v for v in projected))
         record("inv-image-fixed", all(rho_S(v) == v and rho_T(v) == v for v in projected))
-        # inv(e^g0) a second way, cusp by cusp: rho(+-M_s^-1) on the whole
-        # form, whose sum over T^n is N times its isotropic coordinates
-        n, g0, images = form.level(), sample[0], Vec(form)
-        for cusp in cusp_classes(n):
-            (a, b), (c, d) = cusp.inv_word.target
-            for word in [cusp.inv_word, ((-a, -b), (-c, -d))][: 2 if n >= 3 else 1]:
-                images = images + rho(word, Vec.basis(form, g0))
-        pieces = Vec(form, {mu: images.coefficient(mu) for mu in form.isotropic_elements()})
-        record("cusp-partition", pieces.scale(Fraction(n, sl2_group_order(n))) == projected[0])
+        # the first projection a second way: weil.inv, the average over the cusps
+        record("cusp-partition", inv(form, sample[0]) == projected[0])
         if form.symbol is not None:
             closed = (projection_closed_form(form, g) for g in sample)
             record("closed-projection", all(pcf is None or pcf == v for pcf, v in zip(closed, projected)))

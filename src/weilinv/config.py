@@ -12,7 +12,8 @@ class Limits:
     max_form_order: int = 10**4
     #: largest level N for which SL2(Z/N) is enumerated
     max_level: int = 60
-    #: largest cyclotomic field order
+    #: largest cyclotomic field order: of every Cyclo built, and lcm(2, N),
+    #: checked by dim, inv and the coset oracle on each query, N the level
     max_cyclo_order: int = 10**6
 
 

@@ -26,7 +26,7 @@ so inv = B (B^T B)^-1 B^T for any basis B of C[D]^G, and B is picked from
 the generators by the rows of their matrix at the isotropic elements.
 invariant_projection and invariant_basis share one memoized projector per
 form; weil.inv, the average over the cusps, is the reference they are
-tested against, and no production path calls it.
+compared with, in the tests and once per form by the CLI's verify.
 """
 
 from __future__ import annotations
@@ -489,7 +489,7 @@ def _project(basis, adj, col) -> dict:
 def invariant_projection(form: DiscriminantForm, v) -> GroupAlgebraVector:
     """inv(v), v a vector or an element (for e^v): B (B^T B)^-1 B^T v, the
     orthogonal projection onto C[D]^G, as rho is unitary.  Zero for odd
-    signature.  weil.inv is the cusp-route reference."""
+    signature.  weil.inv is the cusp-route reference, which verify reads."""
     if isinstance(v, tuple):
         v = Vec.basis(form, v)
     _, basis, adj, den = _projector(form)

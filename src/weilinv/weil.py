@@ -17,10 +17,10 @@ e(sign(D)/4) times the permutation e^gamma -> e^-gamma.  The closed product
 formula with its local factors is never used.  The projection inv averages
 rho over SL2(Z/N), with the cosets grouped as +-M_s T^n per cusp s so the
 per-cusp pieces sum to the total by construction; this cusp route is the
-reference for fundamental.invariant_projection.  Per cusp one word is
-applied, to e^0 of each orthogonal block; every column of rho(M) = rho(M_s^-1)
-follows from that c0 = rho(M) e^0 by the Heisenberg intertwining, for
-M = (a b; c d),
+reference for fundamental.invariant_projection, in the tests and in the
+CLI's verify.  Per cusp one word is applied, to e^0 of each orthogonal
+block; every column of rho(M) = rho(M_s^-1) follows from that
+c0 = rho(M) e^0 by the Heisenberg intertwining, for M = (a b; c d),
 
     rho(M) e^gamma = e(-b d q(gamma)) sum_beta c0(beta) e(-b (beta,gamma)) e^(d gamma + beta).
 
@@ -72,7 +72,7 @@ from operator import add, index, itemgetter, mul
 from . import cyclo
 from .arith import ext_gcd, factorize, frac1, kronecker, legendre
 from .config import LIMITS
-from .cyclo import Cyclo, e_of, sqrt_int
+from .cyclo import Cyclo, e_of
 from .fqm import (
     BoundExceeded,
     DiscriminantForm,
@@ -244,23 +244,14 @@ def word_decompose(m) -> SL2Word:
 # ---------------------------------------------------------------------------
 
 
-def _working_order(form: DiscriminantForm) -> int:
-    """The cyclotomic bound w = lcm(8, N, orders of sqrt|D| and of each
-    block's sqrt), at most max_cyclo_order.  No value is computed in
-    Q(zeta_w); w only keeps refusing the inputs it refused as a field."""
-    w = lcm(8, form.level())
-    for part, _ in form.orthogonal_components():
-        w = lcm(w, sqrt_int(part.order).order)
-    w = lcm(w, sqrt_int(form.order).order)
+def _check_bounds(form: DiscriminantForm) -> None:
+    """The bounds that a cold dim_invariants, inv or inv_average_oracle on
+    form would hit, checked on every call, so that they hold for a memoized
+    answer too: the order lcm(2, N) that their whole-form values live in,
+    N the level, and for even signature the level and order bounds."""
+    w = lcm(2, form.level())
     if w > LIMITS.max_cyclo_order:
         raise cyclo.CycloOrderError(f"cyclotomic order {w} of {form!r} exceeds bound {LIMITS.max_cyclo_order}")
-    return w
-
-
-def _check_bounds(form: DiscriminantForm) -> None:
-    """The bounds that a cold dim_invariants or inv on form would hit, checked
-    on every call, so that they hold for a memoized answer too."""
-    _working_order(form)
     if form.signature() % 2 == 0:
         _check_level(form.level())
         form.elements()
@@ -268,9 +259,9 @@ def _check_bounds(form: DiscriminantForm) -> None:
 
 def _word_tables(form: DiscriminantForm):
     """Memoized S data: the frequency reindexing; per axis, for each t, the
-    pick of zeta_d^(m t), m < d; and the negation permutation.  The bound of
-    _working_order is checked on every call."""
-    _working_order(form)
+    pick of zeta_d^(m t), m < d; and the negation permutation.  The tables
+    are ints: every value built from them leaves as a Cyclo, whose
+    reduction modulo Phi_u checks the cyclotomic bound."""
 
     def build():
         n = form.level()
@@ -710,8 +701,9 @@ def _inv_basis(form: DiscriminantForm, gamma: Element) -> Vec:
 
 def inv(form: DiscriminantForm, v) -> Vec:
     """Projection onto the invariants: the average of rho over SL2(Z/N),
-    summed cusp by cusp.  The reference implementation: the library projects
-    through fundamental.invariant_projection.  Zero for odd signature."""
+    summed cusp by cusp.  The reference for fundamental.invariant_projection,
+    through which the library projects; the CLI's verify compares the two on
+    one isotropic element (cusp-partition).  Zero for odd signature."""
     if isinstance(v, tuple):
         v = Vec.basis(form, v)
     if form.signature() % 2:

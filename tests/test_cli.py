@@ -103,8 +103,10 @@ def test_generator_row_picks_match_the_cusp_greedy_basis(source):
 
 @pytest.mark.parametrize("symbol, dim", [("3^+5", 10), ("2_II^+6", 15), ("3^-4", 1)])
 def test_invariants_projects_only_dim_elements(symbol, dim, monkeypatch):
-    """invariants builds its basis from the generators' Gram matrix, and
-    neither it nor verify calls the cusp route for any element."""
+    """invariants builds its basis from the generators' Gram matrix and
+    calls the cusp route for no element; verify calls it once, for the
+    first isotropic element, which its cusp-partition check compares with
+    the projector."""
     from weilinv import weil
 
     calls = []
@@ -113,7 +115,8 @@ def test_invariants_projects_only_dim_elements(symbol, dim, monkeypatch):
     status, out = run_cli(["invariants", "--symbol", symbol])
     assert status == 0 and json.loads(out)["dim"] == dim and calls == []
     status, out = run_cli(["verify", "--symbol", symbol])
-    assert status == 0 and json.loads(out)["pass"] is True and calls == []
+    assert status == 0 and json.loads(out)["pass"] is True
+    assert calls == [from_jordan_symbol(symbol).isotropic_elements()[0]]
 
 
 def _invariants_error(monkeypatch, symbol, generators):
@@ -303,7 +306,8 @@ def test_verify_command_passes():
 
 
 @pytest.mark.parametrize(
-    "symbol", ["2_II^+2", "2_II^-4", "2_0^+2", "3^-2", "3^+3", "5^+2", "2_2^+2.4_II^+2", "2_II^+2.3^-2"]
+    "symbol",
+    ["2_II^+2", "2_II^-4", "2_0^+2", "3^-2", "3^+3", "5^+2", "2_2^+2.4_II^+2", "2_II^+2.3^-2", "3^-2.5^+2", "16_II^+2"],
 )
 def test_verify_battery_passes(symbol):
     status, out = run_cli(["verify", "--symbol", symbol])
@@ -313,9 +317,10 @@ def test_verify_battery_passes(symbol):
 
 def test_cusp_partition_can_fail(monkeypatch):
     """With the inverse Gram matrix of the projector of 3^-2 doubled, the
-    projection doubles; the cusp pieces that verify computes from rho on
-    the whole form do not, so cusp-partition fails.  Only this form is
-    built, on fresh memos, so that no shared form keeps a doubled answer."""
+    projection doubles; weil.inv, the cusp route that verify compares it
+    with, does not, so cusp-partition fails, and so does inv-idempotent.
+    Only this form is built, on fresh memos, so that no shared form keeps a
+    doubled answer."""
     from weilinv import fundamental
 
     form = from_jordan_symbol("3^-2")
@@ -361,6 +366,15 @@ def test_cyclotomic_bound_exit_code(monkeypatch):
     status, out = run_cli(["dim", "--symbol", "13^-2"])
     assert status == 3
     assert json.loads(out)["error"]["code"] == "bound-exceeded"
+
+
+def test_cyclotomic_bound_is_taken_on_lcm_two_level(monkeypatch):
+    """dim on 3^+1.5^+1 builds nothing above order 40, the Gauss sum of its
+    5-block behind signature(), and its rho values lie in Q(zeta_30),
+    lcm(2, 15) = 30: a bound of 45 lets it answer."""
+    monkeypatch.setenv("WEILINV_MAX_CYCLO_ORDER", "45")
+    status, out = run_cli(["dim", "--symbol", "3^+1.5^+1"])
+    assert status == 0 and json.loads(out)["dim"] == 0
 
 
 #: bounds below the order 81, the level 3 and the working order 24 of 3^-4

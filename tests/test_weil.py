@@ -1188,3 +1188,19 @@ def test_lowered_bound_holds_for_a_memoized_answer(bound, query, monkeypatch):
     monkeypatch.setattr(LIMITS, bound, 2)
     with pytest.raises(BoundExceeded):
         query()
+
+
+@pytest.mark.parametrize("query", [inv, inv_average_oracle], ids=["inv", "oracle"])
+def test_cyclotomic_bound_on_lcm_two_level(query, monkeypatch):
+    """The values of inv and of the coset oracle on 5^+1.7^+1 lie in
+    Q(zeta_70), lcm(2, 35) = 70: under a bound of 60 a repeated query is
+    refused, with its answer memoized, and so is a cold one."""
+    form = from_jordan_symbol("5^+1.7^+1")
+    gamma = form.isotropic_elements()[0]
+    query(form, gamma)
+    monkeypatch.setattr(LIMITS, "max_cyclo_order", 60)
+    with pytest.raises(cyclo.CycloOrderError, match="order 70"):
+        query(form, gamma)
+    monkeypatch.setattr(form, "_caches", {})
+    with pytest.raises(cyclo.CycloOrderError, match="order 70"):
+        query(form, gamma)

@@ -7,10 +7,11 @@ by e^gamma + e^(-gamma); every trace is computed exactly and the result
 must come out an integer.  The Jacobi basis reads each fundamental lift
 (fundamental.fundamental_lifts: an overlattice whose dual quotient has
 fundamental p-parts, with the product of the fundamental generators) as
-integer theta coefficients.  Their q-expansions count lattice vectors by
-Fincke-Pohst enumeration in integers only: one exact square completion per
-coset fixes integer weights, so every loop range is exact and no count
-rests on a rounded bound.  Both theta routines use v -> -v, which keeps the
+integer theta coefficients, sorted by the elements of the overlattice's
+subgroup.  Their q-expansions count lattice vectors by Fincke-Pohst
+enumeration in integers only: one exact square completion per coset fixes
+integer weights, so every loop range is exact and no count rests on a
+rounded bound.  Both theta routines use v -> -v, which keeps the
 norm and maps gamma + M onto -gamma + M: a coset with 2 gamma in M is
 searched by halves, and one search serves each pair {gamma, -gamma}.
 """
@@ -151,15 +152,16 @@ def jacobi_singular_basis(gram) -> list[JacobiBasisEntry]:
     Empty for odd rank.  Each generator is one fundamental lift of L'/L
     (fundamental.fundamental_lifts): an overlattice M with every p-part of
     M'/M fundamental, carrying the product of the fundamental invariants.
-    The lift is constant on the cosets of H = M/L, so each coset's theta
-    coefficient is its value at the coset's least element.
+    The generators are sorted by the elements of H = M/L.  The lift is
+    constant on the cosets of H, so each coset's theta coefficient is its
+    value at the coset's least element.
     """
     n = len(gram)
     if n % 2:
         return []
     form = from_gram(gram)
     out = []
-    for sub, v in fundamental_lifts(form):
+    for sub, v in sorted(fundamental_lifts(form), key=lambda lift: lift[0].elements):
         coeffs, covered = {}, set()
         for el, c in v.items_sorted():
             if el not in covered:

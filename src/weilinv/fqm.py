@@ -664,7 +664,7 @@ def from_gram(gram) -> DiscriminantForm:
 @cache
 def _realize_gram(gram: tuple[tuple[int, ...], ...]) -> DiscriminantForm:
     g, n = [list(row) for row in gram], len(gram)
-    _, s, _, v_inv = smith_normal_form(g)
+    s, v_inv = smith_normal_form(g)
     diag = [s[i][i] for i in range(n)]
     if any(d == 0 for d in diag):
         raise ValueError("Gram matrix must be non-singular")

@@ -17,9 +17,11 @@ an isotropic gamma of H-perp outside H (odd-three, two-four, two-eight).
 Realizing H-perp/H (induct.quotient) and lifting its cusp-route generator
 is left to the tests as an oracle.  The lifts of each p-part pass one
 batched weil.check_invariant_basis and are memoized with it.
-fundamental_lifts is the one enumeration, at any level:
-induced_generating_set reads its vectors, and the Jacobi application in
-appl reads its subgroups as overlattices.
+fundamental_lifts is the one enumeration, at any level, memoized per form;
+at composite level it makes one tensor_combine call over the p-parts' lifts.
+invariant_generators reads its vectors, fundamental_invariant reads F's one
+lift (H = 0), and the Jacobi application in appl reads its subgroups as
+overlattices.
 
 The projection onto the invariants is read off the lifts: rho is unitary,
 so inv = B (B^T B)^-1 B^T for any basis B of C[D]^G, and B is picked from
@@ -315,22 +317,22 @@ def fundamental_invariant(desc: FundamentalDescriptor) -> FundamentalInvariant:
     """The generator of the (one-dimensional) invariant space, in integer
     form, together with its plus/minus support when the table gives one.
 
-    The closed builders run on F with H = 0.  As the invariant space is one
-    dimensional, the result spans it once it is nonzero and passes the basis
-    invariance check.
+    The generator is F's one lift, along H = 0 (_part_lifts, which checks
+    it invariant and shares its memo with fundamental_lifts on F).  As the
+    invariant space is one dimensional, it spans the space once it is
+    nonzero.
     """
     form = desc.realize()
     if dim_invariants(form) != 1:
         raise InternalInconsistency(f"{desc.symbol}: invariant space is not one-dimensional")
-    ints = _closed_lift(form, make_isotropic_subgroup(form, ()), desc, set(form.isotropic_elements()))
-    if not any(ints.values()):
+    ((_, explicit),) = _part_lifts(form, desc)
+    if explicit.is_zero():
         raise InternalInconsistency(f"{desc.symbol}: the explicit generator vanished")
-    check_invariant_basis(form, [ints])
-    explicit = _vec(form, ints)
     if desc.kind not in ("odd-three", "two-four", "two-eight"):
         return FundamentalInvariant(desc, explicit, None, None)
-    plus = tuple(sorted(el for el, x in ints.items() if x > 0))
-    minus = tuple(sorted(el for el, x in ints.items() if x < 0))
+    positive = {el: cyclo.as_rational(c) > 0 for el, c in explicit.coeffs.items()}
+    plus = tuple(sorted(el for el, pos in positive.items() if pos))
+    minus = tuple(sorted(el for el, pos in positive.items() if not pos))
     return FundamentalInvariant(desc, explicit, plus, minus)
 
 
@@ -341,7 +343,8 @@ def fundamental_invariant(desc: FundamentalDescriptor) -> FundamentalInvariant:
 
 def tensor_combine(parts) -> list[GroupAlgebraVector]:
     """Products of one basis vector per p-part, re-indexed along the
-    embeddings; parts is a list of (part_form, embedding, basis).
+    embeddings, in the order of itertools.product over the bases; parts is
+    a list of (part_form, embedding, basis).
 
     The rank of the output equals the product of the part ranks.
     """
@@ -383,57 +386,40 @@ def fundamental_lifts(form: DiscriminantForm) -> list[tuple[IsotropicSubgroup, G
     """(H, v) for every isotropic subgroup H whose quotient H-perp/H has, as
     each p-part, the fundamental form of that p-part of D; v is the lift to
     C[D] of the product of the fundamental generators of those p-parts, with
-    primitive integer coefficients (1_H for a trivial quotient).  Sorted by
-    the elements of H.  Empty when some p-part of D has no fundamental form.
-    At composite level H and v are the direct sums and products of the
-    p-parts' lifts.  Read as overlattices, these are the Jacobi forms of
-    singular weight."""
+    primitive integer coefficients (1_H for a trivial quotient).  Empty when
+    some p-part of D has no fundamental form.  At composite level H and v
+    are the direct sums and the products (one tensor_combine call) of the
+    p-parts' lifts, in the order of their product over the p-parts; each
+    p-part's lifts are sorted by the elements of H.  Memoized per form,
+    returned as a new list.  Read as overlattices, these are the Jacobi
+    forms of singular weight."""
     form.elements()  # the order bound, checked before any memo is read
     parts = []
     for p, part, emb in form.p_part_decompose():
         desc = fundamental_form(p, part.square_class(), part.signature())
         if desc is None:
             return []
+        if part is form:
+            return list(_part_lifts(form, desc))
         parts.append((part, emb, _part_lifts(part, desc)))
     if not parts:  # |D| = 1
         return [(make_isotropic_subgroup(form, ()), Vec.basis(form, form.zero()))]
-    if len(parts) == 1 and parts[0][0] is form:
-        return list(parts[0][2])
-    out = []
-    for combo in product(*(lifts for _, _, lifts in parts)):
-        sub = _direct_sum(form, [(emb, h) for (_, emb, _), (h, _) in zip(parts, combo)])
-        (v,) = tensor_combine([(part, emb, [v]) for (part, emb, _), (_, v) in zip(parts, combo)])
-        out.append((sub, v))
-    return sorted(out, key=lambda lift: lift[0].elements)
 
+    def build():
+        vectors = tensor_combine([(part, emb, [v for _, v in lifts]) for part, emb, lifts in parts])
+        combos = product(*(lifts for _, _, lifts in parts))
+        subs = (_direct_sum(form, [(emb, h) for (_, emb, _), (h, _) in zip(parts, combo)]) for combo in combos)
+        return list(zip(subs, vectors))
 
-def induced_generating_set(form: DiscriminantForm) -> list[GroupAlgebraVector]:
-    """Lifts of the fundamental generator along every isotropic subgroup H
-    whose quotient H-perp/H is the fundamental form of (x, s); the returned
-    vectors span the entire invariant space (verified by rank elsewhere)."""
-    if form.signature() % 2:
-        return []
-    if form.level() == 1:
-        return [Vec.basis(form, form.zero())]
-    if prime_power(form.level()) is None:
-        raise ValueError("prime-power level required; decompose composite forms first")
-    return [v for _, v in fundamental_lifts(form)]
+    return list(form.memo("fundamental_lifts", build))
 
 
 def invariant_generators(form: DiscriminantForm) -> list[GroupAlgebraVector]:
-    """Generating set of C[D]^Gamma for arbitrary level: fundamental lifts
-    on each p-part, tensored together; memoized per form, returned as a new
-    list."""
+    """Generating set of C[D]^Gamma at any level: the vectors of
+    fundamental_lifts, in its order; empty for odd signature."""
     if form.signature() % 2:
         return []
-    form.elements()  # the order bound, checked before the memo is read
-
-    def build():
-        if form.level() == 1 or prime_power(form.level()):
-            return induced_generating_set(form)
-        return tensor_combine([(part, emb, induced_generating_set(part)) for _, part, emb in form.p_part_decompose()])
-
-    return list(form.memo("generators", build))
+    return [v for _, v in fundamental_lifts(form)]
 
 
 # ---------------------------------------------------------------------------

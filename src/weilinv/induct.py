@@ -137,7 +137,7 @@ def quotient(form: DiscriminantForm, subgroup: IsotropicSubgroup) -> QuotientFor
         coords = [lattice_coordinates(basis_perp, row) for row in basis_h]
     except ValueError:
         raise InternalInconsistency("H lattice is not inside the H-perp lattice") from None
-    _, s, _, v_inv = smith_normal_form(coords)
+    s, v_inv = smith_normal_form(coords)
     picks = [j for j in range(k) if s[j][j] > 1]
     orders = [s[j][j] for j in picks]
     gens = [form.normalize([sum(v_inv[j][a] * basis_perp[a][b] for a in range(k)) for b in range(k)]) for j in picks]

@@ -8,12 +8,9 @@ from fractions import Fraction
 from math import gcd
 
 
-def _identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def smith_normal_form(a: list[list[int]]) -> tuple[list[list[int]], ...]:
-    """Return (U, S, V, V^-1) with U*A*V = S diagonal, U and V unimodular.
+def smith_normal_form(a: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """Return (S, V^-1) with U*A*V = S diagonal for some unimodular U and V,
+    so that A and S*V^-1 span the same row lattice.
 
     The diagonal is normalized so each entry is non-negative and divides
     the next.  V^-1 undoes each column operation as a row operation: a swap
@@ -22,29 +19,21 @@ def smith_normal_form(a: list[list[int]]) -> tuple[list[list[int]], ...]:
     rows = len(a)
     cols = len(a[0]) if rows else 0
     s = [row[:] for row in a]
-    u = _identity(rows)
-    v = _identity(cols)
-    v_inv = _identity(cols)
+    v_inv = [[int(i == j) for j in range(cols)] for i in range(cols)]
 
     def swap_rows(i, j):
         s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for r in s:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
             r[i], r[j] = r[j], r[i]
         v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     def add_row(src, dst, f):
         s[dst] = [x + f * y for x, y in zip(s[dst], s[src])]
-        u[dst] = [x + f * y for x, y in zip(u[dst], u[src])]
 
     def add_col(src, dst, f):
         for r in s:
-            r[dst] += f * r[src]
-        for r in v:
             r[dst] += f * r[src]
         v_inv[src] = [x - f * y for x, y in zip(v_inv[src], v_inv[dst])]
 
@@ -96,8 +85,7 @@ def smith_normal_form(a: list[list[int]]) -> tuple[list[list[int]], ...]:
     for i in range(min(rows, cols)):
         if s[i][i] < 0:
             s[i] = [-x for x in s[i]]
-            u[i] = [-x for x in u[i]]
-    return u, s, v, v_inv
+    return s, v_inv
 
 
 class Echelon:

@@ -16,7 +16,6 @@ from weilinv.fqm import JordanSymbol, SymbolError, from_gram, from_jordan_symbol
 from weilinv.fundamental import (
     fundamental_form,
     fundamental_invariant,
-    induced_generating_set,
     invariant_generators,
 )
 from weilinv.induct import isotropic_subgroups, lift_up, quotient
@@ -175,7 +174,7 @@ def test_criterion_4_projection_identities():
 def test_criterion_5_main_theorem_span():
     for sym in SPAN_SYMBOLS:
         d = from_jordan_symbol(sym)
-        gens = induced_generating_set(d)
+        gens = invariant_generators(d)
         assert rank_of_vectors(gens) == dim_invariants(d), sym
     composite = from_jordan_symbol("2_II^+2.3^-2")
     gens = invariant_generators(composite)

@@ -14,7 +14,6 @@ from weilinv.fundamental import (
     fundamental_form,
     fundamental_invariant,
     fundamental_lifts,
-    induced_generating_set,
     integer_normalize,
     invariant_generators,
     invariant_projection,
@@ -175,7 +174,7 @@ def test_fundamentals_not_induced_from_proper_subgroups():
 def test_induced_generating_set_on_fundamental_form():
     desc = fundamental_form(3, "non-square", 2)
     form = desc.realize()
-    gens = induced_generating_set(form)
+    gens = invariant_generators(form)
     assert len(gens) == 1
     fi = fundamental_invariant(desc)
     assert gens[0] == fi.vector or gens[0] == fi.vector.scale(-1)
@@ -183,7 +182,7 @@ def test_induced_generating_set_on_fundamental_form():
 
 def test_induced_generating_set_hyperbolic():
     d = from_jordan_symbol("5^+2")
-    gens = induced_generating_set(d)
+    gens = invariant_generators(d)
     assert rank_of_vectors(gens) == dim_invariants(d) == 2
     # the generators are the characteristic functions of the two isotropic lines
     supports = sorted(tuple(sorted(g.coeffs)) for g in gens)
@@ -193,7 +192,7 @@ def test_induced_generating_set_hyperbolic():
 
 def test_induced_generating_set_two_zero():
     d = from_jordan_symbol("2_0^+2")
-    gens = induced_generating_set(d)
+    gens = invariant_generators(d)
     assert len(gens) == 1
     x2 = d.canonical_xc(2)
     assert gens[0] == Vec(d, {d.zero(): Cyclo.rational(1), x2: Cyclo.rational(1)})
@@ -203,16 +202,10 @@ def test_induced_rank_battery():
     for sym in ["3^+3", "3^-4", "5^+2", "5^-2", "2_II^+2", "2_II^-2", "2_II^-4",
                 "2_0^+2", "4_II^+2", "2_2^+2.4_II^+2", "2_6^+2.4_II^+2"]:
         d = from_jordan_symbol(sym)
-        gens = induced_generating_set(d)
+        gens = invariant_generators(d)
         assert rank_of_vectors(gens) == dim_invariants(d), sym
         for g in gens:
             assert rho_S(g) == g and rho_T(g) == g
-
-
-def test_induced_rejects_composite_level():
-    d = from_jordan_symbol("2_II^+2.3^-2")
-    with pytest.raises(ValueError):
-        induced_generating_set(d)
 
 
 def test_tensor_combine_identity():
@@ -220,7 +213,7 @@ def test_tensor_combine_identity():
     parts = d.p_part_decompose()
     assert len(parts) == 1
     _, part, emb = parts[0]
-    basis = induced_generating_set(part)
+    basis = invariant_generators(part)
     combined = tensor_combine([(part, emb, basis)])
     assert rank_of_vectors(combined) == 2
 
@@ -238,14 +231,20 @@ def test_tensor_combine_composite():
 )
 def test_composite_level_lifts_span_the_invariants(symbol, dim):
     """At composite level the lifts of fundamental_lifts (the overlattices of
-    the Jacobi basis) are invariant and span C[D]^Gamma, the same span as the
-    tensor route of invariant_generators."""
+    the Jacobi basis) are invariant and span C[D]^Gamma."""
     d = from_jordan_symbol(symbol)
     lifts = [v for _, v in fundamental_lifts(d)]
     assert rank_of_vectors(lifts) == dim_invariants(d) == dim
     for v in lifts:
         assert rho_S(v) == v and rho_T(v) == v
-    assert rank_of_vectors(lifts + invariant_generators(d)) == dim
+
+
+@pytest.mark.parametrize("symbol", ["2_II^+2.3^-2", "2_II^+4.3^-2", "3^+4.5^+2", "2_II^+6.3^-2"])
+def test_invariant_generators_are_the_lift_vectors_in_order(symbol):
+    """invariant_generators reads fundamental_lifts: the same vectors, in the
+    product order over the p-parts."""
+    d = from_jordan_symbol(symbol)
+    assert invariant_generators(d) == [v for _, v in fundamental_lifts(d)]
 
 
 def test_tensor_combine_zero_factor():
@@ -344,7 +343,7 @@ def test_closed_lifts_match_the_quotient_route(source):
         v = _quotient_route(d, sub, descs)
         if v is not None:
             expected.append((sub.elements, v))
-    lifts = fundamental_lifts(d)
+    lifts = sorted(fundamental_lifts(d), key=lambda lift: lift[0].elements)
     assert [(sub.elements, integer_normalize(v)) for sub, v in lifts] == expected
     assert rank_of_vectors([v for _, v in lifts]) == dim_invariants(d)
 
@@ -361,15 +360,18 @@ DESCRIPTORS = [
 @pytest.mark.parametrize("desc", DESCRIPTORS, ids=lambda desc: desc.symbol or f"trivial-{desc.prime}")
 def test_fundamental_invariant_agrees_with_the_cusp_route(desc):
     """The closed builders with H = 0 give F's generator: fundamental_invariant
-    proves it invariant and nonzero, and this test compares it with the
-    cusp-route projection."""
+    reads it from _part_lifts, which proves it invariant, and checks it
+    nonzero; this test compares it with the cusp-route projection."""
     fi = fundamental_invariant(desc)
     assert integer_normalize(fi.vector) == _generic_generator(desc.realize(), desc.kind)
 
 
 def test_a_flipped_closed_lift_on_f_fails_the_invariance_check(monkeypatch):
-    """fundamental_invariant proves its generator invariant itself: a closed
-    lift on F with one coefficient flipped is refused."""
+    """fundamental_invariant proves its generator invariant, through
+    _part_lifts: a closed lift on F with one coefficient flipped is refused.
+    F's lifts are memoized on F, so its caches are emptied first."""
+    desc = fundamental_form(3, "square", 4)
+    monkeypatch.setattr(desc.realize(), "_caches", {})
     original = fundamental._table_lift
 
     def flipped(*args):
@@ -379,7 +381,7 @@ def test_a_flipped_closed_lift_on_f_fails_the_invariance_check(monkeypatch):
 
     monkeypatch.setattr(fundamental, "_table_lift", flipped)
     with pytest.raises(InternalInconsistency, match="basis invariance check: rho\\(S\\) moves vector 0"):
-        fundamental_invariant(fundamental_form(3, "square", 4))
+        fundamental_invariant(desc)
 
 
 @pytest.mark.parametrize("symbol", ["3^-2", "5^+2", "2_II^+2.3^-2", "3^+1"])

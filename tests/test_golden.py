@@ -11,9 +11,11 @@ eliminated rational rows over Fraction; the 2_1^+3.4_1^+1.8_II^+2
 digests were recorded while the two-four and two-eight lifts still went
 through the quotient route; the E8 and A2+A2+A2 `jacobi` digests were
 recorded while theta enumeration still counted every vector of both
-cosets of each {gamma, -gamma} pair.  A
-refactor that keeps every result exact keeps every digest; a digest that
-changes means some output changed.
+cosets of each {gamma, -gamma} pair; the 3^+4.5^+2 and 2_II^+6.3^-2
+`induced-basis` and the D8+E6+A2 `jacobi` digests were recorded while
+invariant_generators still tensored the p-parts' generators by a route of
+its own, beside fundamental_lifts.  A refactor that keeps every result
+exact keeps every digest; a digest that changes means some output changed.
 """
 
 import hashlib
@@ -48,6 +50,10 @@ GOLDEN = [
     # the two-eight route
     (["induced-basis", "--check", "--symbol", "2_1^+3.4_1^+1.8_II^+2"], "879eb180b58b14eac4fbda96cad52e355e82076f5a71bbafb6481dae082d25b3"),
     (["invariants", "--symbol", "2_1^+3.4_1^+1.8_II^+2"], "010ea1435c1b14fc42dd0665f58c07331f643847fb2282bcaf8248f0d23e1c19"),
+    # composite level: generators in product order over the p-parts, and the Jacobi basis sorted by H
+    (["induced-basis", "--check", "--symbol", "3^+4.5^+2"], "a614da246ea324ef9f4c5182ae018f624e2cab95ace069423b75cc6050f50168"),
+    (["induced-basis", "--check", "--symbol", "2_II^+6.3^-2"], "c9e9a7e692777e9aeea6833684b67326b731fb567381f0961bc3ab30e486b892"),
+    (["jacobi", "--precision", "0", "--gram", "tests/gram_D8E6A2.json"], "038ab9c70fea2c85f79ee8186ae6b4512bae71e86a046738f3bb71aeb71992eb"),
 ]
 
 

@@ -316,7 +316,7 @@ def test_quotients_of_equal_data_share_one_form(symbol, count, distinct, monkeyp
 def _fraction_quotient(form, subgroup):
     """The orders, generators, section and projection of H-perp/H by the
     former Fraction route of quotient: H's coordinates from the product with
-    rational_inverse(basis_perp), V^-1 as the inverse of V over Q."""
+    rational_inverse(basis_perp), V^-1 from smith_normal_form."""
     k = form.rank
     diagonal = [[form.orders[i] if i == j else 0 for j in range(k)] for i in range(k)]
     basis_perp = row_lattice_basis([list(el) for el in subgroup.perp] + diagonal, k)
@@ -324,14 +324,12 @@ def _fraction_quotient(form, subgroup):
     inv_perp = rational_inverse(basis_perp)
     coords = [[sum(row[a] * inv_perp[a][b] for a in range(k)) for b in range(k)] for row in basis_h]
     assert all(x.denominator == 1 for row in coords for x in row)
-    _, s, v, _ = smith_normal_form([[int(x) for x in row] for row in coords])
-    v_inv = rational_inverse(v)
-    assert all(x.denominator == 1 for row in v_inv for x in row)
+    s, v_inv = smith_normal_form([[int(x) for x in row] for row in coords])
     orders, gens = [], []
     for j in range(k):
         if s[j][j] > 1:
             orders.append(s[j][j])
-            row = [sum(int(v_inv[j][a]) * basis_perp[a][b] for a in range(k)) for b in range(k)]
+            row = [sum(v_inv[j][a] * basis_perp[a][b] for a in range(k)) for b in range(k)]
             gens.append(form.normalize(row))
     qf = form.subform(orders, gens)
     section, projection = {}, {}

@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from weilinv.cyclo import Cyclo, as_rational, e_of
 from weilinv.fqm import from_jordan_symbol
@@ -28,32 +28,39 @@ small_matrices = st.lists(
 IDENTITY_3 = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
 
 
+@example([[0, 0, 1], [0, 1, 0], [1, 0, 1]])  # row_lattice_basis of A and of S V^-1 differ here
 @given(small_matrices)
 def test_snf_transforms(a):
-    u, s, v, v_inv = smith_normal_form(a)
-    assert mat_mul(mat_mul(u, a), v) == s
-    assert mat_mul(v, v_inv) == IDENTITY_3
+    """S is diagonal, each entry non-negative and dividing the next; for
+    nonsingular A, A and S V^-1 span the same row lattice: each row of either
+    has integer lattice_coordinates in the other's row_lattice_basis (that
+    basis is not canonical, so the two bases are not compared directly)."""
+    s, v_inv = smith_normal_form(a)
     n = 3
     for i in range(n):
         for j in range(n):
             if i != j:
                 assert s[i][j] == 0
     diag = [s[i][i] for i in range(n)]
+    assert all(x >= 0 for x in diag)
     for x, y in zip(diag, diag[1:]):
         if y:
             assert x != 0 and y % x == 0
+    if determinant(a) == 0:
+        return
+    s_v_inv = mat_mul(s, v_inv)
+    for rows, other in ((a, s_v_inv), (s_v_inv, a)):
+        basis = row_lattice_basis(other, n)
+        for row in rows:
+            lattice_coordinates(basis, row)  # ValueError outside the lattice
 
 
 @given(small_matrices)
 def test_unimodular_inverse(a):
-    """U and V are unimodular: their inverses over Q have integer entries,
-    and V's is the V^-1 that smith_normal_form returns."""
-    u, _, v, v_inv = smith_normal_form(a)
-    for m in (u, v):
-        inv = rational_inverse(m)
-        assert all(x.denominator == 1 for row in inv for x in row)
-        assert mat_mul(m, inv) == IDENTITY_3
-    assert rational_inverse(v) == v_inv
+    """V^-1 is unimodular: an integer matrix of determinant +-1."""
+    _, v_inv = smith_normal_form(a)
+    assert all(type(x) is int for row in v_inv for x in row)
+    assert abs(determinant(v_inv)) == 1
 
 
 def test_row_lattice_basis_spans():

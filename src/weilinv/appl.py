@@ -8,10 +8,17 @@ must come out an integer.  The Jacobi basis reads each fundamental lift
 (fundamental.fundamental_lifts: an overlattice whose dual quotient has
 fundamental p-parts, with the product of the fundamental generators) as
 integer theta coefficients, sorted by the elements of the overlattice's
-subgroup.  Their q-expansions count lattice vectors by Fincke-Pohst
-enumeration in integers only: one exact square completion per coset fixes
-integer weights, so every loop range is exact and no count rests on a
-rounded bound.  Both theta routines use v -> -v, which keeps the
+subgroup.
+
+The theta series of a basis entry is a level-one modular form of weight
+k = n/2, so jacobi_theta enumerates only its first dim M_k + 1
+coefficients, writes the series in the basis E4^a E6^b Delta^j of
+M_k(SL2(Z)) and reads the rest from divisor sums, checking the last
+enumerated coefficient against the prediction.  theta_q_expansion, the
+enumeration itself and the oracle of that route, counts lattice vectors by
+Fincke-Pohst search in integers only: one exact square completion per form
+fixes integer weights for every coset, so every loop range is exact and no
+count rests on a rounded bound.  The search uses v -> -v, which keeps the
 norm and maps gamma + M onto -gamma + M: a coset with 2 gamma in M is
 searched by halves, and one search serves each pair {gamma, -gamma}.
 """
@@ -21,6 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import isqrt, lcm
 
 from . import cyclo
@@ -176,15 +184,45 @@ def jacobi_singular_basis(gram) -> list[JacobiBasisEntry]:
 # ---------------------------------------------------------------------------
 
 
+def check_theta_precision(precision: int) -> None:
+    """Refuse a theta precision outside 0..50 with BoundExceeded."""
+    if not 0 <= precision <= 50:
+        raise BoundExceeded("precision out of the supported range 0..50")
+
+
+@cache
+def _square_completion(qmat: tuple[tuple[int, ...], ...]) -> tuple[tuple, tuple, tuple]:
+    """F = sum d_i y_i^2, y_i = x_i + sum_(j>i) u_ij x_j, for the form F of
+    qmat: each row u_i as integers over one denominator (zero up to i),
+    those denominators, and the d_i.  Raises ValueError, which is not
+    cached, unless every d_i is positive."""
+    n = len(qmat)
+    q = [[Fraction(x) for x in row] for row in qmat]
+    nums, dens, diag = [], [], []
+    for i in range(n):
+        if q[i][i] <= 0:
+            raise ValueError("form is not positive definite")
+        u = [q[i][j] / q[i][i] if j > i else Fraction(0) for j in range(n)]
+        for j in range(i + 1, n):  # complete the square in x_i
+            for k in range(j, n):
+                q[j][k] -= q[i][i] * u[j] * u[k]
+        den = lcm(*(x.denominator for x in u))
+        nums.append(tuple(int(x * den) for x in u))
+        dens.append(den)
+        diag.append(q[i][i])
+    return tuple(nums), tuple(dens), tuple(diag)
+
+
 def _enumerate_norms(qmat: list[list[int]], shift: list[Fraction], bound: int) -> tuple[int, Counter]:
     """Count integer vectors c with F(c + shift) <= bound, F the positive
     definite form of qmat: returns G and the counts keyed by G F(c + shift).
 
-    Square completion gives F = sum d_i y_i^2, y_i = c_i + shift_i +
-    sum_(j>i) u_ij (c_j + shift_j).  Level i gets a scale m_i making t_i =
-    m_i y_i = m_i c_i + C_i integral (C_i is integral in the c_j, j > i) and a
-    weight w_i = G d_i / m_i^2, integral for one denominator G.  So G F = sum
-    w_i t_i^2, and |t_i| <= isqrt(R // w_i) is exact for the budget R left.
+    Square completion (_square_completion, once per qmat) gives F = sum d_i
+    y_i^2, y_i = c_i + shift_i + sum_(j>i) u_ij (c_j + shift_j).  Level i
+    gets a scale m_i making t_i = m_i y_i = m_i c_i + C_i integral (C_i is
+    integral in the c_j, j > i) and a weight w_i = G d_i / m_i^2, integral
+    for one denominator G.  So G F = sum w_i t_i^2, and |t_i| <= isqrt(R //
+    w_i) is exact for the budget R left.
 
     With 2 shift integral, c -> -c - 2 shift maps the search set onto itself
     and every t_i to -t_i, keeping F.  So only t >= 0 is searched: a t > 0
@@ -193,20 +231,17 @@ def _enumerate_norms(qmat: list[list[int]], shift: list[Fraction], bound: int) -
     n = len(qmat)
     if not n:
         return 1, Counter({0: 1})
-    q = [[Fraction(x) for x in row] for row in qmat]
+    nums, dens, diag = _square_completion(tuple(map(tuple, qmat)))
+    shift_den = lcm(*(x.denominator for x in shift))
+    s = [x.numerator * (shift_den // x.denominator) for x in shift]  # shift_den * shift
     m, a, c0, scaled = [], [], [], []
-    for i in range(n):
-        if q[i][i] <= 0:
-            raise ValueError("form is not positive definite")
-        u = [q[i][j] / q[i][i] if j > i else Fraction(0) for j in range(n)]
-        for j in range(i + 1, n):  # complete the square in c_i
-            for k in range(j, n):
-                q[j][k] -= q[i][i] * u[j] * u[k]
-        centre = shift[i] + sum(x * y for x, y in zip(u, shift))
-        m.append(lcm(centre.denominator, *(x.denominator for x in u)))
-        a.append([int(m[i] * x) for x in u])
-        c0.append(int(m[i] * centre))
-        scaled.append(q[i][i] / (m[i] * m[i]))
+    for i, (num, den, d) in enumerate(zip(nums, dens, diag)):
+        centre = Fraction(den * s[i] + sum(x * y for x, y in zip(num, s)), den * shift_den)
+        mi = lcm(centre.denominator, den)
+        m.append(mi)
+        a.append([mi // den * x for x in num])
+        c0.append(mi // centre.denominator * centre.numerator)
+        scaled.append(d / (mi * mi))
     big_g = lcm(*(x.denominator for x in scaled))
     w = [int(big_g * x) for x in scaled]
     top, counts, chosen = big_g * bound, Counter(), [0] * n
@@ -244,8 +279,7 @@ def theta_q_expansion(gram, subgroup_elements, coefficients: dict[Element, int],
     rounded range.  -gamma + M is the negation of gamma + M and has the same
     counts, so v_gamma and v_-gamma are summed and the pair is searched once.
     """
-    if precision < 0 or precision > 50:
-        raise BoundExceeded("precision out of the supported range 0..50")
+    check_theta_precision(precision)
     form = from_gram(gram)
     if form.lattice is None:
         raise ValueError("gram construction did not record lattice data")
@@ -274,4 +308,80 @@ def theta_q_expansion(gram, subgroup_elements, coefficients: dict[Element, int],
         for norm, count in counts.items():
             if norm % step == 0:
                 out[norm // step] += v * count
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Theta series of Jacobi basis entries as level-one modular forms
+# ---------------------------------------------------------------------------
+
+
+def _dim_level_one(k: int) -> int:
+    """dim M_k(SL2(Z)) for an integer weight k >= 0; 0 for odd k and k = 2."""
+    if k % 2 or k == 2:
+        return 0
+    return k // 12 + (k % 12 != 2)
+
+
+@cache
+def _level_one_basis(k: int, precision: int) -> tuple[tuple[int, ...], ...]:
+    """The triangular basis E4^a E6^b Delta^j (4a + 6b + 12j = k, j < dim
+    M_k) of M_k(SL2(Z)), each q^j + O(q^(j+1)), as integer coefficients
+    c(0..precision): E4 = 1 + 240 sum sigma_3(n) q^n, E6 = 1 - 504 sum
+    sigma_5(n) q^n and Delta = (E4^3 - E6^2) / 1728."""
+
+    def eisenstein(r: int, scale: int) -> list[int]:
+        sigma = [0] * (precision + 1)
+        for d in range(1, precision + 1):
+            for n in range(d, precision + 1, d):
+                sigma[n] += d**r
+        return [1] + [scale * x for x in sigma[1:]]
+
+    def mul(f: list[int], g: list[int]) -> list[int]:
+        return [sum(f[i] * g[n - i] for i in range(n + 1)) for n in range(precision + 1)]
+
+    def power(f: list[int], e: int) -> list[int]:
+        out = [1] + [0] * precision
+        for _ in range(e):
+            out = mul(out, f)
+        return out
+
+    e4, e6 = eisenstein(3, 240), eisenstein(5, -504)
+    delta = [(x - y) // 1728 for x, y in zip(power(e4, 3), mul(e6, e6))]
+    basis = []
+    for j in range(_dim_level_one(k)):
+        b = (k - 12 * j) % 4 // 2  # k - 12j is 0 or at least 4, never 2
+        a = (k - 12 * j - 6 * b) // 4
+        basis.append(tuple(mul(mul(power(e4, a), power(e6, b)), power(delta, j))))
+    return tuple(basis)
+
+
+def jacobi_theta(gram, entry: JacobiBasisEntry, precision: int) -> list[int]:
+    """Fourier coefficients c(0..precision) of the theta series of one entry
+    of jacobi_singular_basis(gram), read from M_k(SL2(Z)), k = n/2.
+
+    The entry's lift is an invariant, so its theta series is phi(tau, 0) for
+    a singular-weight Jacobi form phi (Skoruppa), a level-one modular form of
+    weight k, and a form in M_k is fixed by its first d = dim M_k
+    coefficients.  Only c(0..d) are enumerated (theta_q_expansion, the
+    oracle, at precision min(precision, d)); c(0..d-1) are written in the
+    basis of _level_one_basis by forward substitution in integers, which
+    gives every further coefficient.  The enumerated c(d) must equal the
+    predicted one.  For odd k and for k = 2, d = 0: c(0) must be 0, and so
+    is every coefficient.
+    """
+    check_theta_precision(precision)
+    k = entry.rank // 2
+    d = _dim_level_one(k)
+    low = theta_q_expansion(gram, list(entry.subgroup.elements), entry.coefficients, min(precision, d))
+    if precision < d:
+        return low
+    out = [0] * (precision + 1)
+    for j, form in enumerate(_level_one_basis(k, precision)):
+        x = low[j] - out[j]
+        out = [y + x * z for y, z in zip(out, form)]
+    if out[d] != low[d]:
+        raise InternalInconsistency(
+            f"theta modularity check: c({d}) is {low[d]} by enumeration but {out[d]} in M_{k}(SL2(Z))"
+        )
     return out

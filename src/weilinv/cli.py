@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cache
 
 from . import cyclo
-from .appl import dim_s2, dim_s2_trace, jacobi_singular_basis, theta_q_expansion
+from .appl import check_theta_precision, dim_s2, dim_s2_trace, jacobi_singular_basis, jacobi_theta
 from .config import LIMITS, apply_env_overrides
 from .fqm import (
     BoundExceeded,
@@ -167,8 +167,7 @@ def _cmd_s2dim(args) -> dict:
 
 
 def _cmd_jacobi(args) -> dict:
-    if not 0 <= args.precision <= 50:
-        raise BoundExceeded("precision out of the supported range 0..50")
+    check_theta_precision(args.precision)
     if args.gram is None:
         raise SymbolError("jacobi requires a Gram matrix file")
     form, name = _load_form(args)
@@ -182,7 +181,7 @@ def _cmd_jacobi(args) -> dict:
     doc["weight"] = str(Fraction(len(gram), 2))
     doc["basis"] = []
     for e in entries:
-        theta = theta_q_expansion(gram, [list(x) for x in e.subgroup.elements], e.coefficients, args.precision)
+        theta = jacobi_theta(gram, e, args.precision)
         doc["basis"].append(
             {
                 "overlattice_generators": [list(x) for x in e.subgroup.generators],

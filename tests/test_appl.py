@@ -11,12 +11,15 @@ import pytest
 from weilinv import appl
 from weilinv.appl import (
     _enumerate_norms,
+    _level_one_basis,
     dim_s2,
     dim_s2_trace,
     jacobi_singular_basis,
+    jacobi_theta,
     theta_q_expansion,
 )
-from weilinv.fqm import BoundExceeded, from_gram
+from weilinv.cli import main
+from weilinv.fqm import BoundExceeded, InternalInconsistency, from_gram
 from weilinv.induct import isotropic_subgroups
 from weilinv.intmat import rational_inverse
 from weilinv.weil import dim_invariants, rank_of_vectors, rho_S, rho_T
@@ -34,7 +37,9 @@ E8 = [
 
 D4 = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
 
-A2A2A2 = json.loads((Path(__file__).resolve().parent / "gram_A2A2A2.json").read_text())
+TESTS = Path(__file__).resolve().parent
+
+A2A2A2 = json.loads((TESTS / "gram_A2A2A2.json").read_text())
 
 
 def test_jacobi_builds_one_form_per_gram_matrix(monkeypatch):
@@ -105,6 +110,9 @@ def test_e8_theta_is_eisenstein_e4():
     theta = theta_q_expansion(E8, [], {from_gram(E8).zero(): 1}, 8)
     assert theta[0] == 1
     assert theta[1:] == [240 * sum(d**3 for d in range(1, k + 1) if k % d == 0) for k in range(1, 9)]
+    # the modular route, which enumerates only c(0) and c(1), to the full cap
+    (entry,) = jacobi_singular_basis(E8)
+    assert jacobi_theta(E8, entry, 50) == [1] + [240 * _sigma(3, k) for k in range(1, 51)]
 
 
 def test_jacobi_square_diag():
@@ -191,6 +199,11 @@ def test_theta_coset_brute_force():
 def test_theta_precision_bound():
     with pytest.raises(BoundExceeded):
         theta_q_expansion([[2]], [], {(0,): 1}, 200)
+    # the modular route enumerates only to dim M_4 = 1, and still refuses 51
+    (entry,) = jacobi_singular_basis(E8)
+    for precision in (-1, 51):
+        with pytest.raises(BoundExceeded):
+            jacobi_theta(E8, entry, precision)
 
 
 def _random_even_gram(rng, n):
@@ -353,3 +366,96 @@ def test_e8_theta_searches_half_the_tree(monkeypatch):
     monkeypatch.setattr(appl, "isqrt", lambda x: calls.append(x) or isqrt(x))
     assert theta_q_expansion(E8, [], {from_gram(E8).zero(): 1}, 5) == [1, 240, 2160, 6720, 17520, 30240]
     assert len(calls) <= 21_500
+
+
+def test_enumerate_norms_refuses_an_indefinite_form_on_every_call():
+    # the square completion is cached per matrix; its error is raised anew each time
+    for qmat in ([[2, 3], [3, 2]], [[0]], [[2, 3], [3, 2]]):
+        with pytest.raises(ValueError, match="not positive definite"):
+            _enumerate_norms(qmat, [Fraction(0)] * len(qmat), 4)
+
+
+def test_square_completion_runs_once_per_form():
+    form = from_gram(A2A2A2)
+    classes = [el for el in form.isotropic_elements() if el != form.zero()]
+    appl._square_completion.cache_clear()
+    for el in classes:
+        theta_q_expansion(A2A2A2, [], {el: 1}, 2)
+    assert appl._square_completion.cache_info().misses == 1
+    assert appl._square_completion.cache_info().hits == len(classes) - 1
+
+
+def _block_gram(block, copies):
+    m = len(block)
+    return [[block[i % m][j % m] if i // m == j // m else 0 for j in range(m * copies)] for i in range(m * copies)]
+
+
+def _sigma(r, n):
+    return sum(d**r for d in range(1, n + 1) if n % d == 0)
+
+
+def test_level_one_basis_has_the_known_expansions():
+    tau = [0, 1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643]  # Ramanujan's tau(n)
+    e4 = [1] + [240 * _sigma(3, n) for n in range(1, 10)]
+    e6 = [1] + [-504 * _sigma(5, n) for n in range(1, 10)]
+    assert _level_one_basis(4, 9) == (tuple(e4),)
+    assert _level_one_basis(6, 9) == (tuple(e6),)
+    assert _level_one_basis(12, 9)[1] == tuple(tau)
+    assert _level_one_basis(0, 9) == ((1,) + (0,) * 9,)
+    for k in range(0, 60):
+        # dim M_k: 0 for odd k and k = 2, else k // 12, plus 1 unless k = 2 mod 12
+        dim = 0 if k % 2 or k == 2 else k // 12 + (k % 12 != 2)
+        basis = _level_one_basis(k, 8)
+        assert len(basis) == dim, k
+        for j, f in enumerate(basis):
+            assert f[: j + 1] == (0,) * j + (1,), (k, j)
+
+
+# the golden Gram matrices at their golden precisions (4I4 has no entry),
+# then three rank-8 lattices with 8, 6 and 30 entries
+JACOBI_ORACLE_CASES = [
+    *((name, json.loads((TESTS / f"gram_{name}.json").read_text()), p)
+      for name, p in [("E8", 5), ("A2A2A2", 8), ("D8E6A2", 0), ("4I4", 3)]),
+    ("A2^4", _block_gram([[2, -1], [-1, 2]], 4), 6),
+    ("D4+D4", _block_gram(D4, 2), 6),
+    ("A1^8", _block_gram([[2]], 8), 6),
+]
+
+
+@pytest.mark.parametrize("name,gram,precision", JACOBI_ORACLE_CASES, ids=[c[0] for c in JACOBI_ORACLE_CASES])
+def test_modular_theta_equals_the_full_enumeration(name, gram, precision):
+    for entry in jacobi_singular_basis(gram):
+        full = theta_q_expansion(gram, list(entry.subgroup.elements), entry.coefficients, precision)
+        assert jacobi_theta(gram, entry, precision) == full, (name, entry.subgroup.generators)
+
+
+def test_modularity_guard_names_its_check(monkeypatch):
+    original = _level_one_basis
+
+    def corrupt(k, precision):
+        basis = [list(f) for f in original(k, precision)]
+        basis[0][1] += 1
+        return tuple(map(tuple, basis))
+
+    monkeypatch.setattr(appl, "_level_one_basis", corrupt)
+    (entry,) = jacobi_singular_basis(E8)
+    with pytest.raises(InternalInconsistency, match="theta modularity check"):
+        jacobi_theta(E8, entry, 5)
+    monkeypatch.undo()
+    # d = 0 (weight 3): a nonzero c(0) cannot be a form of M_3
+    monkeypatch.setattr(appl, "theta_q_expansion", lambda *args: [1])
+    (entry,) = jacobi_singular_basis(A2A2A2)
+    with pytest.raises(InternalInconsistency, match="theta modularity check"):
+        jacobi_theta(A2A2A2, entry, 5)
+
+
+@pytest.mark.parametrize("name", ["E8", "D4D4D4"])
+def test_jacobi_precision_does_not_drive_the_search(name, monkeypatch):
+    searches = []
+    monkeypatch.setattr(appl, "_enumerate_norms", lambda *args: searches.append(args) or _enumerate_norms(*args))
+    found = {}
+    for precision in ("1", "50"):
+        del searches[:]
+        assert main(["jacobi", "--precision", precision, "--gram", str(TESTS / f"gram_{name}.json")]) == 0
+        found[precision] = list(searches)
+    assert found["1"] == found["50"] and found["1"]

@@ -251,8 +251,8 @@ def test_recursion_error_outside_the_gram_parser_is_not_mapped(monkeypatch):
 
 @pytest.mark.parametrize("precision", ["-1", "51", "60"])
 def test_jacobi_precision_is_checked_before_any_work(precision, tmp_path, monkeypatch):
-    """[[2,1],[1,2]] has no singular-weight basis, so theta_q_expansion,
-    which checks the range too, is never reached for it."""
+    """[[2,1],[1,2]] has no singular-weight basis, so jacobi_theta and
+    theta_q_expansion, which check the range too, are never reached for it."""
     path = tmp_path / "gram.json"
     path.write_text("[[2,1],[1,2]]")
     status, out = run_cli(["jacobi", "--precision", precision, "--gram", str(path)])

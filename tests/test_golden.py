@@ -14,7 +14,9 @@ recorded while theta enumeration still counted every vector of both
 cosets of each {gamma, -gamma} pair; the 3^+4.5^+2 and 2_II^+6.3^-2
 `induced-basis` and the D8+E6+A2 `jacobi` digests were recorded while
 invariant_generators still tensored the p-parts' generators by a route of
-its own, beside fundamental_lifts.  A refactor that keeps every result
+its own, beside fundamental_lifts; the D4+D4+D4 `jacobi` digest was
+recorded while every theta coefficient up to the precision was still
+counted by enumeration, before the series were read from M_k(SL2(Z)).  A refactor that keeps every result
 exact keeps every digest; a digest that changes means some output changed.
 """
 
@@ -54,6 +56,8 @@ GOLDEN = [
     (["induced-basis", "--check", "--symbol", "3^+4.5^+2"], "a614da246ea324ef9f4c5182ae018f624e2cab95ace069423b75cc6050f50168"),
     (["induced-basis", "--check", "--symbol", "2_II^+6.3^-2"], "c9e9a7e692777e9aeea6833684b67326b731fb567381f0961bc3ab30e486b892"),
     (["jacobi", "--precision", "0", "--gram", "tests/gram_D8E6A2.json"], "038ab9c70fea2c85f79ee8186ae6b4512bae71e86a046738f3bb71aeb71992eb"),
+    # 27 entries of weight 6, each extended past c(1) by E6
+    (["jacobi", "--precision", "2", "--gram", "tests/gram_D4D4D4.json"], "cc08fa1c27bc8a0fc7b8ca7d7f456195b975674183945c5a56836415a219a005"),
 ]
 
 

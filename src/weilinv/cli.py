@@ -31,14 +31,13 @@ from .fqm import (
 from .fundamental import integer_normalize, invariant_basis, invariant_generators, invariant_projection
 from .weil import (
     OddSignatureError,
-    Vec,
+    check_invariant_basis,
     dim_closed_form,
     dim_invariants,
     inv,
     projection_closed_form,
     rank_of_vectors,
-    rho_S,
-    rho_T,
+    rho_s_squared_failure,
 )
 
 EXIT_OK = 0
@@ -223,20 +222,18 @@ def _verify_battery(form: DiscriminantForm) -> list[dict]:
     )
 
     if form.signature() % 2 == 0:
-        ok = True
-        detail = None
-        for gamma in els[: min(len(els), 12)]:
-            v = Vec.basis(form, gamma)
-            if rho_S(rho_S(v)) != Vec(form, {form.neg(gamma): cyclo.e_of(Fraction(form.signature(), 4))}):
-                ok, detail = False, list(gamma)
-                break
-        record("rho-S-squared-is-Z", ok, detail)
+        bad = rho_s_squared_failure(form, els[: min(len(els), 12)])
+        record("rho-S-squared-is-Z", bad is None, None if bad is None else list(bad))
 
         iso = form.isotropic_elements()
         sample = iso[: min(len(iso), 6)]
         projected = [invariant_projection(form, g) for g in sample]
         record("inv-idempotent", all(invariant_projection(form, v) == v for v in projected))
-        record("inv-image-fixed", all(rho_S(v) == v and rho_T(v) == v for v in projected))
+        rows = [cyclo.integer_multiple(v.coeffs) for v in projected]  # rho fixes v exactly when it fixes these
+        try:
+            record("inv-image-fixed", None not in rows and check_invariant_basis(form, rows) is None)
+        except InternalInconsistency:
+            record("inv-image-fixed", False)
         # the first projection a second way: weil.inv, the average over the cusps
         record("cusp-partition", inv(form, sample[0]) == projected[0])
         if form.symbol is not None:

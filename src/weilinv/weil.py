@@ -45,19 +45,19 @@ Z[zeta_N] the Gauss sum (Milgram), so k S letters contribute G^k/|D|^k;
 exponents of +- roots of unity count over lcm(2, N).  Inside a word a
 coefficient is an element of Z[x]/(x^u - 1), x = zeta_u, u a multiple of
 the level, as u non-negative digits packed into one int (Kronecker
-substitution): an entry holds C blocks, one per input column, digit e of
-block c at bit (c*u + e)*B.  zeta_u^j rotates every block by j*B bits (two
-masks per j); rho(S) without its scalar is a mixed-radix character
-transform, one generator axis at a time, of rotations and int sums; an S S
-pair multiplies by |D|.  An S letter sums at most |D| digits into one, so no
-digit carries when B is the bit length of c0 * terms * |D|^s, c0 the largest
-input digit, `terms` the images summed and s the S letters.  A Cyclo is
-integer power-basis coordinates over one denominator: a coordinate c of
-zeta_m^e enters at digit e*u/m, over the common denominator, and -c as c at
-digit e*u/m + u/2 (u even, x^(u/2) = -1 modulo Phi_u).  The images of the
-words with k S letters are summed, unpacked once, multiplied by the
-coordinates of G^k and leave through the Cyclo constructor at the order u
-over |D|^k, which reduces modulo Phi_u and divides out the gcd.
+substitution), and only _Codec knows the layout: an entry holds C blocks,
+one per input column, of u digits of B bits, each block in whole bytes.
+zeta_u^j rotates every block by j*B bits (two masks per j); rho(S) without
+its scalar G/|D| is a mixed-radix character transform, one generator axis
+at a time, of rotations and int sums; an S S pair multiplies by |D|.  The
+width rule: an S transform sums at most |D| digits into one, so no digit
+carries when B is the bit length of top * terms * |D|^k, top the largest
+input digit, `terms` the images summed and k the scalar-free S transforms.
+The sign rule: a coordinate c of zeta_m^e enters at digit e*u/m, and -c as
+c at digit e*u/m + u/2 (u even, x^(u/2) = -1 modulo Phi_u).  A block is
+read as its digits reduced modulo Phi_u, once per distinct block.  The
+images of the words with k S letters are summed, read, multiplied by the
+coordinates of G^k and leave as Cyclo values at the order u over |D|^k.
 """
 
 from __future__ import annotations
@@ -274,17 +274,6 @@ def _word_tables(form: DiscriminantForm):
     return form.memo("word_tables", build)
 
 
-# Inside a word an entry is a packed int (module docstring), 0 for zero; the
-# S scalars G/|D| are left out of the letters and multiplied in once, as
-# G^k/|D|^k, when the word is done.
-
-
-def _rot(x: list[int], k: int) -> list[int]:
-    """x * zeta_u^k, u = len(x); x itself when k = 0 (no list is changed in place)."""
-    k %= len(x)
-    return x[-k:] + x[:-k] if k else x
-
-
 def _gauss_power(form: DiscriminantForm, k: int, u: int) -> dict[int, int]:
     """G^k = sum c zeta_u^e over {e: c} (memoized), G = sum_gamma e(q(gamma))
     = sqrt|D| e(sig/8) (Milgram), u a multiple of the level: the k-th power
@@ -307,30 +296,56 @@ def _gauss_power(form: DiscriminantForm, k: int, u: int) -> dict[int, int]:
 
 
 def _times(x: list[int], terms: dict[int, int], f: int) -> list[int]:
-    """f x sum c zeta_u^e over terms, in Z[x]/(x^u - 1), u = len(x)."""
-    out = [[f * c * v for v in _rot(x, e)] for e, c in terms.items()]
+    """f x sum c zeta_u^e over terms, 0 <= e < u, in Z[x]/(x^u - 1), u = len(x)."""
+    out = [[f * c * v for v in x[len(x) - e :] + x[: len(x) - e]] for e, c in terms.items()]
     return out[0] if len(out) == 1 else list(map(sum, zip(*out)))
 
 
-def _rotations(u: int, bits: int, blocks: int) -> tuple[tuple[int, int, int, int], ...]:
-    """(low, high, up, down) per j: x * zeta_u^j in every block is
-    ((x & low) << up) | ((x & high) >> down), low the digits below u - j."""
-    ones = sum(1 << c * u * bits for c in range(blocks))
-    lows = [ones * ((1 << (u - j) * bits) - 1) for j in range(u)]
-    return tuple((low, lows[0] ^ low, j * bits, (u - j) * bits) for j, low in enumerate(lows))
+class _Codec(dict):
+    """The packed layout of `blocks` columns (module docstring): B bits per
+    digit by the width rule, block c from byte c * size; rot, the rotation
+    masks.  As a dict: the bytes of a block read -> its u digits mod Phi_u."""
+
+    def __init__(self, form: DiscriminantForm, u: int, blocks: int, top: int = 1, terms: int = 1, k: int = 0):
+        self.u, self.blocks, self.bits = u, blocks, (top * terms * form.order**k).bit_length()
+        self.size = -(-u * self.bits // 8)
+        self.rot = self._rotations(u, self.bits)
+
+    def _rotations(self, u: int, bits: int) -> tuple[tuple[int, int, int, int], ...]:
+        """(low, high, up, down) per j: x * zeta_u^j in every block is
+        ((x & low) << up) | ((x & high) >> down), low the digits below u - j."""
+        ones = sum(1 << 8 * self.size * c for c in range(self.blocks))
+        lows = [ones * ((1 << (u - j) * bits) - 1) for j in range(u)]
+        return tuple((low, lows[0] ^ low, j * bits, (u - j) * bits) for j, low in enumerate(lows))
+
+    def pack(self, n: int, terms) -> list[int]:
+        """n entries from (index, block, exponent, coefficient) terms, by the sign rule."""
+        data, half = [0] * n, self.u // 2
+        for i, c, e, x in terms:
+            data[i] += abs(x) << 8 * self.size * c + (e + (x < 0) * half) % self.u * self.bits
+        return data
+
+    def unpack(self, raw: bytes) -> list[int]:
+        """The u digits of a block, from its bytes."""
+        y, mask = int.from_bytes(raw, "little"), (1 << self.bits) - 1
+        return [y >> e & mask for e in range(0, self.u * self.bits, self.bits)]
+
+    def __missing__(self, raw: bytes) -> tuple[int, ...]:
+        digits = cyclo.reduce_mod_phi(self.u, self.unpack(raw))
+        self[raw] = value = (*digits, *[0] * (self.u - len(digits)))
+        return value
+
+    def read(self, x: int) -> list:
+        """The blocks of the entry x, each distinct block unpacked and reduced once."""
+        size = self.size
+        raw = x.to_bytes(size * self.blocks, "little")
+        return [self[raw[k : k + size]] for k in range(0, len(raw), size)]
 
 
-def _unpack(x: int, u: int, bits: int, blocks: int) -> list[list[int] | None]:
-    """The digit lists of the blocks of x, None for a zero block."""
-    mask = (1 << bits) - 1
-    digits = [x >> e & mask for e in range(0, u * bits * blocks, bits)]
-    return [d if any(d) else None for d in (digits[c * u : c * u + u] for c in range(blocks))]
-
-
-def _apply_s_ints(form: DiscriminantForm, tab, data: list[int], rot) -> list[int]:
+def _apply_s_ints(form: DiscriminantForm, tab, data: list[int], codec: _Codec) -> list[int]:
     """rho(S) without its scalar: per-axis character sums of rotations,
     then the frequency reindexing."""
-    n, u = form.order, len(rot)
+    n, u, rot = form.order, codec.u, codec.rot
     for d, stride, picks in zip(form.orders, form._strides, tab["picks"]):
         masks = [rot[r * u // d] for r in range(1, d)]  # x * zeta_d^r
         out = [0] * n
@@ -348,12 +363,11 @@ def _apply_s_ints(form: DiscriminantForm, tab, data: list[int], rot) -> list[int
     return [data[i] for i in tab["freq_index"]]
 
 
-def _apply_word_packed(form: DiscriminantForm, tab, tokens, data: list[int], rot) -> list[int]:
-    """The word right to left on packed entries, rot = _rotations(u, B, C),
-    without the scalars of its S letters.  Two adjacent S letters are
-    rho(-1), e(sig/4) times the negation e^gamma -> e^-gamma: without their
-    scalars, |D| times the negation."""
-    u = len(rot)
+def _apply_word_packed(form: DiscriminantForm, tab, tokens, data: list[int], codec: _Codec) -> list[int]:
+    """The word right to left on packed entries, without the scalars of its
+    S letters.  Two adjacent S letters are rho(-1), e(sig/4) times the
+    negation e^gamma -> e^-gamma: without their scalars, |D| times it."""
+    u, rot = codec.u, codec.rot
     step = u // form.level()
     i = len(tokens)
     while i:
@@ -365,7 +379,7 @@ def _apply_word_packed(form: DiscriminantForm, tab, tokens, data: list[int], rot
             i -= 1
             data = [data[j] * form.order for j in tab["neg_index"]]
         else:
-            data = _apply_s_ints(form, tab, data, rot)
+            data = _apply_s_ints(form, tab, data, codec)
     return data
 
 
@@ -373,34 +387,31 @@ def _apply_words(form: DiscriminantForm, words, columns: list[dict[int, Cyclo]],
     """weight times the sum of rho(word) over the token tuples in words, on
     each column, a map from element index to Cyclo: one Vec per column, each
     packed as one block over u = lcm(N, the orders of its values), even if
-    a coordinate is negative (module docstring).  The images of the words
-    with k S letters are summed, unpacked once and scaled by G^k/|D|^k."""
+    a coordinate is negative.  The images of the words with k S letters are
+    summed, read once and scaled by G^k/|D|^k."""
     tab, els, n = _word_tables(form), form.elements(), form.order
     values = [c for col in columns for c in col.values()]
     u = lcm(form.level(), *(c.order for c in values))
     u, den = lcm(2, u) if any(x < 0 for c in values for x in c.num) else u, lcm(*(c.den for c in values))
-    terms = [  # (index, digit position, digit)
-        (i, b * u + (e * (u // c.order) + (x < 0) * u // 2) % u, abs(x) * (den // c.den))
+    terms = [  # (index, block, exponent over u, coefficient)
+        (i, b, e * (u // c.order), x * (den // c.den))
         for b, col in enumerate(columns) for i, c in col.items() for e, x in enumerate(c.num) if x
     ]
-    top = max((x for _, _, x in terms), default=1)
+    top = max((abs(x) for *_, x in terms), default=1)
     by_count = defaultdict(list)
     for tokens in words:
         by_count[sum(kind == "S" for kind, _ in tokens)].append(tokens)
     last = max(by_count, default=0)
     weight, totals = Fraction(weight, den * n**last), [[None] * n for _ in columns]
     for k, group in by_count.items():
-        bits = (top * len(group) * n**k).bit_length()
-        data = [0] * n
-        for i, pos, x in terms:
-            data[i] += x << pos * bits
-        rot, acc = _rotations(u, bits, len(columns)), [0] * n
+        codec = _Codec(form, u, len(columns), top, len(group), k)
+        data, acc = codec.pack(n, terms), [0] * n
         for tokens in group:
-            acc = list(map(add, acc, _apply_word_packed(form, tab, tokens, data, rot)))
+            acc = list(map(add, acc, _apply_word_packed(form, tab, tokens, data, codec)))
         gauss, f = _gauss_power(form, k, u), weight.numerator * n ** (last - k)
         for i, x in enumerate(acc):
-            for total, y in zip(totals, _unpack(x, u, bits, len(columns)) if x else ()):
-                if y is not None:
+            for total, y in zip(totals, codec.read(x) if x else ()):
+                if any(y):
                     y = _times(y, gauss, f)
                     total[i] = y if total[i] is None else list(map(add, total[i], y))
     return [Vec(form, {els[i]: Cyclo(u, t, weight.denominator) for i, t in enumerate(total) if t}) for total in totals]
@@ -599,29 +610,24 @@ def _cusps(n: int) -> tuple[Cusp, ...]:
 def _e0_column(part: DiscriminantForm, word: SL2Word) -> tuple[Cyclo, dict[int, int]]:
     """rho_part(M) e^0 for M = word.target as (s, {index: k}): the entry at
     each support index is s * zeta_w^k, w = lcm(2, u) = s.order, u the
-    level, s being the first nonzero entry.  The one word application per
-    (part, word), memoized on the shared part.  The entries share the S
-    scalar, so each integer image, reduced modulo Phi_u, is looked up among
-    the +- rotations of the first; only that first entry is scaled into a
-    Cyclo, by G^k/|D|^k."""
+    level, s the first nonzero entry, found among the read +- rotations of
+    the first.  Memoized on the shared part, whose words with k S letters
+    share one codec, so each distinct block is reduced once per part."""
 
     def build():
         tab, u, k = _word_tables(part), part.level(), sum(kind == "S" for kind, _ in word.tokens)
-        w, bits = lcm(2, u), (part.order**k).bit_length()
-        packed = _apply_word_packed(part, tab, word.tokens, [1] + [0] * (part.order - 1), _rotations(u, bits, 1))
-        image = [_unpack(x, u, bits, 1)[0] if x else None for x in packed]
-        reduced = ((i, tuple(cyclo.reduce_mod_phi(u, x))) for i, x in enumerate(image) if x is not None)
-        support = [(i, x) for i, x in reduced if any(x)]
-        i0 = support[0][0]
-        rotations: dict[tuple, int] = {}  # +- zeta_u^j x_0, reduced -> its exponent over w
-        for j in range(u):
-            r = cyclo.reduce_mod_phi(u, _rot(image[i0], j))
-            rotations.setdefault(tuple(r), j * w // u)
+        w, codec = lcm(2, u), part.memo(("e0_codec", k), lambda: _Codec(part, u, 1, k=k))
+        packed = _apply_word_packed(part, tab, word.tokens, codec.pack(part.order, [(0, 0, 0, 1)]), codec)
+        support = [(i, y) for i, y in ((i, codec.read(x)[0]) for i, x in enumerate(packed) if x) if any(y)]
+        x0, rotations = packed[support[0][0]], {}  # +- zeta_u^j x0, reduced -> its exponent over w
+        for j, (lo, hi, a, b) in enumerate(codec.rot):
+            r = codec.read(((x0 & lo) << a) | ((x0 & hi) >> b))[0]
+            rotations.setdefault(r, j * w // u)
             rotations.setdefault(tuple(-c for c in r), (j * w // u + w // 2) % w)
-        exps = {i: rotations.get(x) for i, x in support}
+        exps = {i: rotations.get(y) for i, y in support}
         if None in exps.values():
             raise InternalInconsistency(f"cusp column check: rho(M) e^0 on {part!r} is not s times roots of unity")
-        return Cyclo(u, _times(image[i0], _gauss_power(part, k, u), 1), part.order**k).to_order(w), exps
+        return Cyclo(u, _times(support[0][1], _gauss_power(part, k, u), 1), part.order**k).to_order(w), exps
 
     return part.memo(("e0_col", word.tokens), build)
 
@@ -782,18 +788,31 @@ def dim_invariants(form: DiscriminantForm) -> int:
     return form.memo(("dim",), build)
 
 
+def _s_mismatches(form: DiscriminantForm, u: int, k: int, columns: list[dict[int, int]], images, scalar: Cyclo):
+    """(i, c) for each element index i where k scalar-free S transforms of
+    column c, a map index -> int, differ from scalar times the map images[c]."""
+    tab, s = _word_tables(form), scalar.to_order(u).num
+    s += (0,) * (u - len(s))  # u digits, as _Codec reads a block
+    codec = _Codec(form, u, len(columns), max((abs(x) for col in columns for x in col.values()), default=1), 1, k)
+    data = codec.pack(form.order, [(i, c, 0, x) for c, col in enumerate(columns) for i, x in col.items()])
+    for _ in range(k):
+        data = _apply_s_ints(form, tab, data, codec)
+    times = {x: tuple(x * g for g in s) for x in {0, *(x for image in images for x in image.values())}}
+    want = [[times[0]] * len(columns) for _ in data]
+    for c, image in enumerate(images):
+        for i, x in image.items():
+            want[i][c] = times[x]
+    for i, x in enumerate(data):
+        got = codec.read(x)
+        if got != want[i]:
+            yield from ((i, c) for c, (a, b) in enumerate(zip(got, want[i])) if a != b)
+
+
 def check_invariant_basis(form: DiscriminantForm, vectors: list[dict[Element, int]]) -> None:
     """Raise InternalInconsistency("basis invariance check: ...") unless rho
-    fixes every vector, a map element -> integer coefficient.  rho(T) fixes
-    a vector exactly when its support is isotropic.  For rho(S) the vectors
-    are packed one block each, a coefficient -v as v at digit u/2,
-    u = lcm(2, N), with digits of whole bytes; one S transform without its
-    scalar gives X, and rho(S) b = b reads X = conj(G) b entry by entry,
-    G = sum_gamma e(q(gamma)) = sqrt|D| e(sig/8) the Gauss sum (Milgram),
-    from _gauss_power.  Both sides are compared as integer digits folded by
-    x^(u/2) = -1 and reduced modulo Phi_u: each block of X is read as a byte
-    string, and each distinct byte string is folded once, to the multiple of
-    conj(G) it equals (None when it is none)."""
+    fixes every vector b, a map element -> integer coefficient: rho(T) does
+    when its support is isotropic, rho(S) when one S transform without its
+    scalar gives conj(G) b, G from _gauss_power, read through _Codec."""
     iso = set(form.isotropic_elements())
     for i, v in enumerate(vectors):
         if not iso.issuperset(v):
@@ -801,43 +820,23 @@ def check_invariant_basis(form: DiscriminantForm, vectors: list[dict[Element, in
     if not vectors:
         return
     _require_even(form)
-    tab, u = _word_tables(form), lcm(2, form.level())
-    half = u // 2
-    ints = [{form.index(el): x for el, x in v.items()} for v in vectors]
-    width = -(-(max((abs(x) for v in ints for x in v.values()), default=1) * form.order).bit_length() // 8)
-    bits = 8 * width
-    data = [0] * form.order
-    for c, v in enumerate(ints):
-        for i, x in v.items():
-            data[i] |= abs(x) << (c * u + (x < 0) * half) * bits
-    image = _apply_s_ints(form, tab, data, _rotations(u, bits, len(ints)))
+    u, ints = lcm(2, form.level()), [{form.index(el): x for el, x in v.items()} for v in vectors]
+    for i, c in _s_mismatches(form, u, 1, ints, ints, Cyclo(u, _gauss_power(form, 1, u)).conjugate()):
+        raise InternalInconsistency(f"basis invariance check: rho(S) moves vector {c} at {form.elements()[i]}")
 
-    def fold(x: list[int]) -> list[int]:
-        return cyclo.reduce_mod_phi(u, [a - b for a, b in zip(x[:half], x[half:])])
 
-    gauss = list(Cyclo(u, _gauss_power(form, 1, u)).conjugate().num)
-    lead, block = next(k for k, g in enumerate(gauss) if g), u * width
-
-    class Multiples(dict):  # the byte string of a block -> the multiple of conj(G) it folds to, or None
-        def __missing__(self, raw: bytes) -> int | None:
-            y = fold([int.from_bytes(raw[k : k + width], "little") for k in range(0, block, width)])
-            m, r = divmod(y[lead], gauss[lead])
-            if r or y != [m * g for g in gauss]:
-                m = None
-            self[raw] = m
-            return m
-
-    multiples, size = Multiples({bytes(block): 0}), block * len(ints)
-    expected = [[0] * len(ints) for _ in image]
-    for c, v in enumerate(ints):
-        for i, x in v.items():
-            expected[i][c] = x
-    for i, (x, want) in enumerate(zip(image, expected)):
-        raw = x.to_bytes(size, "little")
-        got = [multiples[raw[k : k + block]] for k in range(0, size, block)]
-        if got != want:
-            c = next(c for c, (a, b) in enumerate(zip(got, want)) if a != b)
-            raise InternalInconsistency(f"basis invariance check: rho(S) moves vector {c} at {form.elements()[i]}")
+def rho_s_squared_failure(form: DiscriminantForm, gammas: list[Element]) -> Element | None:
+    """A gamma of gammas with rho(S)^2 e^gamma != e(sig/4) e^-gamma, or None.
+    rho(S) = G/|D| S0, so this needs G^2 = |D| e(sig/4), as G*G and as the
+    scalar of two S letters from _gauss_power, and S0 S0 e^gamma = |D| e^-gamma
+    by two S transforms (not the S S pair of _apply_word_packed, which assumes it)."""
+    _require_even(form)
+    u, n = form.level(), form.order
+    g = Cyclo(u, _gauss_power(form, 1, u))
+    if not g * g == Cyclo(u, _gauss_power(form, 2, u)) == n * e_of(Fraction(form.signature(), 4)):
+        return gammas[0] if gammas else None
+    columns, images = [{form.index(x): 1} for x in gammas], [{form.index(form.neg(x)): n} for x in gammas]
+    return next((gammas[c] for _, c in _s_mismatches(form, u, 2, columns, images, cyclo.ONE)), None)
 
 
 # ---------------------------------------------------------------------------

@@ -334,6 +334,65 @@ def test_cusp_partition_can_fail(monkeypatch):
     assert checks["polarization-identity"] is True
 
 
+def _verify_checks(symbol):
+    status, out = run_cli(["verify", "--symbol", symbol])
+    return status, {c["property"]: c["pass"] for c in json.loads(out)["checks"]}
+
+
+def test_rho_s_squared_can_fail_on_the_s_transform(monkeypatch):
+    """With two frequencies of the S transform of 3^-2 swapped, S0 S0 e^gamma
+    is no longer |D| e^-gamma for every gamma, and rho-S-squared-is-Z fails
+    on the integer kernel.  Only this form is built, on fresh memos, and
+    only its tables are changed."""
+    from weilinv import weil
+
+    form = from_jordan_symbol("3^-2")
+    monkeypatch.setattr(form, "_caches", {})
+    original = weil._word_tables
+
+    def swapped(f):
+        tab = original(f)
+        if f is not form:
+            return tab
+        freq = list(tab["freq_index"])
+        freq[1], freq[2] = freq[2], freq[1]
+        return {**tab, "freq_index": freq}
+
+    monkeypatch.setattr(weil, "_word_tables", swapped)
+    status, checks = _verify_checks("3^-2")
+    assert status == 1 and checks["rho-S-squared-is-Z"] is False
+
+
+def test_rho_s_squared_can_fail_on_the_s_scalar(monkeypatch):
+    """With the scalar G^2 of two S letters of 3^-2 negated, the S transforms
+    are right but G^2 is not |D| e(sig/4), and rho-S-squared-is-Z fails:
+    the check reads the kernel's scalar, not the milgram-gauss-sum check."""
+    from weilinv import weil
+
+    form = from_jordan_symbol("3^-2")
+    monkeypatch.setattr(form, "_caches", {})
+    original = weil._gauss_power
+
+    def negated(f, k, u):
+        out = original(f, k, u)
+        return {e: -c for e, c in out.items()} if f is form and k == 2 else out
+
+    monkeypatch.setattr(weil, "_gauss_power", negated)
+    status, checks = _verify_checks("3^-2")
+    assert status == 1 and checks["rho-S-squared-is-Z"] is False
+    assert checks["milgram-gauss-sum"] is True
+
+
+def test_inv_image_fixed_can_fail(monkeypatch):
+    """With the projection replaced by the identity, e^gamma for isotropic
+    gamma is fixed by rho(T) but not by rho(S), and inv-image-fixed fails
+    on the integer kernel; the identity is still idempotent."""
+    monkeypatch.setattr(cli, "invariant_projection", lambda form, v: Vec.basis(form, v) if isinstance(v, tuple) else v)
+    status, checks = _verify_checks("3^-2")
+    assert status == 1 and checks["inv-image-fixed"] is False
+    assert checks["inv-idempotent"] is True and checks["rho-S-squared-is-Z"] is True
+
+
 def test_output_is_deterministic():
     outs = {run_cli(["invariants", "--symbol", "2_II^+2"])[1] for _ in range(3)}
     assert len(outs) == 1

@@ -16,7 +16,10 @@ cosets of each {gamma, -gamma} pair; the 3^+4.5^+2 and 2_II^+6.3^-2
 invariant_generators still tensored the p-parts' generators by a route of
 its own, beside fundamental_lifts; the D4+D4+D4 `jacobi` digest was
 recorded while every theta coefficient up to the precision was still
-counted by enumeration, before the series were read from M_k(SL2(Z)).  A refactor that keeps every result
+counted by enumeration, before the series were read from M_k(SL2(Z)); the
+7^-4, 3^-2.5^+2 and 16_II^+2 `verify` digests were recorded while verify
+still checked rho(S)^2 and the fixed projections through the public rho,
+one Cyclo per entry, before it read them off the packed integer kernel.  A refactor that keeps every result
 exact keeps every digest; a digest that changes means some output changed.
 """
 
@@ -41,6 +44,10 @@ GOLDEN = [
     (["dim", "--check", "--symbol", "3^-2"], "b59ce5b18ffa4e1edc0f46d63ff31c0bed7d768a59b1b714ab38162d0f86feac"),
     (["dim", "--check", "--symbol", "5^-3"], "ba6e7c49eda1f569412bf0857b2054449288f2c91851bda57aa105b7a0159967"),
     (["verify", "--symbol", "2_0^+2"], "e3244c6f5c49ecf6a3a261ee7c6c149b048bc78db78ca5c9411cfe1f1fb580bb"),
+    # verify's rho checks: S^2 = Z and the projections fixed by rho, at prime, composite and 2-power level
+    (["verify", "--symbol", "7^-4"], "2655d8f4fe1b4bd140be81e4a2fb44627f9fed43f2c150240eb3c69a283ce080"),
+    (["verify", "--symbol", "3^-2.5^+2"], "0628711b6db091443d864dfb279e00714e0feae7d095206bfe6097ada9a77ab6"),
+    (["verify", "--symbol", "16_II^+2"], "fda4eb694ec3d5d3bb4f6bc1194a7796c1b9981eac5cb5f0d1a31f102f7bc38e"),
     # the document embeds the --gram path, so it is given relative to the repository root
     (["jacobi", "--precision", "3", "--gram", "tests/gram_4I4.json"], "de568cf153571a788f9d1a9a01bed6732c9e8c29b5d727fcb6427c1e09ddc7be"),
     # theta series: the zero coset of E8, and one entry on 8 cosets of A2+A2+A2 (pairs gamma, -gamma)

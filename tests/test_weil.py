@@ -1030,9 +1030,9 @@ def _count_words(monkeypatch):
     calls = []
     original = weil._apply_word_packed
 
-    def counting(part, tab, tokens, data, rot):
+    def counting(part, tab, tokens, data, codec):
         calls.append(part)
-        return original(part, tab, tokens, data, rot)
+        return original(part, tab, tokens, data, codec)
 
     monkeypatch.setattr(weil, "_apply_word_packed", counting)
     return calls
@@ -1082,14 +1082,13 @@ def test_cusp_column_guard(monkeypatch):
 
 def _doubling_last_entry(original):
     """original (_apply_word_packed) with the last entry of each one-block
-    image whose digits are nonzero modulo Phi_u doubled, u = len(rot), if
+    image that is nonzero modulo Phi_u doubled, as the codec reads it, if
     there are two such entries: the e^0 column is then not one scalar
     times roots of unity."""
 
-    def corrupted(part, tab, tokens, data, rot):
-        image = original(part, tab, tokens, data, rot)
-        u, bits = len(rot), rot[0][3] // len(rot)
-        support = [i for i, x in enumerate(image) if x and any(cyclo.reduce_mod_phi(u, weil._unpack(x, u, bits, 1)[0]))]
+    def corrupted(part, tab, tokens, data, codec):
+        image = original(part, tab, tokens, data, codec)
+        support = [i for i, x in enumerate(image) if x and any(codec.read(x)[0])]
         if len(support) > 1:
             image[support[-1]] *= 2
         return image

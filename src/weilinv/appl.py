@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import isqrt, lcm
+from operator import mul
 
 from . import cyclo
 from .arith import legendre
@@ -289,10 +290,10 @@ def theta_q_expansion(gram, subgroup_elements, coefficients: dict[Element, int],
     rows = [[denom * (i == j) for j in range(n)] for i in range(n)] + [[int(x * denom) for x in vec] for vec in lifts]
     basis = row_lattice_basis(rows, n)  # basis of denom * M
     binv = rational_inverse(basis)
-    qmat = [
-        [sum(basis[i][a] * gram[a][b] * basis[j][b] for a in range(n) for b in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
+    binv_den = lcm(*(x.denominator for row in binv for x in row))
+    binv_cols = [[int(row[b] * binv_den) for row in binv] for b in range(n)]  # binv_den * binv, by column
+    bg = [[sum(map(mul, row, col)) for col in zip(*gram)] for row in basis]
+    qmat = [[sum(map(mul, row, other)) for other in basis] for row in bg]  # (B G) B^T
     paired = Counter()  # -gamma + M has the counts of gamma + M
     for el, v in coefficients.items():
         el = form.normalize(el)
@@ -302,7 +303,9 @@ def theta_q_expansion(gram, subgroup_elements, coefficients: dict[Element, int],
         if v == 0:
             continue
         x = form.lattice.lift(el)
-        shift = [sum(denom * x[a] * binv[a][b] for a in range(n)) for b in range(n)]
+        x_den = lcm(*(c.denominator for c in x))
+        x = [int(c * x_den) for c in x]
+        shift = [Fraction(denom * sum(map(mul, x, col)), x_den * binv_den) for col in binv_cols]
         big_g, counts = _enumerate_norms(qmat, shift, 2 * precision * denom * denom)
         step = 2 * big_g * denom * denom  # G F = step * (norm of the vector in M')
         for norm, count in counts.items():
@@ -337,22 +340,22 @@ def _level_one_basis(k: int, precision: int) -> tuple[tuple[int, ...], ...]:
                 sigma[n] += d**r
         return [1] + [scale * x for x in sigma[1:]]
 
-    def mul(f: list[int], g: list[int]) -> list[int]:
+    def times(f: list[int], g: list[int]) -> list[int]:
         return [sum(f[i] * g[n - i] for i in range(n + 1)) for n in range(precision + 1)]
 
     def power(f: list[int], e: int) -> list[int]:
         out = [1] + [0] * precision
         for _ in range(e):
-            out = mul(out, f)
+            out = times(out, f)
         return out
 
     e4, e6 = eisenstein(3, 240), eisenstein(5, -504)
-    delta = [(x - y) // 1728 for x, y in zip(power(e4, 3), mul(e6, e6))]
+    delta = [(x - y) // 1728 for x, y in zip(power(e4, 3), times(e6, e6))]
     basis = []
     for j in range(_dim_level_one(k)):
         b = (k - 12 * j) % 4 // 2  # k - 12j is 0 or at least 4, never 2
         a = (k - 12 * j - 6 * b) // 4
-        basis.append(tuple(mul(mul(power(e4, a), power(e6, b)), power(delta, j))))
+        basis.append(tuple(times(times(power(e4, a), power(e6, b)), power(delta, j))))
     return tuple(basis)
 
 

@@ -3,7 +3,8 @@
 Subcommands: dim, invariants, induced-basis, verify, s2dim, jacobi.
 Input is a genus symbol (--symbol) or a Gram matrix JSON file (--gram);
 output is deterministic JSON (default) or a small text table.  All numbers
-are exact strings; nothing is ever rounded.
+are exact strings; nothing is ever rounded.  The JSON is written by _dumps,
+byte for byte what json.dumps(doc, indent=2, sort_keys=True) writes.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .fqm import (
     from_gram,
     from_jordan_symbol,
 )
-from .fundamental import integer_normalize, invariant_basis, invariant_generators, invariant_projection
+from .fundamental import integer_coefficients, invariant_basis, invariant_generators, invariant_projection
 from .weil import (
     OddSignatureError,
     check_invariant_basis,
@@ -94,15 +95,8 @@ def _form_header(form: DiscriminantForm, name: str) -> dict:
 
 
 def _vector_doc(v) -> list[dict]:
-    return [
-        {"element": list(el), "coeff": _value_str(c)}
-        for el, c in v.items_sorted()
-    ]
-
-
-def _value_str(c) -> str:
-    r = cyclo.as_rational(c)
-    return str(r) if r is not None else cyclo.serialize(c)
+    """The coefficients of v as coprime integers (integer_coefficients), by element."""
+    return [{"element": list(el), "coeff": str(x)} for el, x in sorted(integer_coefficients(v).items())]
 
 
 def _cmd_dim(args) -> dict:
@@ -128,7 +122,7 @@ def _cmd_invariants(args) -> dict:
     picked = invariant_basis(form)
     doc["dim"] = len(picked)
     doc["basis"] = [
-        {"projected_from": list(gamma), "vector": _vector_doc(integer_normalize(v))}
+        {"projected_from": list(gamma), "vector": _vector_doc(v)}
         for gamma, v in picked
     ]
     return doc
@@ -140,7 +134,7 @@ def _cmd_induced_basis(args) -> dict:
     gens = invariant_generators(form)
     doc["dim"] = dim_invariants(form)
     doc["rank"] = rank_of_vectors(gens)
-    doc["generators"] = [{"vector": _vector_doc(integer_normalize(g))} for g in gens]
+    doc["generators"] = [{"vector": _vector_doc(g)} for g in gens]
     if args.check and doc["rank"] != doc["dim"]:
         raise InternalError("induced rank check: the generating set does not span the invariants")
     return doc
@@ -293,6 +287,56 @@ def _render_text(doc: dict, out) -> None:
     walk("", doc)
 
 
+_ENCODE_STR = json.encoder.encode_basestring_ascii  # the C encoder of json.dumps' strings
+
+
+def _dumps(doc) -> str:
+    """json.dumps(doc, indent=2, sort_keys=True), byte for byte.  With indent
+    set, json.dumps runs its pure-Python encoder; this writer makes the same
+    choices (str, None, True, False and int tested in that order, lists and
+    tuples alike, keys sorted) in fewer steps.  Keys must be str; a key or a
+    value of any other type raises TypeError."""
+    return _encode(doc, "\n")
+
+
+_INT = {int}
+
+
+def _encode(o, newline: str) -> str:
+    """o as JSON; newline is a newline and the indentation of o's first line."""
+    if isinstance(o, str):
+        return _ENCODE_STR(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    inner = newline + "  "
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        if set(map(type, o)) == _INT:  # exact ints: True == 1 would share a cache entry
+            return _int_list(tuple(o), newline)
+        return "[" + inner + ("," + inner).join([_encode(x, inner) for x in o]) + newline + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = [_ENCODE_STR(k) + ": " + _encode(o[k], inner) for k in sorted(o)]  # a key not str raises
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+@cache
+def _int_list(values: tuple[int, ...], newline: str) -> str:
+    """A non-empty flat list of ints as _encode writes it; element lists
+    repeat across the vectors of a document."""
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(map(str, values)) + newline + "]"
+
+
 def exit_status_on_closed_pipe(run) -> int:
     """Call run(), which writes to stdout, and flush, also when it exits (as
     --help does).  A reader that closed the pipe early gives EXIT_IO without
@@ -326,7 +370,7 @@ def _run(args) -> int:
     finally:
         vars(LIMITS).update(saved)
     if args.format == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(_dumps(doc))
     else:
         _render_text(doc, sys.stdout)
     if args.command == "verify" and not doc["pass"]:

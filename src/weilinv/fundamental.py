@@ -132,17 +132,22 @@ def _integer_map(v: GroupAlgebraVector, failure: str) -> dict[Element, int]:
     return ints
 
 
-def integer_normalize(v: GroupAlgebraVector) -> GroupAlgebraVector:
-    """Scale to coprime integer coefficients with the lex-least nonzero
-    coefficient positive; an irrational coefficient fails the integer
-    normalization check."""
+def integer_coefficients(v: GroupAlgebraVector) -> dict[Element, int]:
+    """The coefficients of v scaled to coprime integers, as a map element ->
+    int, with the lex-least nonzero coefficient positive; an irrational
+    coefficient fails the integer normalization check."""
     if v.is_zero():
-        return v
+        return {}
     ints = _integer_map(v, "integer normalization check: coefficient")
     g = gcd(*ints.values())
     if ints[min(ints)] < 0:
         g = -g
-    return _vec(v.form, {el: x // g for el, x in ints.items()})
+    return {el: x // g for el, x in ints.items()}
+
+
+def integer_normalize(v: GroupAlgebraVector) -> GroupAlgebraVector:
+    """v scaled as integer_coefficients scales it."""
+    return _vec(v.form, integer_coefficients(v))
 
 
 def _vec(form: DiscriminantForm, ints: dict[Element, int]) -> GroupAlgebraVector:

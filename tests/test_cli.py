@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from weilinv import cli
 from weilinv.cli import main
@@ -398,6 +399,50 @@ def test_output_is_deterministic():
     assert len(outs) == 1
     outs = {run_cli(["induced-basis", "--symbol", "5^+2"])[1] for _ in range(2)}
     assert len(outs) == 1
+
+
+# strings with quotes, backslashes, control characters and non-ASCII, beside any other character
+_texts = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600'), st.characters()))
+_scalars = st.one_of(st.none(), st.booleans(), st.integers(-(2**100), 2**100), _texts)
+
+
+def _containers(children):
+    return st.one_of(st.lists(children), st.lists(children).map(tuple), st.dictionaries(_texts, children))
+
+
+_documents = st.recursive(_scalars, _containers, max_leaves=25)
+
+
+def _poisoned(children):
+    """Containers that hold one child from children among clean documents."""
+    return st.one_of(
+        st.tuples(st.lists(_documents, max_size=3), children, st.lists(_documents, max_size=3)).map(
+            lambda t: [*t[0], t[1], *t[2]]
+        ),
+        st.tuples(st.dictionaries(_texts, _documents, max_size=3), _texts, children).map(lambda t: {**t[0], t[1]: t[2]}),
+    )
+
+
+_poisoned_documents = st.recursive(st.sampled_from([0.5, -2.0, Fraction(1, 2)]), _poisoned, max_leaves=6)
+
+
+@given(_documents)
+@example([[1, 0], [True, False], (1, 0), [], {}, ()])  # exact ints and bools must not share a cached list
+@example({"b": [2**64, -(2**64)], "a": {"": None, "\"": "\\\x01\u00ff"}})
+def test_the_writer_prints_what_json_dumps_prints(doc):
+    assert cli._dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@given(_poisoned_documents)
+def test_the_writer_rejects_floats_and_fractions(doc):
+    with pytest.raises(TypeError):
+        cli._dumps(doc)
+
+
+def test_the_writer_rejects_keys_that_are_not_strings():
+    for doc in ({1: 2}, {"a": {None: 1}}, {"a": 1, 2: 3}):
+        with pytest.raises(TypeError):
+            cli._dumps(doc)
 
 
 def test_text_format():

@@ -14,6 +14,7 @@ from weilinv.fundamental import (
     fundamental_form,
     fundamental_invariant,
     fundamental_lifts,
+    integer_coefficients,
     integer_normalize,
     invariant_generators,
     invariant_projection,
@@ -260,6 +261,9 @@ def test_integer_normalize_rules():
     n = integer_normalize(v)
     assert n.coefficient(d.zero()) == Cyclo.rational(1)
     assert n.coefficient((1, 0)) == Cyclo.rational(2)
+    assert integer_coefficients(v) == {d.zero(): 1, (1, 0): 2}
+    assert integer_coefficients(v.scale(Fraction(-3, 5))) == {d.zero(): 1, (1, 0): 2}
+    assert integer_coefficients(Vec(d)) == {}
 
 
 def test_memoized_generators_respect_the_order_bound(monkeypatch):
@@ -282,6 +286,8 @@ def test_integer_normalize_rejects_an_irrational_coefficient():
     v = Vec(d, {d.zero(): e_of(Fraction(1, 3))})
     with pytest.raises(InternalInconsistency, match="integer normalization check: .* is irrational"):
         integer_normalize(v)
+    with pytest.raises(InternalInconsistency, match="integer normalization check: .* is irrational"):
+        integer_coefficients(v)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,11 @@ recorded while every theta coefficient up to the precision was still
 counted by enumeration, before the series were read from M_k(SL2(Z)); the
 7^-4, 3^-2.5^+2 and 16_II^+2 `verify` digests were recorded while verify
 still checked rho(S)^2 and the fixed projections through the public rho,
-one Cyclo per entry, before it read them off the packed integer kernel.  A refactor that keeps every result
+one Cyclo per entry, before it read them off the packed integer kernel; the
+s2dim --check 7^+2 (a nested object and fraction strings), A1 jacobi (the
+odd-rank note and an empty basis) and text-format invariants digests were
+recorded while the CLI still printed through json.dumps with indent and
+read integer coefficients back from Cyclo.  A refactor that keeps every result
 exact keeps every digest; a digest that changes means some output changed.
 """
 
@@ -65,6 +69,11 @@ GOLDEN = [
     (["jacobi", "--precision", "0", "--gram", "tests/gram_D8E6A2.json"], "038ab9c70fea2c85f79ee8186ae6b4512bae71e86a046738f3bb71aeb71992eb"),
     # 27 entries of weight 6, each extended past c(1) by E6
     (["jacobi", "--precision", "2", "--gram", "tests/gram_D4D4D4.json"], "cc08fa1c27bc8a0fc7b8ca7d7f456195b975674183945c5a56836415a219a005"),
+    # the shapes of the JSON writer: a nested object with fraction strings, an odd-rank note
+    # beside an empty list, and the text format
+    (["s2dim", "--check", "--symbol", "7^+2"], "4e99c567a2cb6f37ad662193f4d4dbbe8c02a120ee5d5df5da6381b3ec2e8629"),
+    (["jacobi", "--precision", "3", "--gram", "tests/gram_A1.json"], "c55d9989f536c3c28155f0258c7d569d78badeb4899bef4cda84227415b2b858"),
+    (["invariants", "--symbol", "3^-2", "--format", "text"], "0722ae8ac97f4a12bf6b7dc9974712b99475ccc7159578ec8e7e69e005b2c29f"),
 ]
 
 

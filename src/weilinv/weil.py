@@ -45,8 +45,9 @@ Z[zeta_N] the Gauss sum (Milgram), so k S letters contribute G^k/|D|^k;
 exponents of +- roots of unity count over lcm(2, N).  Inside a word a
 coefficient is an element of Z[x]/(x^u - 1), x = zeta_u, u a multiple of
 the level, as u non-negative digits packed into one int (Kronecker
-substitution), and only _Codec knows the layout: an entry holds C blocks,
-one per input column, of u digits of B bits, each block in whole bytes.
+substitution), and only _Codec knows the layout: an entry holds L lanes of
+C blocks, one block per input column, of u digits of B bits, each block in
+whole bytes, and at most _MAX_BLOCKS blocks in all.
 zeta_u^j rotates every block by j*B bits (two masks per j); rho(S) without
 its scalar G/|D| is a mixed-radix character transform, one generator axis
 at a time, of rotations and int sums; an S S pair multiplies by |D|.  The
@@ -54,10 +55,16 @@ width rule: an S transform sums at most |D| digits into one, so no digit
 carries when B is the bit length of top * terms * |D|^k, top the largest
 input digit, `terms` the images summed and k the scalar-free S transforms.
 The sign rule: a coordinate c of zeta_m^e enters at digit e*u/m, and -c as
-c at digit e*u/m + u/2 (u even, x^(u/2) = -1 modulo Phi_u).  A block is
-read as its digits reduced modulo Phi_u, once per distinct block.  The
-images of the words with k S letters are summed, read, multiplied by the
-coordinates of G^k and leave as Cyclo values at the order u over |D|^k.
+c at digit e*u/m + u/2 (u even, x^(u/2) = -1 modulo Phi_u).  _apply_words
+runs the words that differ only in a first-applied T^p, as the N cosets
+L T^t of one first column do, as one pass of the rest of the word: lane l
+holds the columns times rho(T^p_l), the exponent e - p_l (u/N) N q(i) at
+element i by the sign rule, and every letter acts on each block alone, so
+no lane reads another lane's digits; a group larger than the lanes that
+fit takes several passes.  A block is read as its digits reduced modulo
+Phi_u, once per distinct block.  The images of the words with k S letters
+are summed, lanes and all, then read, which sums the lanes, multiplied by
+the coordinates of G^k and leave as Cyclo values at the order u over |D|^k.
 """
 
 from __future__ import annotations
@@ -301,28 +308,49 @@ def _times(x: list[int], terms: dict[int, int], f: int) -> list[int]:
     return out[0] if len(out) == 1 else list(map(sum, zip(*out)))
 
 
+#: the most blocks one packed entry holds, lanes times columns, which
+#: bounds the memory of a pass.  Measured cold inv_average_oracle on a 2-vCPU
+#: machine, Python 3.11, against one lane per pass: 16_II^+2 (48 columns, so
+#: 2 lanes) 101 s and 38.3 MiB peak against 102 s and 31.6 MiB, and with all
+#: 16 lanes of a first column (768 blocks) 97 s and 127 MiB; 5^+1.7^+1 (one
+#: column, 35 lanes) 2.3-2.7 s against 8.5-8.6 s.  Where lanes pay, few
+#: columns share an entry, and 96 holds the 6 lanes of the 15 isotropic
+#: columns of 2_II^+2.3^-2.
+_MAX_BLOCKS = 96
+
+
 class _Codec(dict):
     """The packed layout of `blocks` columns (module docstring): B bits per
-    digit by the width rule, block c from byte c * size; rot, the rotation
-    masks.  As a dict: the bytes of a block read -> its u digits mod Phi_u."""
+    digit by the width rule, block c from byte c * size, and `lanes` lanes
+    of `blocks` blocks, `width` bytes each, lane l from block l * blocks: as
+    many as asked for and _MAX_BLOCKS holds, at least one; rot, the rotation
+    masks over every lane.  As a dict: the bytes of a block read -> its u
+    digits mod Phi_u."""
 
-    def __init__(self, form: DiscriminantForm, u: int, blocks: int, top: int = 1, terms: int = 1, k: int = 0):
+    def __init__(
+        self, form: DiscriminantForm, u: int, blocks: int, top: int = 1, terms: int = 1, k: int = 0, lanes: int = 1
+    ):
         self.u, self.blocks, self.bits = u, blocks, (top * terms * form.order**k).bit_length()
         self.size = -(-u * self.bits // 8)
+        self.width, self.lanes = self.size * blocks, max(1, min(lanes, _MAX_BLOCKS // blocks))
         self.rot = self._rotations(u, self.bits)
 
     def _rotations(self, u: int, bits: int) -> tuple[tuple[int, int, int, int], ...]:
         """(low, high, up, down) per j: x * zeta_u^j in every block is
         ((x & low) << up) | ((x & high) >> down), low the digits below u - j."""
-        ones = sum(1 << 8 * self.size * c for c in range(self.blocks))
+        ones = sum(1 << 8 * self.size * c for c in range(self.blocks * self.lanes))
         lows = [ones * ((1 << (u - j) * bits) - 1) for j in range(u)]
         return tuple((low, lows[0] ^ low, j * bits, (u - j) * bits) for j, low in enumerate(lows))
 
-    def pack(self, n: int, terms) -> list[int]:
-        """n entries from (index, block, exponent, coefficient) terms, by the sign rule."""
+    def pack(self, n: int, terms, diag=None, powers=(0,)) -> list[int]:
+        """n entries from (index, block, exponent, coefficient) terms, by the
+        sign rule, one lane per power p of powers, at most `lanes` of them:
+        lane l holds the terms times zeta_u^(p diag[index]), p = powers[l]."""
         data, half = [0] * n, self.u // 2
-        for i, c, e, x in terms:
-            data[i] += abs(x) << 8 * self.size * c + (e + (x < 0) * half) % self.u * self.bits
+        for lane, p in enumerate(powers):
+            for i, c, e, x in terms:
+                e += (x < 0) * half + (p * diag[i] if p else 0)
+                data[i] += abs(x) << 8 * self.size * (lane * self.blocks + c) + e % self.u * self.bits
         return data
 
     def unpack(self, raw: bytes) -> list[int]:
@@ -336,10 +364,14 @@ class _Codec(dict):
         return value
 
     def read(self, x: int) -> list:
-        """The blocks of the entry x, each distinct block unpacked and reduced once."""
-        size = self.size
-        raw = x.to_bytes(size * self.blocks, "little")
-        return [self[raw[k : k + size]] for k in range(0, len(raw), size)]
+        """The blocks of the entry x summed over its lanes, the only place
+        lanes meet; each distinct block unpacked and reduced once."""
+        size, width = self.size, self.width
+        if self.lanes > 1:
+            raw = x.to_bytes(width * self.lanes, "little")
+            x = sum(int.from_bytes(raw[k : k + width], "little") for k in range(0, len(raw), width))
+        raw = x.to_bytes(width, "little")
+        return [self[raw[k : k + size]] for k in range(0, width, size)]
 
 
 def _apply_s_ints(form: DiscriminantForm, tab, data: list[int], codec: _Codec) -> list[int]:
@@ -387,8 +419,11 @@ def _apply_words(form: DiscriminantForm, words, columns: list[dict[int, Cyclo]],
     """weight times the sum of rho(word) over the token tuples in words, on
     each column, a map from element index to Cyclo: one Vec per column, each
     packed as one block over u = lcm(N, the orders of its values), even if
-    a coordinate is negative.  The images of the words with k S letters are
-    summed, read once and scaled by G^k/|D|^k."""
+    a coordinate is negative.  Words that differ only in a first-applied
+    T^p share one pass of the rest of the word, on one lane per word packed
+    with the columns times rho(T^p), zeta_u^(-p (u/N) N q) at each element.
+    The images of the words with k S letters are summed, lanes and all,
+    read once (which sums the lanes) and scaled by G^k/|D|^k."""
     tab, els, n = _word_tables(form), form.elements(), form.order
     values = [c for col in columns for c in col.values()]
     u = lcm(form.level(), *(c.order for c in values))
@@ -397,17 +432,24 @@ def _apply_words(form: DiscriminantForm, words, columns: list[dict[int, Cyclo]],
         (i, b, e * (u // c.order), x * (den // c.den))
         for b, col in enumerate(columns) for i, c in col.items() for e, x in enumerate(c.num) if x
     ]
-    top = max((abs(x) for *_, x in terms), default=1)
-    by_count = defaultdict(list)
+    top, diag = max((abs(x) for *_, x in terms), default=1), [-q * (u // form.level()) for q in form.q_values()]
+    by_count = defaultdict(lambda: defaultdict(list))  # S count -> a word without its first T -> the T powers
     for tokens in words:
-        by_count[sum(kind == "S" for kind, _ in tokens)].append(tokens)
+        rest, p = (tokens[:-1], tokens[-1][1]) if tokens and tokens[-1][0] == "T" else (tokens, 0)
+        by_count[sum(kind == "S" for kind, _ in rest)][tuple(rest)].append(p % form.level())
     last = max(by_count, default=0)
     weight, totals = Fraction(weight, den * n**last), [[None] * n for _ in columns]
-    for k, group in by_count.items():
-        codec = _Codec(form, u, len(columns), top, len(group), k)
-        data, acc = codec.pack(n, terms), [0] * n
-        for tokens in group:
-            acc = list(map(add, acc, _apply_word_packed(form, tab, tokens, data, codec)))
+    for k, rests in by_count.items():
+        sizes = [len(powers) for powers in rests.values()]
+        codec = _Codec(form, u, len(columns), top, sum(sizes), k, max(sizes))
+        acc, packed = [0] * n, None
+        for rest, powers in rests.items():
+            powers.sort()  # the lanes are summed, so their order is free
+            for at in range(0, len(powers), codec.lanes):
+                chunk = tuple(powers[at : at + codec.lanes])
+                if chunk != packed:  # consecutive passes on the same powers share one input
+                    packed, data = chunk, codec.pack(n, terms, diag, chunk)
+                acc = list(map(add, acc, _apply_word_packed(form, tab, rest, data, codec)))
         gauss, f = _gauss_power(form, k, u), weight.numerator * n ** (last - k)
         for i, x in enumerate(acc):
             for total, y in zip(totals, codec.read(x) if x else ()):
@@ -722,14 +764,20 @@ def inv(form: DiscriminantForm, v) -> Vec:
 
 def inv_average_oracle(form: DiscriminantForm, gamma: Element) -> Vec:
     """Reference implementation of inv(e^gamma): the literal average of
-    rho(M) e^gamma over every coset of SL2(Z/N), one full word evaluation
-    per coset; no cusp grouping, no block factorization and no sharing of
-    word prefixes or suffixes between cosets.  Each coset is a small lift
-    times T^t with a nearest-integer word, about 1-2 S transforms at small
-    levels (an S S pair is the rho(-1) permutation).  Only each word is
-    shared: it is applied once to every e^beta with N q(beta) = N q(gamma),
-    one packed block per beta, and the class's answers are memoized; the
-    images are summed per number of S letters, unpacked and scaled once."""
+    rho(M) e^gamma over every coset of SL2(Z/N), each coset's own word
+    evaluated in full in its own lane.  Each coset is a small lift L times
+    T^t with a nearest-integer word, about 1-2 S transforms at small levels
+    (an S S pair is the rho(-1) permutation); the N words of one first
+    column differ only in their first-applied T, so they run as one pass
+    of the rest of the word, lane by lane on the columns times their own
+    T power: the lanes share the sequence of letters but never a value, and
+    meet only in the sum read after the last letter.  No cusp grouping,
+    intertwining, e^0 column or block factorization enters.  A pass runs
+    on every e^beta with N q(beta) = N q(gamma), one packed block per beta
+    and lane, at most _MAX_BLOCKS blocks per entry (a first column whose
+    lanes do not fit takes several passes), and the class's answers are
+    memoized; the images are summed per number of S letters, unpacked and
+    scaled once."""
     if form.signature() % 2:
         return Vec(form)
     _check_bounds(form)
@@ -820,7 +868,8 @@ def check_invariant_basis(form: DiscriminantForm, vectors: list[dict[Element, in
     if not vectors:
         return
     _require_even(form)
-    u, ints = lcm(2, form.level()), [{form.index(el): x for el, x in v.items()} for v in vectors]
+    index = form.memo("element_index", lambda: {el: i for i, el in enumerate(form.elements())})
+    u, ints = lcm(2, form.level()), [{index[el]: x for el, x in v.items()} for v in vectors]
     for i, c in _s_mismatches(form, u, 1, ints, ints, Cyclo(u, _gauss_power(form, 1, u)).conjugate()):
         raise InternalInconsistency(f"basis invariance check: rho(S) moves vector {c} at {form.elements()[i]}")
 

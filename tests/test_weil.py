@@ -642,7 +642,9 @@ def test_inv_odd_hyperbolic_at_nonzero_point():
 
 
 def test_inv_matches_average_oracle():
-    for sym in SMALL_EVEN_SYMBOLS:
+    """At levels up to 12: 3^-1.9^+1 and 4_II^+2.3^+1 run groups of 9 and
+    12 lanes, one per coset word of a first column."""
+    for sym in SMALL_EVEN_SYMBOLS + ["3^-1.9^+1", "4_II^+2.3^+1"]:
         d = from_jordan_symbol(sym)
         for g in d.isotropic_elements():
             assert inv(d, g) == inv_average_oracle(d, g), (sym, g)
@@ -1116,12 +1118,42 @@ def _check_packed_blocks(form, tokens):
     return images
 
 
+def _first_t_in_cyclo(form, tokens, cols):
+    """rho(word) on each of cols, with the word's first-applied T^p, if any,
+    applied to the columns in Cyclo arithmetic, e(-p q) at each element, and
+    only the rest of the word, which does not end in T, in the kernel."""
+    p = tokens[-1][1] if tokens and tokens[-1][0] == "T" else 0
+    q, n = form.q_values(), form.level()
+    rotated = [{i: c * e_of(Fraction(-p * q[i], n)) for i, c in col.items()} for col in cols]
+    return weil._apply_words(form, [tokens[: len(tokens) - (p != 0)]], rotated)
+
+
 @pytest.mark.parametrize("symbol", ["3^+3", "4_II^+2", "5^+2", "2_II^+2.3^-2"])
-def test_packed_blocks_equal_single_columns(symbol):
-    """_check_packed_blocks on every coset word at levels 3, 4, 5 and 6."""
+def test_packed_blocks_equal_single_columns(symbol, monkeypatch):
+    """_check_packed_blocks on every coset word at levels 3, 4, 5 and 6,
+    whose images equal _first_t_in_cyclo's; and one _apply_words call on all
+    of those words, and one on every other word, equals the sum of their
+    one-word images.  The N words of a first column differ only in their
+    first-applied T, so the first call runs one pass per first column, one
+    lane per word; under a cap of two lanes per pass each first column takes
+    ceil(N/2) passes, the last with one lane when N is odd.  Every other word
+    leaves a first column some of its powers of T, whose sum changes if a
+    lane takes the wrong power."""
     form = from_jordan_symbol(symbol)
-    for word in enumerate_cosets(form.level()):
-        _check_packed_blocks(form, word.tokens)
+    n, cols = form.level(), _packed_columns(form)
+    words = [word.tokens for word in enumerate_cosets(n)]
+    images = [_check_packed_blocks(form, tokens) for tokens in words]
+    assert images == [_first_t_in_cyclo(form, tokens, cols) for tokens in words]
+    total, half = ([sum(column, Vec(form)) for column in zip(*some)] for some in (images, images[::2]))
+    passes = _count_words(monkeypatch)
+    assert weil._apply_words(form, words, cols) == total
+    assert len(passes) == len(words) // n
+    assert weil._apply_words(form, words[::2], cols) == half
+    monkeypatch.setattr(weil, "_MAX_BLOCKS", 2 * len(cols) + 1)
+    del passes[:]
+    assert weil._apply_words(form, words, cols) == total
+    assert len(passes) == len(words) // n * ((n + 1) // 2)
+    assert weil._apply_words(form, words[::2], cols) == half
 
 
 @pytest.mark.parametrize("symbol", ["3^+3", "2_2^+2.4_II^+2"])
@@ -1147,21 +1179,43 @@ def test_packed_blocks_on_long_words(symbol):
 
 
 def test_oracle_applies_each_coset_word_once_per_q_class(monkeypatch):
-    """The first oracle call of a q-class applies every coset word once, to all
-    of the class at once; another gamma of the class applies none."""
+    """The first oracle call of a q-class runs one pass per first column: the
+    word without its first-applied T^p on one lane per p, with all of the
+    class in every lane, and the lanes of its passes are the cosets of
+    SL2(Z/N), each once.  Another gamma of the class runs no pass."""
     form = from_jordan_symbol("5^+2")
-    _fresh_caches(monkeypatch, form)
-    calls = []
-    original = weil._apply_word_packed
-    monkeypatch.setattr(weil, "_apply_word_packed", lambda *args: calls.append(1) or original(*args))
-    iso, cosets = form.isotropic_elements(), enumerate_cosets(form.level())
-    outputs = [inv_average_oracle(form, iso[1])]
-    assert len(calls) == len(cosets)
-    outputs.append(inv_average_oracle(form, iso[2]))
-    assert len(calls) == len(cosets)
+    n, iso, cosets = form.level(), form.isotropic_elements(), enumerate_cosets(form.level())
     other = next(g for g in form.elements() if form.q(g) != 0)
+    _fresh_caches(monkeypatch, form)
+    powers, lanes, blocks = {}, [], set()
+    pack, apply = weil._Codec.pack, weil._apply_word_packed
+
+    def packing(codec, m, terms, diag=None, ps=(0,)):
+        data = pack(codec, m, terms, diag, ps)
+        powers[id(data)] = data, ps  # the list is kept, so its id is not reused
+        return data
+
+    def applying(part, tab, tokens, data, codec):
+        blocks.add(codec.blocks)
+        lanes.append([SL2Word(None, (*tokens, ("T", p))).matrix() for p in powers[id(data)][1]])
+        return apply(part, tab, tokens, data, codec)
+
+    monkeypatch.setattr(weil._Codec, "pack", packing)
+    monkeypatch.setattr(weil, "_apply_word_packed", applying)
+
+    def elements(passes):
+        return sorted(tuple(x % n for row in m for x in row) for ms in passes for m in ms)
+
+    cosets_mod_n = elements([[word.target for word in cosets]])
+    outputs = [inv_average_oracle(form, iso[1])]
+    assert len(lanes) == len(cosets) // n and {len(ms) for ms in lanes} == {n}
+    assert elements(lanes) == cosets_mod_n and len(set(cosets_mod_n)) == len(cosets)
+    assert blocks == {len(iso)}
+    outputs.append(inv_average_oracle(form, iso[2]))
+    assert len(lanes) == len(cosets) // n
     outputs.append(inv_average_oracle(form, other))
-    assert len(calls) == 2 * len(cosets)
+    assert elements(lanes[len(cosets) // n :]) == cosets_mod_n
+    assert blocks == {len(iso), form.q_values().count(form.q_int(other))}
     assert outputs == [inv(form, g) for g in (iso[1], iso[2], other)]
 
 

@@ -145,11 +145,6 @@ def integer_coefficients(v: GroupAlgebraVector) -> dict[Element, int]:
     return {el: x // g for el, x in ints.items()}
 
 
-def integer_normalize(v: GroupAlgebraVector) -> GroupAlgebraVector:
-    """v scaled as integer_coefficients scales it."""
-    return _vec(v.form, integer_coefficients(v))
-
-
 def _vec(form: DiscriminantForm, ints: dict[Element, int]) -> GroupAlgebraVector:
     return GroupAlgebraVector(form, {el: Cyclo.rational(x) for el, x in ints.items()})
 

@@ -55,16 +55,23 @@ width rule: an S transform sums at most |D| digits into one, so no digit
 carries when B is the bit length of top * terms * |D|^k, top the largest
 input digit, `terms` the images summed and k the scalar-free S transforms.
 The sign rule: a coordinate c of zeta_m^e enters at digit e*u/m, and -c as
-c at digit e*u/m + u/2 (u even, x^(u/2) = -1 modulo Phi_u).  _apply_words
-runs the words that differ only in a first-applied T^p, as the N cosets
-L T^t of one first column do, as one pass of the rest of the word: lane l
-holds the columns times rho(T^p_l), the exponent e - p_l (u/N) N q(i) at
-element i by the sign rule, and every letter acts on each block alone, so
-no lane reads another lane's digits; a group larger than the lanes that
-fit takes several passes.  A block is read as its digits reduced modulo
-Phi_u, once per distinct block.  The images of the words with k S letters
-are summed, lanes and all, then read, which sums the lanes, multiplied by
-the coordinates of G^k and leave as Cyclo values at the order u over |D|^k.
+c at digit e*u/m + u/2 (u even, x^(u/2) = -1 modulo Phi_u).  A word acts
+letter by letter, right to left, one _apply_letter per letter: T^n, an
+S S pair, or S.  _apply_words runs the words that differ only in a
+first-applied T^p, as the N cosets L T^t of one first column do, on one
+packed input: lane l holds the columns times rho(T^p_l), the exponent
+e - p_l (u/N) N q(i) at element i by the sign rule, and every letter acts
+on each block alone, so no lane reads another lane's digits; a group
+larger than the lanes that fit takes several chunks of powers.  The rests
+of the words with k S letters that run on one chunk share that input, and
+_walk takes their letter sequences sorted, with a stack of one image per
+depth: each starts from the prefix it shares with the one before, so each
+distinct prefix is applied once, and an image stays on the stack only
+while the next sequence shares it.  A block is read as its digits reduced
+modulo Phi_u, once per distinct block.  The images of the words with k S
+letters are summed, lanes and all, then read, which sums the lanes,
+multiplied by the coordinates of G^k and leave as Cyclo values at the
+order u over |D|^k.
 """
 
 from __future__ import annotations
@@ -395,24 +402,63 @@ def _apply_s_ints(form: DiscriminantForm, tab, data: list[int], codec: _Codec) -
     return [data[i] for i in tab["freq_index"]]
 
 
-def _apply_word_packed(form: DiscriminantForm, tab, tokens, data: list[int], codec: _Codec) -> list[int]:
-    """The word right to left on packed entries, without the scalars of its
-    S letters.  Two adjacent S letters are rho(-1), e(sig/4) times the
-    negation e^gamma -> e^-gamma: without their scalars, |D| times it."""
-    u, rot = codec.u, codec.rot
-    step = u // form.level()
-    i = len(tokens)
+def _letters(tokens) -> tuple[tuple[str, int], ...]:
+    """The letters of a word in the order they act, right to left: ("T", n)
+    for T^n, ("S", 2) for two adjacent S letters, which are rho(-1), and
+    ("S", 1) for any other S."""
+    out, i = [], len(tokens)
     while i:
         i -= 1
         if tokens[i][0] == "T":
-            steps = [rot[-tokens[i][1] * q * step % u] for q in form.q_values()]
-            data = [((x & lo) << a) | ((x & hi) >> b) for x, (lo, hi, a, b) in zip(data, steps)]
+            out.append(tokens[i])
         elif i and tokens[i - 1][0] == "S":
             i -= 1
-            data = [data[j] * form.order for j in tab["neg_index"]]
+            out.append(("S", 2))
         else:
-            data = _apply_s_ints(form, tab, data, codec)
+            out.append(("S", 1))
+    return tuple(out)
+
+
+def _apply_letter(form: DiscriminantForm, tab, letter: tuple[str, int], data: list[int], codec: _Codec) -> list[int]:
+    """One letter of _letters on packed entries, without the scalars of its
+    S letters: T^n rotates the entry at each element by its own power of
+    zeta_u; ("S", 2), rho(-1), is e(sig/4) times the negation
+    e^gamma -> e^-gamma, so without its scalars |D| times it."""
+    kind, n = letter
+    if kind == "T":
+        u, rot = codec.u, codec.rot
+        step = u // form.level()
+        steps = [rot[-n * q * step % u] for q in form.q_values()]
+        return [((x & lo) << a) | ((x & hi) >> b) for x, (lo, hi, a, b) in zip(data, steps)]
+    if n == 2:
+        return [data[j] * form.order for j in tab["neg_index"]]
+    return _apply_s_ints(form, tab, data, codec)
+
+
+def _apply_word_packed(form: DiscriminantForm, tab, tokens, data: list[int], codec: _Codec) -> list[int]:
+    """The word right to left on packed entries, one _apply_letter per letter."""
+    for letter in _letters(tokens):
+        data = _apply_letter(form, tab, letter, data, codec)
     return data
+
+
+def _walk(form: DiscriminantForm, tab, words: list, data: list[int], codec: _Codec):
+    """The image of data under each of words, letter sequences of _letters,
+    in order.  states[j] is the image after the first j letters of the
+    current sequence, kept only while the next one shares those j letters;
+    each sequence starts from the prefix it shares with the one before and
+    applies only the rest.  On sorted sequences each distinct prefix is
+    applied once, and at most one state per depth is alive."""
+    states = [data]
+    for letters, after in zip(words, [*words[1:], ()]):
+        keep = next((j for j, (a, b) in enumerate(zip(letters, after)) if a != b), min(len(letters), len(after)))
+        image = states[-1]
+        for depth, letter in enumerate(letters[len(states) - 1 :], len(states)):
+            image = _apply_letter(form, tab, letter, image, codec)
+            if depth <= keep:
+                states.append(image)
+        del states[keep + 1 :]
+        yield image
 
 
 def _apply_words(form: DiscriminantForm, words, columns: list[dict[int, Cyclo]], weight=1) -> list[Vec]:
@@ -420,10 +466,12 @@ def _apply_words(form: DiscriminantForm, words, columns: list[dict[int, Cyclo]],
     each column, a map from element index to Cyclo: one Vec per column, each
     packed as one block over u = lcm(N, the orders of its values), even if
     a coordinate is negative.  Words that differ only in a first-applied
-    T^p share one pass of the rest of the word, on one lane per word packed
-    with the columns times rho(T^p), zeta_u^(-p (u/N) N q) at each element.
-    The images of the words with k S letters are summed, lanes and all,
-    read once (which sums the lanes) and scaled by G^k/|D|^k."""
+    T^p share the rest of the word, on one lane per word packed with the
+    columns times rho(T^p), zeta_u^(-p (u/N) N q) at each element.  The
+    rests of the words with k S letters run on each chunk of lanes as one
+    _walk, which applies each distinct prefix of their letters once.  The
+    images of the words with k S letters are summed, lanes and all, read
+    once (which sums the lanes) and scaled by G^k/|D|^k."""
     tab, els, n = _word_tables(form), form.elements(), form.order
     values = [c for col in columns for c in col.values()]
     u = lcm(form.level(), *(c.order for c in values))
@@ -442,14 +490,16 @@ def _apply_words(form: DiscriminantForm, words, columns: list[dict[int, Cyclo]],
     for k, rests in by_count.items():
         sizes = [len(powers) for powers in rests.values()]
         codec = _Codec(form, u, len(columns), top, sum(sizes), k, max(sizes))
-        acc, packed = [0] * n, None
+        chunks = defaultdict(list)  # a lane chunk of T powers -> the letters of the rests run on it
         for rest, powers in rests.items():
+            letters = _letters(rest)
             powers.sort()  # the lanes are summed, so their order is free
             for at in range(0, len(powers), codec.lanes):
-                chunk = tuple(powers[at : at + codec.lanes])
-                if chunk != packed:  # consecutive passes on the same powers share one input
-                    packed, data = chunk, codec.pack(n, terms, diag, chunk)
-                acc = list(map(add, acc, _apply_word_packed(form, tab, rest, data, codec)))
+                chunks[tuple(powers[at : at + codec.lanes])].append(letters)
+        acc = [0] * n
+        for chunk, seqs in chunks.items():
+            for image in _walk(form, tab, sorted(seqs), codec.pack(n, terms, diag, chunk), codec):
+                acc = list(map(add, acc, image))
         gauss, f = _gauss_power(form, k, u), weight.numerator * n ** (last - k)
         for i, x in enumerate(acc):
             for total, y in zip(totals, codec.read(x) if x else ()):
@@ -525,10 +575,30 @@ def _lift(a: int, c: int, n: int) -> Matrix2:
     return ((a1, -y), (c1, x))
 
 
+def _lift_words(lift: Matrix2, ts) -> list[SL2Word]:
+    """The words of lift T^t for each t of ts, lift = _lift(a, c, n): the
+    one way an element of SL2(Z/n) gets its word, in _cosets, _classes and
+    rho.  word_decompose reads only the first column until its last letter,
+    so its word of lift T^t is its word of lift with the trailing T^p, if
+    any, made T^(p + t).  So lift is decomposed once, and word_decompose's
+    own check covers the letters before T^p: they multiply to lift T^-p.
+    Each word is checked by one product, lift T^-p times T to the power its
+    tokens end with, against lift T^t."""
+    tokens = word_decompose(lift).tokens
+    base, p = (tokens[:-1], tokens[-1][1]) if tokens and tokens[-1][0] == "T" else (tokens, 0)
+    head, out = mat2_mul(lift, t_power(-p)), []
+    for t in ts:
+        word = (*base, ("T", p + t)) if p + t else base
+        target = mat2_mul(lift, t_power(t))
+        if mat2_mul(head, t_power(word[-1][1] if word and word[-1][0] == "T" else 0)) != target:
+            raise InternalInconsistency("word decomposition failed to reproduce the matrix")
+        out.append(SL2Word(target, word))
+    return out
+
+
 def _lift_word(lift: Matrix2, t: int) -> SL2Word:
-    """The word of lift T^t, lift = _lift(a, c, n): the one way an element
-    of SL2(Z/n) gets its word, in _cosets, _classes and rho."""
-    return word_decompose(mat2_mul(lift, t_power(t)))
+    """The word of lift T^t, by _lift_words."""
+    return _lift_words(lift, (t,))[0]
 
 
 def _reduced_word(m, n: int) -> SL2Word:
@@ -570,8 +640,7 @@ def enumerate_cosets(n: int) -> tuple[SL2Word, ...]:
 def _cosets(n: int) -> tuple[SL2Word, ...]:
     out = []
     for a, c in _primitive_pairs(n):
-        m = _lift(a, c, n)
-        out.extend(_lift_word(m, t) for t in range(n))
+        out.extend(_lift_words(_lift(a, c, n), range(n)))
     if len(out) != sl2_group_order(n):
         raise InternalInconsistency("coset enumeration has the wrong size")
     return tuple(out)
@@ -768,16 +837,18 @@ def inv_average_oracle(form: DiscriminantForm, gamma: Element) -> Vec:
     evaluated in full in its own lane.  Each coset is a small lift L times
     T^t with a nearest-integer word, about 1-2 S transforms at small levels
     (an S S pair is the rho(-1) permutation); the N words of one first
-    column differ only in their first-applied T, so they run as one pass
-    of the rest of the word, lane by lane on the columns times their own
-    T power: the lanes share the sequence of letters but never a value, and
-    meet only in the sum read after the last letter.  No cusp grouping,
-    intertwining, e^0 column or block factorization enters.  A pass runs
-    on every e^beta with N q(beta) = N q(gamma), one packed block per beta
-    and lane, at most _MAX_BLOCKS blocks per entry (a first column whose
-    lanes do not fit takes several passes), and the class's answers are
-    memoized; the images are summed per number of S letters, unpacked and
-    scaled once."""
+    column differ only in their first-applied T, so they run as one rest
+    of the word, lane by lane on the columns times their own T power: the
+    lanes share the sequence of letters but never a value, and meet only in
+    the sum read after the last letter.  Rests with the same number of S
+    letters on the same lanes start from the same input, and a prefix of
+    letters that several share is applied once, on that input (_walk).  No
+    cusp grouping, intertwining, e^0 column or block factorization enters.
+    The words run on every e^beta with N q(beta) = N q(gamma), one packed
+    block per beta and lane, at most _MAX_BLOCKS blocks per entry (a first
+    column whose lanes do not fit takes several chunks of lanes), and the
+    class's answers are memoized; the images are summed per number of S
+    letters, unpacked and scaled once."""
     if form.signature() % 2:
         return Vec(form)
     _check_bounds(form)

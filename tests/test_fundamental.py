@@ -15,7 +15,6 @@ from weilinv.fundamental import (
     fundamental_invariant,
     fundamental_lifts,
     integer_coefficients,
-    integer_normalize,
     invariant_generators,
     invariant_projection,
     is_fundamental_quotient,
@@ -27,6 +26,11 @@ from weilinv.weil import Vec, dim_invariants, inv, rank_of_vectors, rho_S, rho_T
 from test_appl import _d8_gram
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def integer_normalize(v: Vec) -> Vec:
+    """v scaled as fundamental.integer_coefficients scales it."""
+    return Vec(v.form, {el: Cyclo.rational(x) for el, x in integer_coefficients(v).items()})
 
 
 def test_table_square_rows():

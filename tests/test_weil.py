@@ -90,11 +90,14 @@ def test_coset_counts():
 
 
 def test_cosets_distinct_and_unimodular():
-    for n in (2, 3, 4, 5, 6, 7, 8):
+    """Each coset word is word_decompose's word of its target, though a
+    first column's N words come from one decomposition."""
+    for n in (2, 3, 4, 5, 6, 7, 8, 12):
         seen = set()
         for word in enumerate_cosets(n):
             (a, b), (c, d) = word.target
             assert a * d - b * c == 1
+            assert word.tokens == word_decompose(word.target).tokens, (n, word)
             seen.add((a % n, b % n, c % n, d % n))
         assert len(seen) == sl2_group_order(n)
 
@@ -1128,32 +1131,69 @@ def _first_t_in_cyclo(form, tokens, cols):
     return weil._apply_words(form, [tokens[: len(tokens) - (p != 0)]], rotated)
 
 
+def _acting_letters(rest) -> list:
+    """The letters of rest in the order they act, right to left: ("T", n),
+    "-1" for an S whose left neighbour is an S (the pair is rho(-1)), and
+    "S" for any other S."""
+    out, i = [], len(rest)
+    while i:
+        i -= 1
+        if rest[i][0] == "T":
+            out.append(rest[i])
+        elif i and rest[i - 1][0] == "S":
+            out.append("-1")
+            i -= 1
+        else:
+            out.append("S")
+    return out
+
+
+def _s_prefixes(words, n, blocks, cap) -> int:
+    """The S transforms of one _apply_words call on words when each distinct
+    letter prefix that ends in an S transform is applied once per S count
+    and lane chunk: the words without their first-applied T^p are grouped
+    by S count; a class packs min(its most powers, cap // blocks) lanes,
+    at least one, and each word's sorted powers mod n run in chunks of
+    that many, each chunk one shared input."""
+    by_count = {}
+    for tokens in words:
+        rest, p = (tokens[:-1], tokens[-1][1]) if tokens and tokens[-1][0] == "T" else (tokens, 0)
+        by_count.setdefault(sum(kind == "S" for kind, _ in rest), {}).setdefault(rest, []).append(p % n)
+    prefixes = set()
+    for k, rests in by_count.items():
+        lanes = max(1, min(max(map(len, rests.values())), cap // blocks))
+        for rest, powers in rests.items():
+            powers, letters = sorted(powers), _acting_letters(rest)
+            for at in range(0, len(powers), lanes):
+                chunk = tuple(powers[at : at + lanes])
+                prefixes.update((k, chunk, tuple(letters[: j + 1])) for j, x in enumerate(letters) if x == "S")
+    return len(prefixes)
+
+
 @pytest.mark.parametrize("symbol", ["3^+3", "4_II^+2", "5^+2", "2_II^+2.3^-2"])
 def test_packed_blocks_equal_single_columns(symbol, monkeypatch):
     """_check_packed_blocks on every coset word at levels 3, 4, 5 and 6,
     whose images equal _first_t_in_cyclo's; and one _apply_words call on all
     of those words, and one on every other word, equals the sum of their
-    one-word images.  The N words of a first column differ only in their
-    first-applied T, so the first call runs one pass per first column, one
-    lane per word; under a cap of two lanes per pass each first column takes
-    ceil(N/2) passes, the last with one lane when N is odd.  Every other word
-    leaves a first column some of its powers of T, whose sum changes if a
-    lane takes the wrong power."""
+    one-word images.  Every other word leaves a first column some of its
+    powers of T, whose sum changes if a lane takes the wrong power.  Each
+    call runs as many S transforms as _s_prefixes counts, at the default
+    cap and under a cap of two lanes per input, where a first column's
+    powers take ceil(N/2) chunks, the last with one lane when N is odd."""
     form = from_jordan_symbol(symbol)
     n, cols = form.level(), _packed_columns(form)
     words = [word.tokens for word in enumerate_cosets(n)]
     images = [_check_packed_blocks(form, tokens) for tokens in words]
     assert images == [_first_t_in_cyclo(form, tokens, cols) for tokens in words]
     total, half = ([sum(column, Vec(form)) for column in zip(*some)] for some in (images, images[::2]))
-    passes = _count_words(monkeypatch)
-    assert weil._apply_words(form, words, cols) == total
-    assert len(passes) == len(words) // n
-    assert weil._apply_words(form, words[::2], cols) == half
-    monkeypatch.setattr(weil, "_MAX_BLOCKS", 2 * len(cols) + 1)
-    del passes[:]
-    assert weil._apply_words(form, words, cols) == total
-    assert len(passes) == len(words) // n * ((n + 1) // 2)
-    assert weil._apply_words(form, words[::2], cols) == half
+    calls, caps = _count_s_transforms(monkeypatch), (weil._MAX_BLOCKS, 2 * len(cols) + 1)
+    for cap in caps:
+        monkeypatch.setattr(weil, "_MAX_BLOCKS", cap)
+        for some, image in ((words, total), (words[::2], half)):
+            del calls[:]
+            assert weil._apply_words(form, some, cols) == image
+            assert len(calls) == _s_prefixes(some, n, len(cols), cap), (cap, len(some))
+    assert _s_prefixes(words, n, len(cols), caps[0]) < _s_prefixes(words, n, len(cols), caps[1])
 
 
 @pytest.mark.parametrize("symbol", ["3^+3", "2_2^+2.4_II^+2"])
@@ -1178,41 +1218,59 @@ def test_packed_blocks_on_long_words(symbol):
     assert {els[i]: s * e_of(Fraction(k, s.order)) for i, k in exps.items()} == vectors[2].coeffs
 
 
+def _letter_matrix(letters, p: int):
+    """The matrix of letters (as _walk takes them) after T^p: each letter
+    acts after the ones before it, ("S", 2) as S S."""
+    m = t_power(p)
+    for kind, k in letters:
+        for _ in range(k if kind == "S" else 1):
+            m = mat2_mul(S_MAT if kind == "S" else t_power(k), m)
+    return m
+
+
 def test_oracle_applies_each_coset_word_once_per_q_class(monkeypatch):
-    """The first oracle call of a q-class runs one pass per first column: the
-    word without its first-applied T^p on one lane per p, with all of the
-    class in every lane, and the lanes of its passes are the cosets of
-    SL2(Z/N), each once.  Another gamma of the class runs no pass."""
+    """The first oracle call of a q-class walks the coset words, with all of
+    the class in every lane: each word without its first-applied T^p
+    completes once, on one lane per p, and the lanes of the completed
+    words, their letters after T^p, are the elements of SL2(Z/N), each
+    once.  Another gamma of the class applies no letter."""
     form = from_jordan_symbol("5^+2")
     n, iso, cosets = form.level(), form.isotropic_elements(), enumerate_cosets(form.level())
     other = next(g for g in form.elements() if form.q(g) != 0)
     _fresh_caches(monkeypatch, form)
-    powers, lanes, blocks = {}, [], set()
-    pack, apply = weil._Codec.pack, weil._apply_word_packed
+    powers, lanes, blocks, letters = {}, [], set(), []
+    pack, walk, apply = weil._Codec.pack, weil._walk, weil._apply_letter
 
     def packing(codec, m, terms, diag=None, ps=(0,)):
         data = pack(codec, m, terms, diag, ps)
         powers[id(data)] = data, ps  # the list is kept, so its id is not reused
         return data
 
-    def applying(part, tab, tokens, data, codec):
+    def walking(part, tab, words, data, codec):
         blocks.add(codec.blocks)
-        lanes.append([SL2Word(None, (*tokens, ("T", p))).matrix() for p in powers[id(data)][1]])
-        return apply(part, tab, tokens, data, codec)
+        for word, image in zip(words, walk(part, tab, words, data, codec), strict=True):
+            lanes.append([_letter_matrix(word, p) for p in powers[id(data)][1]])
+            yield image
+
+    def applying(part, tab, letter, data, codec):
+        letters.append(letter)
+        return apply(part, tab, letter, data, codec)
 
     monkeypatch.setattr(weil._Codec, "pack", packing)
-    monkeypatch.setattr(weil, "_apply_word_packed", applying)
+    monkeypatch.setattr(weil, "_walk", walking)
+    monkeypatch.setattr(weil, "_apply_letter", applying)
 
-    def elements(passes):
-        return sorted(tuple(x % n for row in m for x in row) for ms in passes for m in ms)
+    def elements(words):
+        return sorted(tuple(x % n for row in m for x in row) for ms in words for m in ms)
 
     cosets_mod_n = elements([[word.target for word in cosets]])
     outputs = [inv_average_oracle(form, iso[1])]
     assert len(lanes) == len(cosets) // n and {len(ms) for ms in lanes} == {n}
     assert elements(lanes) == cosets_mod_n and len(set(cosets_mod_n)) == len(cosets)
-    assert blocks == {len(iso)}
+    assert blocks == {len(iso)} and letters
+    del letters[:]
     outputs.append(inv_average_oracle(form, iso[2]))
-    assert len(lanes) == len(cosets) // n
+    assert len(lanes) == len(cosets) // n and letters == []
     outputs.append(inv_average_oracle(form, other))
     assert elements(lanes[len(cosets) // n :]) == cosets_mod_n
     assert blocks == {len(iso), form.q_values().count(form.q_int(other))}

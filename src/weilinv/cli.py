@@ -50,13 +50,8 @@ EXIT_IO = 5
 EXIT_INTERNAL = 6
 
 
-class InternalError(RuntimeError):
-    """A cross-check of the CLI failed; the message names the check."""
-
-
 ERROR_CODES = {
     InternalInconsistency: ("internal-error", EXIT_INTERNAL),
-    InternalError: ("internal-error", EXIT_INTERNAL),
     SymbolError: ("parse-error", EXIT_PARSE),
     OddSignatureError: ("odd-signature", EXIT_ODD_SIGNATURE),
     json.JSONDecodeError: ("io-error", EXIT_IO),
@@ -136,7 +131,7 @@ def _cmd_induced_basis(args) -> dict:
     doc["rank"] = rank_of_vectors(gens)
     doc["generators"] = [{"vector": _vector_doc(g)} for g in gens]
     if args.check and doc["rank"] != doc["dim"]:
-        raise InternalError("induced rank check: the generating set does not span the invariants")
+        raise InternalInconsistency("induced rank check: the generating set does not span the invariants")
     return doc
 
 

@@ -55,23 +55,25 @@ width rule: an S transform sums at most |D| digits into one, so no digit
 carries when B is the bit length of top * terms * |D|^k, top the largest
 input digit, `terms` the images summed and k the scalar-free S transforms.
 The sign rule: a coordinate c of zeta_m^e enters at digit e*u/m, and -c as
-c at digit e*u/m + u/2 (u even, x^(u/2) = -1 modulo Phi_u).  A word acts
-letter by letter, right to left, one _apply_letter per letter: T^n, an
-S S pair, or S.  _apply_words runs the words that differ only in a
-first-applied T^p, as the N cosets L T^t of one first column do, on one
-packed input: lane l holds the columns times rho(T^p_l), the exponent
-e - p_l (u/N) N q(i) at element i by the sign rule, and every letter acts
-on each block alone, so no lane reads another lane's digits; a group
-larger than the lanes that fit takes several chunks of powers.  The rests
-of the words with k S letters that run on one chunk share that input, and
-_walk takes their letter sequences sorted, with a stack of one image per
-depth: each starts from the prefix it shares with the one before, so each
-distinct prefix is applied once, and an image stays on the stack only
-while the next sequence shares it.  A block is read as its digits reduced
-modulo Phi_u, once per distinct block.  The images of the words with k S
-letters are summed, lanes and all, then read, which sums the lanes,
-multiplied by the coordinates of G^k and leave as Cyclo values at the
-order u over |D|^k.
+c at digit e*u/m + u/2 (u even, x^(u/2) = -1 modulo Phi_u).  _split is the
+one reader of a word's first-applied T^p; the rest of the word reaches
+packed data only through _walk, the one driver, which acts letter by
+letter, right to left, one _apply_letter per letter: T^n, an S S pair, or
+S.  _apply_words runs the words that differ only in their T^p, as the N
+cosets L T^t of one first column do, on one packed input: lane l holds
+the columns times rho(T^p_l), the exponent e - p_l (u/N) N q(i) at
+element i by the sign rule, and every letter acts on each block alone, so
+no lane reads another lane's digits; a group larger than the lanes that
+fit takes several chunks of powers.  The rests of the words with k S
+letters that run on one chunk share that input, and _walk takes their
+letter sequences sorted, with a stack of one image per depth: each starts
+from the prefix it shares with the one before, so each distinct prefix is
+applied once, and an image stays on the stack only while the next
+sequence shares it.  T^p fixes e^0, so _e0_column walks only the rest.  A
+block is read as its digits reduced modulo Phi_u, once per distinct
+block.  The images of the words with k S letters are summed, lanes and
+all, then read, which sums the lanes, multiplied by the coordinates of
+G^k and leave as Cyclo values at the order u over |D|^k.
 """
 
 from __future__ import annotations
@@ -402,6 +404,12 @@ def _apply_s_ints(form: DiscriminantForm, tab, data: list[int], codec: _Codec) -
     return [data[i] for i in tab["freq_index"]]
 
 
+def _split(tokens) -> tuple[tuple[tuple[str, int], ...], int]:
+    """(rest, p): a word's tokens as its first-applied T^p, the last token
+    when it is a T power (else p = 0), and the rest, the tokens before it."""
+    return (tuple(tokens[:-1]), tokens[-1][1]) if tokens and tokens[-1][0] == "T" else (tuple(tokens), 0)
+
+
 def _letters(tokens) -> tuple[tuple[str, int], ...]:
     """The letters of a word in the order they act, right to left: ("T", n)
     for T^n, ("S", 2) for two adjacent S letters, which are rho(-1), and
@@ -435,20 +443,16 @@ def _apply_letter(form: DiscriminantForm, tab, letter: tuple[str, int], data: li
     return _apply_s_ints(form, tab, data, codec)
 
 
-def _apply_word_packed(form: DiscriminantForm, tab, tokens, data: list[int], codec: _Codec) -> list[int]:
-    """The word right to left on packed entries, one _apply_letter per letter."""
-    for letter in _letters(tokens):
-        data = _apply_letter(form, tab, letter, data, codec)
-    return data
-
-
 def _walk(form: DiscriminantForm, tab, words: list, data: list[int], codec: _Codec):
     """The image of data under each of words, letter sequences of _letters,
-    in order.  states[j] is the image after the first j letters of the
-    current sequence, kept only while the next one shares those j letters;
-    each sequence starts from the prefix it shares with the one before and
-    applies only the rest.  On sorted sequences each distinct prefix is
-    applied once, and at most one state per depth is alive."""
+    in order: the one driver from letters to packed data, and the only
+    caller of _apply_letter (the coset walk, _e0_column's rests and the S
+    transforms of _s_mismatches all run here).  states[j] is the image
+    after the first j letters of the current sequence, kept only while the
+    next one shares those j letters; each sequence starts from the prefix
+    it shares with the one before and applies only the rest.  On sorted
+    sequences each distinct prefix is applied once, and at most one state
+    per depth is alive."""
     states = [data]
     for letters, after in zip(words, [*words[1:], ()]):
         keep = next((j for j, (a, b) in enumerate(zip(letters, after)) if a != b), min(len(letters), len(after)))
@@ -483,8 +487,8 @@ def _apply_words(form: DiscriminantForm, words, columns: list[dict[int, Cyclo]],
     top, diag = max((abs(x) for *_, x in terms), default=1), [-q * (u // form.level()) for q in form.q_values()]
     by_count = defaultdict(lambda: defaultdict(list))  # S count -> a word without its first T -> the T powers
     for tokens in words:
-        rest, p = (tokens[:-1], tokens[-1][1]) if tokens and tokens[-1][0] == "T" else (tokens, 0)
-        by_count[sum(kind == "S" for kind, _ in rest)][tuple(rest)].append(p % form.level())
+        rest, p = _split(tokens)
+        by_count[sum(kind == "S" for kind, _ in rest)][rest].append(p % form.level())
     last = max(by_count, default=0)
     weight, totals = Fraction(weight, den * n**last), [[None] * n for _ in columns]
     for k, rests in by_count.items():
@@ -582,23 +586,17 @@ def _lift_words(lift: Matrix2, ts) -> list[SL2Word]:
     so its word of lift T^t is its word of lift with the trailing T^p, if
     any, made T^(p + t).  So lift is decomposed once, and word_decompose's
     own check covers the letters before T^p: they multiply to lift T^-p.
-    Each word is checked by one product, lift T^-p times T to the power its
-    tokens end with, against lift T^t."""
-    tokens = word_decompose(lift).tokens
-    base, p = (tokens[:-1], tokens[-1][1]) if tokens and tokens[-1][0] == "T" else (tokens, 0)
+    Each word is checked by one product, lift T^-p times the T power that
+    _split reads off the built word, against lift T^t."""
+    base, p = _split(word_decompose(lift).tokens)
     head, out = mat2_mul(lift, t_power(-p)), []
     for t in ts:
         word = (*base, ("T", p + t)) if p + t else base
         target = mat2_mul(lift, t_power(t))
-        if mat2_mul(head, t_power(word[-1][1] if word and word[-1][0] == "T" else 0)) != target:
+        if mat2_mul(head, t_power(_split(word)[1])) != target:
             raise InternalInconsistency("word decomposition failed to reproduce the matrix")
         out.append(SL2Word(target, word))
     return out
-
-
-def _lift_word(lift: Matrix2, t: int) -> SL2Word:
-    """The word of lift T^t, by _lift_words."""
-    return _lift_words(lift, (t,))[0]
 
 
 def _reduced_word(m, n: int) -> SL2Word:
@@ -608,7 +606,7 @@ def _reduced_word(m, n: int) -> SL2Word:
     m = _as_sl2z(m)
     (a, _), (c, _) = m
     lift = _lift(a % n, c % n, n)
-    word = _lift_word(lift, mat2_mul(mat2_inv(lift), m)[0][1] % n)
+    [word] = _lift_words(lift, (mat2_mul(mat2_inv(lift), m)[0][1] % n,))
     if any((x - y) % n for row, mrow in zip(word.target, m) for x, y in zip(row, mrow)):
         raise InternalInconsistency("reduction modulo the level failed to reproduce the matrix")
     return word
@@ -671,7 +669,7 @@ def _classes(n: int) -> tuple[tuple[int, SL2Word], ...]:
                     if not seen[key]:
                         seen[key] = 1
                         stack.append(y)
-            out.append((size, _lift_word(lift, t)))
+            out.append((size, *_lift_words(lift, (t,))))
     if sum(size for size, _ in out) != sl2_group_order(n):
         raise InternalInconsistency("conjugacy classes do not partition SL2(Z/N)")
     return tuple(out)
@@ -722,13 +720,16 @@ def _e0_column(part: DiscriminantForm, word: SL2Word) -> tuple[Cyclo, dict[int, 
     """rho_part(M) e^0 for M = word.target as (s, {index: k}): the entry at
     each support index is s * zeta_w^k, w = lcm(2, u) = s.order, u the
     level, s the first nonzero entry, found among the read +- rotations of
-    the first.  Memoized on the shared part, whose words with k S letters
-    share one codec, so each distinct block is reduced once per part."""
+    the first.  The word's first-applied T^p fixes e^0 (q(0) = 0), so only
+    its rest (_split) is walked, and the answer is memoized by rest on the
+    shared part, whose rests with k S letters share one codec, so each
+    distinct block is reduced once per part."""
+    rest = _split(word.tokens)[0]
 
     def build():
-        tab, u, k = _word_tables(part), part.level(), sum(kind == "S" for kind, _ in word.tokens)
+        tab, u, k = _word_tables(part), part.level(), sum(kind == "S" for kind, _ in rest)
         w, codec = lcm(2, u), part.memo(("e0_codec", k), lambda: _Codec(part, u, 1, k=k))
-        packed = _apply_word_packed(part, tab, word.tokens, codec.pack(part.order, [(0, 0, 0, 1)]), codec)
+        [packed] = _walk(part, tab, [_letters(rest)], codec.pack(part.order, [(0, 0, 0, 1)]), codec)
         support = [(i, y) for i, y in ((i, codec.read(x)[0]) for i, x in enumerate(packed) if x) if any(y)]
         x0, rotations = packed[support[0][0]], {}  # +- zeta_u^j x0, reduced -> its exponent over w
         for j, (lo, hi, a, b) in enumerate(codec.rot):
@@ -740,7 +741,7 @@ def _e0_column(part: DiscriminantForm, word: SL2Word) -> tuple[Cyclo, dict[int, 
             raise InternalInconsistency(f"cusp column check: rho(M) e^0 on {part!r} is not s times roots of unity")
         return Cyclo(u, _times(support[0][1], _gauss_power(part, k, u), 1), part.order**k).to_order(w), exps
 
-    return part.memo(("e0_col", word.tokens), build)
+    return part.memo(("e0_col", rest), build)
 
 
 def _column(form: DiscriminantForm, word: SL2Word, js: list[int]) -> tuple[Cyclo, list[int | None]]:
@@ -914,8 +915,7 @@ def _s_mismatches(form: DiscriminantForm, u: int, k: int, columns: list[dict[int
     s += (0,) * (u - len(s))  # u digits, as _Codec reads a block
     codec = _Codec(form, u, len(columns), max((abs(x) for col in columns for x in col.values()), default=1), 1, k)
     data = codec.pack(form.order, [(i, c, 0, x) for c, col in enumerate(columns) for i, x in col.items()])
-    for _ in range(k):
-        data = _apply_s_ints(form, tab, data, codec)
+    [data] = _walk(form, tab, [(("S", 1),) * k], data, codec)  # plain S letters, never the S S pair
     times = {x: tuple(x * g for g in s) for x in {0, *(x for image in images for x in image.values())}}
     want = [[times[0]] * len(columns) for _ in data]
     for c, image in enumerate(images):
@@ -949,7 +949,8 @@ def rho_s_squared_failure(form: DiscriminantForm, gammas: list[Element]) -> Elem
     """A gamma of gammas with rho(S)^2 e^gamma != e(sig/4) e^-gamma, or None.
     rho(S) = G/|D| S0, so this needs G^2 = |D| e(sig/4), as G*G and as the
     scalar of two S letters from _gauss_power, and S0 S0 e^gamma = |D| e^-gamma
-    by two S transforms (not the S S pair of _apply_word_packed, which assumes it)."""
+    by two plain S letters walked by _s_mismatches (not the ("S", 2) letter of
+    an S S pair, which assumes it)."""
     _require_even(form)
     u, n = form.level(), form.order
     g = Cyclo(u, _gauss_power(form, 1, u))

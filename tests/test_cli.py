@@ -11,7 +11,7 @@ from hypothesis import example, given, strategies as st
 from weilinv import cli
 from weilinv.cli import main
 from weilinv.cyclo import e_of
-from weilinv.fqm import from_gram, from_jordan_symbol
+from weilinv.fqm import InternalInconsistency, from_gram, from_jordan_symbol
 from weilinv.fundamental import invariant_basis, invariant_generators, invariant_projection
 from weilinv.intmat import Echelon
 from weilinv.weil import Vec, inv
@@ -555,14 +555,14 @@ def test_internal_errors_have_their_own_code(monkeypatch):
     for part, _ in form.orthogonal_components():
         monkeypatch.setattr(part, "_caches", {})
     # breaks the e^0 column check
-    monkeypatch.setattr(weil, "_apply_word_packed", _doubling_last_entry(weil._apply_word_packed))
+    monkeypatch.setattr(weil, "_walk", _doubling_last_entry(weil._walk))
     status, out = run_cli(["dim", "--symbol", "5^+2"])
     assert status == 6
     error = json.loads(out)["error"]
     assert error["code"] == "internal-error" and "cusp column check" in error["message"]
 
     def failed_rank(*args):
-        raise cli.InternalError("induced rank check: the generating set does not span the invariants")
+        raise InternalInconsistency("induced rank check: the generating set does not span the invariants")
 
     monkeypatch.setitem(cli.COMMANDS, "induced-basis", failed_rank)
     status, out = run_cli(["induced-basis", "--symbol", "3^-2"])

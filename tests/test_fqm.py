@@ -10,12 +10,12 @@ from weilinv.fqm import (
     InternalInconsistency,
     JordanSymbol,
     SymbolError,
-    count_norm,
     from_gram,
     from_jordan_symbol,
 )
 
 from conftest import SMALL_EVEN_SYMBOLS
+from oracles import count_norm
 
 
 def test_symbol_parsing_roundtrip():
@@ -161,6 +161,23 @@ def test_from_gram_rejects_bad_input():
         from_gram([[2, 0], [0, 0]])  # singular
     with pytest.raises(ValueError):
         from_gram([[2, 1], [0, 2]])  # not symmetric
+
+
+@pytest.mark.parametrize(
+    "orders, q_gen, b_gen",
+    [
+        ([2], [Fraction(1, 3)], [[Fraction(2, 3)]]),  # b(2 e, e) = 4/3 and q(2 e) = 4/3: order 2, level 3
+        ([3], [Fraction(1, 6)], [[Fraction(1, 3)]]),  # b(3 e, e) = 0 but q(3 e) = 3/2
+        ([2, 3], [Fraction(1, 2), Fraction(1, 3)], [[0, Fraction(1, 3)], [Fraction(1, 3), Fraction(2, 3)]]),
+    ],
+    ids=["order-2-level-3", "q-of-3e", "b-of-2e"],
+)
+def test_generator_data_must_be_well_defined(orders, q_gen, b_gen):
+    """q(d g_i) and b(d g_i, g_j) must vanish mod 1 for a generator g_i of
+    order d, else every later answer on the form would be wrong."""
+    with pytest.raises(ValueError, match="not well defined on generator"):
+        DiscriminantForm(orders, q_gen, b_gen)
+    assert DiscriminantForm([3], [Fraction(1, 3)], [[Fraction(2, 3)]]).level() == 3
 
 
 def test_from_gram_shares_one_form_per_matrix():

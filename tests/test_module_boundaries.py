@@ -5,7 +5,9 @@ from the layers below its own,
     arith, config < intmat < cyclo < fqm < weil < induct < fundamental < appl < cli.
 
 Each module is parsed, and every offending import, at module level or
-inside a function, fails the test with its file and line."""
+inside a function, fails the test with its file and line.  And no
+module-level function, class or constant is an orphan: each is read
+somewhere else in src/weilinv or listed in an __all__."""
 
 import ast
 from pathlib import Path
@@ -63,3 +65,74 @@ def test_modules_import_only_lower_layers():
         if module is None or LAYER.get(module, len(LAYERS)) >= LAYER[path.stem]
     ]
     assert not found, "\n".join(found)
+
+
+def _definitions(tree: ast.Module):
+    """(name, line) of each module-level function, class and constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name) and not target.id.startswith("__"):
+                    yield target.id, node.lineno
+
+
+def _orphans(modules: dict[str, ast.Module]) -> list[str]:
+    """module:line: name for each module-level definition that no other
+    definition of any module reads (a Name or attribute, its own body
+    aside; an import is no read) and no __all__ lists."""
+    listed, reads = set(), set()  # reads: (name, module, owner of the read)
+    for module, tree in modules.items():
+        for top in tree.body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                    reads.add((node.id, module, owner))
+                elif isinstance(node, ast.Attribute):
+                    reads.add((node.attr, module, owner))
+            targets = top.targets if isinstance(top, ast.Assign) else []
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                listed.update(x.value for x in ast.walk(top.value) if isinstance(x, ast.Constant))
+    return [
+        f"{module}:{line}: {name}"
+        for module, tree in modules.items()
+        for name, line in _definitions(tree)
+        if name not in listed and not any(r == name and (m, o) != (module, name) for r, m, o in reads)
+    ]
+
+
+def test_no_orphan_definitions():
+    found = _orphans({path.stem: tree for path, tree in _modules()})
+    assert not found, "unreferenced module-level names in src/weilinv:\n" + "\n".join(found)
+
+
+def test_the_orphan_guard_sees_an_orphan():
+    """A helper only its own body calls, a constant never read and a class
+    only imported elsewhere are orphans; a name read by another module, by
+    another definition of its own module, or listed in __all__ is not."""
+    modules = {
+        "fundamental": ast.parse("\n".join([
+            "from .fqm import Form",
+            "LIMIT = 3",
+            "UNUSED = 4",
+            "def integer_normalize(v):",
+            "    return integer_normalize(v[1:]) if v else v",
+            "def integer_coefficients(v):",
+            "    return v[:LIMIT]",
+            "def public():",
+            "    return fqm.helper()",
+        ])),
+        "fqm": ast.parse("\n".join([
+            "class Form:",
+            "    pass",
+            "def helper():",
+            "    return 1",
+        ])),
+        "__init__": ast.parse("__all__ = ['public', 'integer_coefficients']"),
+    }
+    assert _orphans(modules) == [
+        "fundamental:3: UNUSED",
+        "fundamental:4: integer_normalize",
+        "fqm:1: Form",
+    ]

@@ -570,7 +570,7 @@ def test_rho_of_a_matrix_equals_its_full_word(symbol, level):
 def test_reduction_guard(monkeypatch):
     """A reduced word that is not the matrix modulo N trips the named guard."""
     d = from_jordan_symbol("3^-2")
-    monkeypatch.setattr(weil, "_lift_word", lambda lift, t: word_decompose(lift))
+    monkeypatch.setattr(weil, "_lift_words", lambda lift, ts: [word_decompose(lift) for _ in ts])
     with pytest.raises(InternalInconsistency, match="reduction modulo the level"):
         rho(t_power(1), Vec.basis(d, d.zero()))
 
@@ -1030,46 +1030,58 @@ def _fresh_caches(monkeypatch, form):
         monkeypatch.setattr(part, "_caches", {})
 
 
-def _count_words(monkeypatch):
-    """The parts on which _apply_word_packed is called from now on."""
+def _count_walks(monkeypatch):
+    """The parts on which _walk is called from now on."""
     calls = []
-    original = weil._apply_word_packed
+    original = weil._walk
 
-    def counting(part, tab, tokens, data, codec):
+    def counting(part, tab, words, data, codec):
         calls.append(part)
-        return original(part, tab, tokens, data, codec)
+        return original(part, tab, words, data, codec)
 
-    monkeypatch.setattr(weil, "_apply_word_packed", counting)
+    monkeypatch.setattr(weil, "_walk", counting)
     return calls
+
+
+def _rests(words) -> set:
+    """The distinct rests of words: each word's tokens without the last
+    token when it is a T power, the word's first-applied T, which fixes e^0."""
+    return {w.tokens[:-1] if w.tokens and w.tokens[-1][0] == "T" else w.tokens for w in words}
 
 
 @pytest.mark.parametrize("symbol", ["7^-2", "2_2^+2.4_II^+2", "3^+1.5^+1"])
 def test_cold_dim_applies_one_word_per_part_and_cusp(symbol, monkeypatch):
+    """The cusp route: one walk per part and distinct rest of the cusp
+    words; none on a repeat."""
     form = from_jordan_symbol(symbol)
     _fresh_caches(monkeypatch, form)
-    calls = _count_words(monkeypatch)
+    calls = _count_walks(monkeypatch)
     dim = cusp_dim(form)
     parts = {id(part) for part, _ in form.orthogonal_components()}
-    assert len(calls) == len(parts) * len(cusp_classes(form.level()))
+    assert len(calls) == len(parts) * len(_rests(cusp.inv_word for cusp in cusp_classes(form.level())))
     assert {id(p) for p in calls} == parts
     calls.clear()
     assert cusp_dim(form) == dim
     assert calls == []
 
 
-@pytest.mark.parametrize("symbol", ["7^-2", "2_2^+2.4_II^+2", "3^+1.5^+1"])
+@pytest.mark.parametrize("symbol", ["7^-2", "2_2^+2.4_II^+2", "3^+1.5^+1", "7^-4"])
 def test_cold_dim_applies_one_word_per_block_and_class(symbol, monkeypatch):
-    """The class route: one word per orthogonal block of each p-part and
-    class of SL2 at that p-part's level; none on a repeat."""
+    """The class route: one walk per orthogonal block of each p-part and
+    distinct rest of the class words of SL2 at that p-part's level (at
+    level 7, 4 rests for 11 classes); none on a repeat."""
     form = from_jordan_symbol(symbol)
     parts = [part for _, part, _ in form.p_part_decompose()]
     for f in (form, *parts):
         _fresh_caches(monkeypatch, f)
-    calls = _count_words(monkeypatch)
+    calls = _count_walks(monkeypatch)
     dim = dim_invariants(form)
     blocks = [{id(block) for block, _ in part.orthogonal_components()} for part in parts]
-    assert len(calls) == sum(len(b) * len(weil._classes(part.level())) for b, part in zip(blocks, parts))
+    rests = [len(_rests(word for _, word in weil._classes(part.level()))) for part in parts]
+    assert len(calls) == sum(len(b) * r for b, r in zip(blocks, rests))
     assert {id(p) for p in calls} == set().union(*blocks)
+    if form.level() == 7:
+        assert (len(weil._classes(7)), rests) == (11, [4])
     calls.clear()
     assert dim_invariants(form) == dim
     assert calls == []
@@ -1080,23 +1092,24 @@ def test_cusp_column_guard(monkeypatch):
     fails the named check instead of giving a wrong answer."""
     form = from_jordan_symbol("5^+2")
     _fresh_caches(monkeypatch, form)
-    monkeypatch.setattr(weil, "_apply_word_packed", _doubling_last_entry(weil._apply_word_packed))
+    monkeypatch.setattr(weil, "_walk", _doubling_last_entry(weil._walk))
     with pytest.raises(InternalInconsistency, match="cusp column check"):
         dim_invariants(form)
 
 
 def _doubling_last_entry(original):
-    """original (_apply_word_packed) with the last entry of each one-block
-    image that is nonzero modulo Phi_u doubled, as the codec reads it, if
-    there are two such entries: the e^0 column is then not one scalar
-    times roots of unity."""
+    """original (_walk) with the last entry of each one-block image that is
+    nonzero modulo Phi_u doubled, as the codec reads it, if there are two
+    such entries: the e^0 column is then not one scalar times roots of
+    unity.  The image is copied, so no state of the walk changes."""
 
-    def corrupted(part, tab, tokens, data, codec):
-        image = original(part, tab, tokens, data, codec)
-        support = [i for i, x in enumerate(image) if x and any(codec.read(x)[0])]
-        if len(support) > 1:
-            image[support[-1]] *= 2
-        return image
+    def corrupted(part, tab, words, data, codec):
+        for image in original(part, tab, words, data, codec):
+            support = [i for i, x in enumerate(image) if x and any(codec.read(x)[0])]
+            if len(support) > 1:
+                image = image[:]
+                image[support[-1]] *= 2
+            yield image
 
     return corrupted
 

@@ -366,9 +366,10 @@ class DiscriminantForm:
         return Cyclo(m, Counter(c // g * x % m for x in self.q_values()))
 
     def signature(self) -> int:
-        """Signature mod 8, extracted from the exact Gauss sum blockwise.  The
-        cyclotomic order each block is matched in is checked on every call,
-        so that the bound holds for a memoized answer too."""
+        """Signature mod 8, extracted from the exact Gauss sum blockwise, each
+        block's match memoized on the shared block.  The cyclotomic order
+        each block is matched in is checked on every call, so that the bound
+        holds for a memoized answer too."""
         parts = [part for part, _ in self.orthogonal_components()]
         for part in parts:
             w = part.memo("gauss_order", lambda: lcm(8, part.level(), sqrt_int(part.order).order))
@@ -376,7 +377,7 @@ class DiscriminantForm:
                 raise cyclo.CycloOrderError(f"cyclotomic order {w} of {part!r} exceeds bound {LIMITS.max_cyclo_order}")
 
         def build() -> int:
-            sig = sum(_signature_from_gauss_sum(part) for part in parts) % 8
+            sig = sum(part.memo("gauss_signature", lambda: _signature_from_gauss_sum(part)) for part in parts) % 8
             if self.symbol is not None and self.symbol.signature() != sig:
                 raise InternalInconsistency(
                     f"Gauss sum gives signature {sig}, symbol {self.symbol} gives {self.symbol.signature()}"

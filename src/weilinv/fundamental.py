@@ -34,6 +34,7 @@ compared with, in the tests and once per form by the CLI's verify.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from math import gcd, isqrt, lcm
 from operator import mul
@@ -475,12 +476,21 @@ def _project(basis, adj, col) -> dict:
 def invariant_projection(form: DiscriminantForm, v) -> GroupAlgebraVector:
     """inv(v), v a vector or an element (for e^v): B (B^T B)^-1 B^T v, the
     orthogonal projection onto C[D]^G, as rho is unitary.  Zero for odd
-    signature.  weil.inv is the cusp-route reference, which verify reads."""
+    signature.  weil.inv is the cusp-route reference, which verify reads.
+    A v with rational coefficients is projected in ints, scaled to integers
+    (cyclo.integer_multiple) and divided once at the end, with one Cyclo
+    per distinct coefficient; any other v is projected in Cyclo."""
     if isinstance(v, tuple):
         v = Vec.basis(form, v)
     _, basis, adj, den = _projector(form)
-    col = [sum((c * b[el] for el, c in v.coeffs.items() if el in b), cyclo.ZERO) for b in basis]
-    return Vec(form, {el: x / den for el, x in _project(basis, adj, col).items()})
+    ints = cyclo.integer_multiple(v.coeffs)
+    if ints is None:
+        col = [sum((c * b[el] for el, c in v.coeffs.items() if el in b), cyclo.ZERO) for b in basis]
+        return Vec(form, {el: x / den for el, x in _project(basis, adj, col).items()})
+    scale = den * lcm(*(c.den for c in v.coeffs.values()))
+    value = cache(lambda x: Cyclo(1, [x], scale))  # Cyclo is immutable, so a value is shared
+    col = [sum(x * b[el] for el, x in ints.items() if el in b) for b in basis]
+    return Vec(form, {el: value(x) for el, x in _project(basis, adj, col).items()})
 
 
 def invariant_basis(form: DiscriminantForm) -> list[tuple[Element, GroupAlgebraVector]]:

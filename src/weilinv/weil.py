@@ -72,8 +72,12 @@ applied once, and an image stays on the stack only while the next
 sequence shares it.  T^p fixes e^0, so _e0_column walks only the rest.  A
 block is read as its digits reduced modulo Phi_u, once per distinct
 block.  The images of the words with k S letters are summed, lanes and
-all, then read, which sums the lanes, multiplied by the coordinates of
-G^k and leave as Cyclo values at the order u over |D|^k.
+all; each distinct summed entry is read once, which sums the lanes, and
+each distinct block in it is multiplied by the coordinates of G^k once.
+The sums over k leave as Cyclo values at the order u over |D|^k, one
+Cyclo per distinct value, shared by every coordinate that has it (a Cyclo
+is never changed in place).  An entry holds at most _MAX_BLOCKS blocks:
+more columns run in chunks.
 """
 
 from __future__ import annotations
@@ -474,8 +478,14 @@ def _apply_words(form: DiscriminantForm, words, columns: list[dict[int, Cyclo]],
     columns times rho(T^p), zeta_u^(-p (u/N) N q) at each element.  The
     rests of the words with k S letters run on each chunk of lanes as one
     _walk, which applies each distinct prefix of their letters once.  The
-    images of the words with k S letters are summed, lanes and all, read
-    once (which sums the lanes) and scaled by G^k/|D|^k."""
+    images of the words with k S letters are summed, lanes and all; each
+    distinct summed entry is read once (which sums the lanes) and each
+    distinct block in it scaled by G^k/|D|^k once.  Each distinct value of
+    the result is one Cyclo, shared by every coordinate that has it.  More
+    than _MAX_BLOCKS columns run in chunks of _MAX_BLOCKS."""
+    if len(columns) > _MAX_BLOCKS:
+        chunks = (columns[at : at + _MAX_BLOCKS] for at in range(0, len(columns), _MAX_BLOCKS))
+        return [image for chunk in chunks for image in _apply_words(form, words, chunk, weight)]
     tab, els, n = _word_tables(form), form.elements(), form.order
     values = [c for col in columns for c in col.values()]
     u = lcm(form.level(), *(c.order for c in values))
@@ -505,12 +515,14 @@ def _apply_words(form: DiscriminantForm, words, columns: list[dict[int, Cyclo]],
             for image in _walk(form, tab, sorted(seqs), codec.pack(n, terms, diag, chunk), codec):
                 acc = list(map(add, acc, image))
         gauss, f = _gauss_power(form, k, u), weight.numerator * n ** (last - k)
+        scaled = cache(lambda y: _times(y, gauss, f) if any(y) else None)  # a block -> f G^k times it
+        read = cache(lambda x: [scaled(y) for y in codec.read(x)] if x else ())  # an entry -> its scaled blocks
         for i, x in enumerate(acc):
-            for total, y in zip(totals, codec.read(x) if x else ()):
-                if any(y):
-                    y = _times(y, gauss, f)
+            for total, y in zip(totals, read(x)):
+                if y is not None:
                     total[i] = y if total[i] is None else list(map(add, total[i], y))
-    return [Vec(form, {els[i]: Cyclo(u, t, weight.denominator) for i, t in enumerate(total) if t}) for total in totals]
+    value = cache(lambda t: Cyclo(u, t, weight.denominator))  # Cyclo is immutable, so a value is shared
+    return [Vec(form, {els[i]: value(tuple(t)) for i, t in enumerate(total) if t}) for total in totals]
 
 
 # ---------------------------------------------------------------------------
@@ -847,9 +859,10 @@ def inv_average_oracle(form: DiscriminantForm, gamma: Element) -> Vec:
     cusp grouping, intertwining, e^0 column or block factorization enters.
     The words run on every e^beta with N q(beta) = N q(gamma), one packed
     block per beta and lane, at most _MAX_BLOCKS blocks per entry (a first
-    column whose lanes do not fit takes several chunks of lanes), and the
-    class's answers are memoized; the images are summed per number of S
-    letters, unpacked and scaled once."""
+    column whose lanes do not fit takes several chunks of lanes, and a
+    class of more columns runs in chunks of columns), and the class's
+    answers are memoized; the images are summed per number of S letters,
+    each distinct entry unpacked and each distinct block scaled once."""
     if form.signature() % 2:
         return Vec(form)
     _check_bounds(form)
@@ -886,7 +899,8 @@ def dim_invariants(form: DiscriminantForm) -> int:
     """dim C[D]^Gamma = (1/|G|) sum_g tr rho(g), G = SL2(Z/N).  A form with
     several p-parts gives the product of their dimensions; at prime-power
     level the trace is summed over the conjugacy classes of G, as the
-    product of the block traces of one representative per class."""
+    product of the block traces of one representative per class, each
+    distinct block's trace taken once and raised to its multiplicity."""
     _check_bounds(form)
     if form.signature() % 2:
         return 0
@@ -896,9 +910,10 @@ def dim_invariants(form: DiscriminantForm) -> int:
         if len(parts) > 1:
             return prod(dim_invariants(part) for _, part, _ in parts)
         n, total = form.level(), cyclo.ZERO
-        blocks = [part for part, _ in form.orthogonal_components()]
+        blocks = Counter(part for part, _ in form.orthogonal_components())  # equal blocks are one object
         for size, word in _classes(n):
-            total = total + prod((_block_trace(part, word) for part in blocks), start=cyclo.ONE) * size
+            traces = (t for part, m in blocks.items() for t in [_block_trace(part, word)] * m)
+            total = total + prod(traces, start=cyclo.ONE) * size
         total = total * Fraction(1, sl2_group_order(n))
         value = cyclo.as_rational(total)
         if value is None or value.denominator != 1 or value < 0:
@@ -910,21 +925,24 @@ def dim_invariants(form: DiscriminantForm) -> int:
 
 def _s_mismatches(form: DiscriminantForm, u: int, k: int, columns: list[dict[int, int]], images, scalar: Cyclo):
     """(i, c) for each element index i where k scalar-free S transforms of
-    column c, a map index -> int, differ from scalar times the map images[c]."""
+    column c, a map index -> int, differ from scalar times the map images[c];
+    the columns run in chunks of at most _MAX_BLOCKS."""
     tab, s = _word_tables(form), scalar.to_order(u).num
     s += (0,) * (u - len(s))  # u digits, as _Codec reads a block
-    codec = _Codec(form, u, len(columns), max((abs(x) for col in columns for x in col.values()), default=1), 1, k)
-    data = codec.pack(form.order, [(i, c, 0, x) for c, col in enumerate(columns) for i, x in col.items()])
-    [data] = _walk(form, tab, [(("S", 1),) * k], data, codec)  # plain S letters, never the S S pair
     times = {x: tuple(x * g for g in s) for x in {0, *(x for image in images for x in image.values())}}
-    want = [[times[0]] * len(columns) for _ in data]
-    for c, image in enumerate(images):
-        for i, x in image.items():
-            want[i][c] = times[x]
-    for i, x in enumerate(data):
-        got = codec.read(x)
-        if got != want[i]:
-            yield from ((i, c) for c, (a, b) in enumerate(zip(got, want[i])) if a != b)
+    for at in range(0, len(columns), _MAX_BLOCKS):
+        cols, chunk = columns[at : at + _MAX_BLOCKS], images[at : at + _MAX_BLOCKS]
+        codec = _Codec(form, u, len(cols), max((abs(x) for col in cols for x in col.values()), default=1), 1, k)
+        data = codec.pack(form.order, [(i, c, 0, x) for c, col in enumerate(cols) for i, x in col.items()])
+        [data] = _walk(form, tab, [(("S", 1),) * k], data, codec)  # plain S letters, never the S S pair
+        want = [[times[0]] * len(cols) for _ in data]
+        for c, image in enumerate(chunk):
+            for i, x in image.items():
+                want[i][c] = times[x]
+        for i, x in enumerate(data):
+            got = codec.read(x)
+            if got != want[i]:
+                yield from ((i, at + c) for c, (a, b) in enumerate(zip(got, want[i])) if a != b)
 
 
 def check_invariant_basis(form: DiscriminantForm, vectors: list[dict[Element, int]]) -> None:

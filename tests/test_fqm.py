@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from weilinv import fqm
 from weilinv.arith import legendre
 from weilinv.cyclo import e_of, serialize, sqrt_int
 from weilinv.fqm import (
@@ -114,6 +115,24 @@ def test_signatures():
     assert from_jordan_symbol("").signature() == 0
     assert from_jordan_symbol("2_II^-4").signature() == 4
     assert from_jordan_symbol("3^+3").signature() == 2  # 3-excess 6 -> -6 mod 8
+
+
+def test_each_block_signature_is_matched_once(monkeypatch):
+    """signature() reads each orthogonal block's Gauss-sum match through a
+    memo on the shared block: over the forms of five symbols and their
+    p-parts, with 9 distinct blocks among them (7^-4 alone has 4 blocks of
+    2 kinds), _signature_from_gauss_sum runs once per distinct block."""
+    forms = [from_jordan_symbol(s) for s in ["7^-4", "3^+1.5^+1", "5^-3", "2_2^+2.4_II^+2", "2_II^+2.3^-2"]]
+    forms += [part for form in forms for _, part, _ in form.p_part_decompose()]
+    blocks = {id(block): block for form in forms for block, _ in form.orthogonal_components()}
+    for form in [*forms, *blocks.values()]:
+        monkeypatch.setattr(form, "_caches", {})
+    calls, original = [], fqm._signature_from_gauss_sum
+    monkeypatch.setattr(fqm, "_signature_from_gauss_sum", lambda form: calls.append(id(form)) or original(form))
+    assert [form.signature() for form in forms[:5]] == [4, 2, 0, 2, 0]
+    for form in forms[5:]:
+        form.signature()
+    assert len(calls) == len(blocks) == 9 and set(calls) == set(blocks)
 
 
 def test_from_gram_rank_one():

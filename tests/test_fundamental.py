@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from math import isqrt, prod
 from pathlib import Path
@@ -23,6 +24,7 @@ from weilinv.fundamental import (
 from weilinv.induct import isotropic_subgroups, lift_up, quotient
 from weilinv.weil import Vec, dim_invariants, inv, rank_of_vectors, rho_S, rho_T
 
+from conftest import random_vector
 from test_appl import _d8_gram
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -403,6 +405,47 @@ def test_invariant_projection_of_a_cyclotomic_vector_is_the_cusp_route(symbol):
     els = d.elements()
     v = Vec(d, {el: e_of(Fraction(k, 12)) * (k + 1) for k, el in enumerate(els[:: max(1, len(els) // 7)])})
     assert invariant_projection(d, v) == inv(d, v)
+
+
+@pytest.mark.parametrize("symbol", ["7^-4", "2_II^+2.3^-2"])
+def test_rational_projection_in_ints_is_the_cyclotomic_one(symbol, monkeypatch):
+    """A vector with rational coefficients is projected in ints, building
+    no more Cyclo than its image has distinct coefficients; the same vector
+    times e(1/3) is projected in Cyclo, and the two routes agree:
+    inv(e(1/3) v) = e(1/3) inv(v), on seeded vectors of any support."""
+    d, r, z = from_jordan_symbol(symbol), random.Random(symbol), e_of(Fraction(1, 3))
+    invariant_projection(d, d.zero())  # the projector, built before counting
+    builds, init = [], Cyclo.__init__
+    monkeypatch.setattr(Cyclo, "__init__", lambda c, *args, **kwargs: builds.append(c) or init(c, *args, **kwargs))
+    for _ in range(3):
+        v = random_vector(d, r, density=0.2)
+        del builds[:]
+        image = invariant_projection(d, v)
+        assert 0 < len(builds) <= len({(c.order, c.num, c.den) for c in image.coeffs.values()})
+        assert invariant_projection(d, v.scale(z)) == image.scale(z)
+
+
+def test_basis_check_runs_in_chunks_of_max_blocks(monkeypatch):
+    """check_invariant_basis runs its vectors in chunks of at most
+    _MAX_BLOCKS: under a cap of 4 no codec holds more than 4 blocks, the
+    generators of 3^+5 pass, and a vector moved in a later chunk is named
+    by its own index."""
+    d = from_jordan_symbol("3^+5")
+    vectors = [integer_coefficients(v) for v in invariant_generators(d)]
+    sizes, init = [], weil._Codec.__init__
+
+    def recording(codec, *args, **kwargs):
+        init(codec, *args, **kwargs)
+        sizes.append(codec.blocks * codec.lanes)
+
+    monkeypatch.setattr(weil._Codec, "__init__", recording)
+    monkeypatch.setattr(weil, "_MAX_BLOCKS", 4)
+    weil.check_invariant_basis(d, vectors)
+    assert len(sizes) == -(-len(vectors) // 4) > 2 and max(sizes) <= 4
+    el = min(vectors[6])
+    moved = [*vectors[:6], {**vectors[6], el: 2 * vectors[6][el]}, *vectors[7:]]
+    with pytest.raises(InternalInconsistency, match="rho\\(S\\) moves vector 6 "):
+        weil.check_invariant_basis(d, moved)
 
 
 def _mutated(monkeypatch, symbol, builder, mutate):

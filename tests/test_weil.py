@@ -1087,6 +1087,28 @@ def test_cold_dim_applies_one_word_per_block_and_class(symbol, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("symbol, kinds", [("3^+5", 1), ("7^-4", 2)])
+def test_cold_dim_takes_each_distinct_block_trace_once_per_class(symbol, kinds, monkeypatch):
+    """Equal orthogonal blocks are one object, and a class's trace is the
+    product of their traces, so a cold dim takes _block_trace once per
+    distinct block and class: 3^+5 has 5 copies of one block, 7^-4 four
+    blocks of 2 kinds.  The answer is the closed form."""
+    form = from_jordan_symbol(symbol)
+    _fresh_caches(monkeypatch, form)
+    calls, original = [], weil._block_trace
+
+    def counting(part, word):
+        calls.append(part)
+        return original(part, word)
+
+    monkeypatch.setattr(weil, "_block_trace", counting)
+    assert dim_invariants(form) == dim_closed_form(symbol)
+    blocks = {id(part) for part, _ in form.orthogonal_components()}
+    assert len(blocks) == kinds < len(form.orthogonal_components())
+    assert len(calls) == kinds * len(weil._classes(form.level()))
+    assert Counter(map(id, calls)) == dict.fromkeys(blocks, len(weil._classes(form.level())))
+
+
 def test_cusp_column_guard(monkeypatch):
     """An e^0 column whose entries are not one scalar times roots of unity
     fails the named check instead of giving a wrong answer."""
@@ -1229,6 +1251,79 @@ def test_packed_blocks_on_long_words(symbol):
     word = SL2Word(SL2Word(None, tuple(tokens)).matrix(), tuple(tokens))
     s, exps = weil._e0_column(form, word)
     assert {els[i]: s * e_of(Fraction(k, s.order)) for i, k in exps.items()} == vectors[2].coeffs
+
+
+def test_max_blocks_caps_the_columns_of_an_entry(monkeypatch):
+    """Under a cap of 4 blocks per packed entry the coset oracle runs the 9
+    isotropic columns of 3^+3 in chunks: no codec holds more than 4 blocks
+    over its lanes, and every isotropic element gets the default-cap answer."""
+    form = from_jordan_symbol("3^+3")
+    iso = form.isotropic_elements()
+    _fresh_caches(monkeypatch, form)
+    want = [inv_average_oracle(form, g) for g in iso]
+    _fresh_caches(monkeypatch, form)
+    sizes, init = [], weil._Codec.__init__
+
+    def recording(codec, *args, **kwargs):
+        init(codec, *args, **kwargs)
+        sizes.append(codec.blocks * codec.lanes)
+
+    monkeypatch.setattr(weil._Codec, "__init__", recording)
+    monkeypatch.setattr(weil, "_MAX_BLOCKS", 4)
+    assert [inv_average_oracle(form, g) for g in iso] == want
+    assert len(iso) == 9 and sizes and max(sizes) <= 4
+
+
+def _count_read_out(monkeypatch):
+    """(reads, blocks, builds) from now on: the entries _Codec.read reads,
+    as (codec, entry, its nonzero blocks); the blocks _times scales, as
+    (G^k, factor, block); and the Cyclo built."""
+    reads, blocks, builds, codecs = [], [], [], []
+    read, times, init = weil._Codec.read, weil._times, Cyclo.__init__
+
+    def reading(codec, x):
+        out = read(codec, x)
+        codecs.append(codec)  # kept alive, so that no other codec takes its id
+        reads.append((id(codec), x, sum(map(any, out))))
+        return out
+
+    monkeypatch.setattr(weil._Codec, "read", reading)
+    monkeypatch.setattr(weil, "_times", lambda y, terms, f: blocks.append((id(terms), f, y)) or times(y, terms, f))
+    monkeypatch.setattr(Cyclo, "__init__", lambda c, *args, **kwargs: builds.append(c) or init(c, *args, **kwargs))
+    return reads, blocks, builds
+
+
+def test_rho_reads_each_packed_entry_once(monkeypatch):
+    """One rho call reads each distinct packed entry once (_Codec.read),
+    scales each distinct block once (_times) and builds no more Cyclo than
+    its result has distinct coefficients: on e^gamma of 2_2^+2.4_II^+2
+    under a seeded matrix, and on the dense image of that call."""
+    form = from_jordan_symbol("2_2^+2.4_II^+2")
+    form.signature()  # memoized before counting
+    [m] = _seeded_matrices(random.Random("read-out"), 1)
+    reads, blocks, builds = _count_read_out(monkeypatch)
+    v = Vec.basis(form, form.elements()[5])
+    for _ in range(2):
+        del reads[:], blocks[:], builds[:]
+        v = rho(m, v)
+        values = {(c.order, c.num, c.den) for c in v.coeffs.values()}  # one order per call, so one normal form
+        assert reads and len(reads) == len(set(reads))
+        assert blocks and len(blocks) == len(set(blocks))
+        assert len(builds) <= len(values) < len(v.coeffs) == form.order
+
+
+def test_oracle_scales_each_distinct_block_once(monkeypatch):
+    """A cold oracle class of 2_2^+2.4_II^+2, several columns per entry,
+    reads each distinct summed entry once per S count and scales each
+    distinct block once per S count, though its entries share blocks."""
+    form = from_jordan_symbol("2_2^+2.4_II^+2")
+    gamma = form.isotropic_elements()[1]
+    _fresh_caches(monkeypatch, form)
+    reads, blocks, _ = _count_read_out(monkeypatch)
+    images = weil._oracle_class(form, form.q_int(gamma))
+    assert len(images) > 1 and reads and len(reads) == len(set(reads))
+    assert len(blocks) == len(set(blocks)) < sum(nonzero for *_, nonzero in reads)
+    assert images[form.index(gamma)] == inv(form, gamma)
 
 
 def _letter_matrix(letters, p: int):
